@@ -13,6 +13,7 @@ consequences f = 21(n-2), 42(n-2), (n^2 - 5n*sqrt(n))/2 and f = 21n.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -139,6 +140,12 @@ def _bound_worker(args: tuple) -> tuple[int, BoundReport]:
     return n, compute_bound(n, db=db, m_budget_cap=cap)
 
 
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Workers to start for `tasks` jobs: at most `jobs`, one per CPU and
+    one per task, and at least one."""
+    return max(1, min(jobs, os.cpu_count() or 1, tasks))
+
+
 def bounds_for_ns(
     ns: Iterable[int],
     db: Optional[ExclusionDb] = None,
@@ -153,11 +160,12 @@ def bounds_for_ns(
     if db is None:
         db = default_db()
     ns = sorted(set(ns))
-    if jobs <= 1 or len(ns) <= 1:
+    workers = _worker_count(jobs, len(ns))
+    if workers == 1:
         return {n: compute_bound(n, db=db, m_budget_cap=m_budget_cap) for n in ns}
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = dict(pool.map(_bound_worker, [(n, db, m_budget_cap) for n in ns]))
     return {n: results[n] for n in ns}
 

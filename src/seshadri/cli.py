@@ -117,15 +117,25 @@ def _make_cfg(n: int, d: Optional[int], r: Optional[int]) -> SpecializationConfi
 
 
 class _Cache:
-    """Single-writer JSON cache of bound reports."""
+    """Single-writer JSON cache of bound reports.
+
+    A file that is not a JSON object is ignored with a warning on stderr, so
+    every report is recomputed; flush replaces the file atomically.
+    """
 
     def __init__(self, path: Optional[str]):
         self.path = path
         self.data: dict = {}
         self.dirty = False
         if path and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                self.data = json.load(fh)
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+                if not isinstance(data, dict):
+                    raise ValueError("not a JSON object")
+                self.data = data
+            except ValueError as exc:
+                sys.stderr.write(f"warning: ignoring corrupt cache {path} ({exc}); recomputing\n")
 
     @staticmethod
     def key(n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> str:
@@ -141,9 +151,15 @@ class _Cache:
 
     def flush(self) -> None:
         if self.path and self.dirty:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                json.dump(self.data, fh, sort_keys=True, indent=1)
-                fh.write("\n")
+            tmp = f"{self.path}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(self.data, fh, sort_keys=True, indent=1)
+                    fh.write("\n")
+                os.replace(tmp, self.path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
 
 
 def _cmd_candidates(args) -> int:

@@ -16,11 +16,25 @@ certifies that t_0*L - m_1*E_1 - ... - m_n*E_n is not the class of an
 effective divisor, hence alpha(m) > t_0; the largest t_0 satisfying it gives
 a certified lower bound 1 + t_0 for alpha(m).  Everything is integer
 arithmetic.
+
+The multiplicity walk does not depend on t_0: only the degrees shift, by d
+per step, so t_i = t_0 - i*d and D_i . C = d*t_0 - d^2*i - S_i, where S_i is
+the sum of the first r multiplicities of D_i.  With q = t_0 // d the stop
+index is j = q, and the criterion reduces to
+
+    d*t_0 <= g - 1 + min_{i < q} (d^2*i + S_i)   and   (s+1)(s+2) <= 2*S_q,
+
+with s = t_0 mod d (the first condition is empty when t_0 < d).  One walk
+of S_0, S_1, ... and its prefix minima therefore decide every t_0 in O(1).
+The walk is stepped in run-length form [(value, count), ...]: a step
+touches each run once, and semiuniform vectors stay a few runs long.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from math import isqrt
+from operator import lt
 from typing import Optional, Sequence
 
 from .lattice import (
@@ -128,21 +142,102 @@ def _relax(b: list[int], sites: list[int], cap: int) -> None:
             raise UnloadingDiverged(f"exceeded {cap} elementary moves")
 
 
-def _step_normal_form(b: list[int], r: int) -> None:
-    """Subtract 1 from the first r entries of a normal-form vector and unload.
+Runs = list[tuple[int, int]]
+
+
+def _to_runs(mults: Sequence[int]) -> Runs:
+    """Run-length form [(value, count), ...] of a nonincreasing vector."""
+    return [(v, len(list(group))) for v, group in groupby(mults)]
+
+
+def _from_runs(runs: Runs) -> tuple[int, ...]:
+    out: list[int] = []
+    for v, c in runs:
+        out.extend([v] * c)
+    return tuple(out)
+
+
+def _head_sum(runs: Runs, r: int) -> int:
+    """Sum of the first r entries of the vector with these runs."""
+    s = 0
+    for v, c in runs:
+        if c >= r:
+            return s + v * r
+        s += v * c
+        r -= c
+    return s
+
+
+def _step_runs(runs: Runs, r: int) -> Runs:
+    """One specialization step on runs: subtract 1 from the first r entries
+    of a normal-form vector and unload.
 
     For such inputs the fixpoint has a closed description: the only possible
     interior violation sits at the junction r and differs by exactly one, so
     unloading just re-sorts the entries; entries driven to -1 (from zeros in
-    the prefix) are raised back to 0 by the tail rule.
+    the prefix) are raised back to 0 by the tail rule.  On runs that is a
+    merge of two decreasing run lists, linear in the number of runs.
     """
-    for i in range(r):
-        b[i] -= 1
-    b.sort(reverse=True)
-    i = len(b) - 1
-    while i >= 0 and b[i] < 0:
-        b[i] = 0
-        i -= 1
+    moved: Runs = []
+    left = r
+    for v, c in runs:
+        if left >= c:
+            moved.append((v - 1, c))
+            left -= c
+        elif left:
+            moved.append((v - 1, left))
+            moved.append((v, c - left))
+            left = 0
+        else:
+            moved.append((v, c))
+    moved.sort(reverse=True)
+    out: Runs = []
+    for v, c in moved:
+        if v < 0:
+            v = 0
+        if out and out[-1][0] == v:
+            out[-1] = (v, out[-1][1] + c)
+        else:
+            out.append((v, c))
+    return out
+
+
+def _head_sums(mults: Sequence[int], r: int, count: int) -> list[int]:
+    """S_0, ..., S_count: the sum of the first r multiplicities of each D_i.
+
+    S_i = 0 means D_i is zero (the first r entries are the largest), and the
+    zero vector steps to itself, so the walk stops there.
+    """
+    runs = _to_runs(mults)
+    sums: list[int] = []
+    while len(sums) <= count:
+        s = _head_sum(runs, r)
+        sums.append(s)
+        if s == 0:
+            sums.extend([0] * (count + 1 - len(sums)))
+            break
+        runs = _step_runs(runs, r)
+    return sums
+
+
+def _interior_lows(sums: Sequence[int], d: int) -> list[int]:
+    """lows[q] = min over i <= q of d^2*i + S_i (prefix minima)."""
+    return list(accumulate((d * d * i + s for i, s in enumerate(sums)), min))
+
+
+def _passes(t0: int, cfg: SpecializationConfig, sums: Sequence[int], lows: Sequence[int]) -> bool:
+    """The criterion for degree t0, in O(1) from S_i and its prefix minima.
+
+    With q = t0 // d (0 when t0 < d), the interior steps are i < q, where
+    D_i . C <= g - 1 reads d*t0 <= g - 1 + d^2*i + S_i; at j = q the final
+    inequality has t_j = t0 - q*d and d*t_j - D_j . C = S_j.
+    """
+    d = cfg.d
+    q = t0 // d if t0 > 0 else 0
+    tj = t0 - q * d
+    if q and d * t0 > cfg.g - 1 + lows[q - 1]:
+        return False
+    return (tj + 1) * (tj + 2) <= 2 * sums[q]
 
 
 @dataclass(frozen=True)
@@ -167,10 +262,10 @@ class UnloadingTrace:
 
 
 def _require_normal_form(mults: Sequence[int], n: int) -> tuple[int, ...]:
-    ms = tuple(int(m) for m in mults)
+    ms = tuple(map(int, mults))
     if len(ms) != n:
         raise InvalidInput(f"expected {n} multiplicities, got {len(ms)}")
-    if any(a < b for a, b in zip(ms, ms[1:])):
+    if any(map(lt, ms, ms[1:])):
         raise InvalidInput("multiplicities must be nonincreasing")
     if ms[-1] < 0:
         raise InvalidInput("multiplicities must be non-negative")
@@ -194,19 +289,19 @@ def d_sequence(
         raise InvalidInput(f"class has n={d0.n}, config has n={cfg.n}")
     _require_normal_form(d0.mults, cfg.n)
     d, r = cfg.d, cfg.r
-    b = list(d0.mults)
+    runs = _to_runs(d0.mults)
     t = d0.degree
     steps: list[TraceStep] = []
     j: Optional[int] = None
     omega: Optional[int] = None
-    cap = sum(b) + d0.n + 12 + max(0, t) // d
+    cap = sum(d0.mults) + d0.n + 12 + max(0, t) // d
     i = 0
     while True:
-        dot = d * t - sum(b[:r])
+        dot = d * t - _head_sum(runs, r)
         record = j is None or (extend_to_omega and (omega is None))
         if record:
-            steps.append(TraceStep(i, DivisorClass(t, tuple(b)), t, dot))
-        if omega is None and all(x == 0 for x in b):
+            steps.append(TraceStep(i, DivisorClass(t, _from_runs(runs)), t, dot))
+        if omega is None and runs[0][0] == 0:
             omega = i
         if j is None and t < d:
             j = i
@@ -215,7 +310,7 @@ def d_sequence(
         if i > cap:
             raise UnloadingDiverged(f"trace exceeded {cap} steps")
         t -= d
-        _step_normal_form(b, r)
+        runs = _step_runs(runs, r)
         i += 1
     return UnloadingTrace(steps=tuple(steps), j=j, omega_prime=omega if extend_to_omega else None)
 
@@ -225,21 +320,9 @@ def criterion_holds(d0: DivisorClass, cfg: SpecializationConfig) -> bool:
     if d0.n != cfg.n:
         raise InvalidInput(f"class has n={d0.n}, config has n={cfg.n}")
     _require_normal_form(d0.mults, cfg.n)
-    return _criterion(d0.degree, d0.mults, cfg)
-
-
-def _criterion(t0: int, mults: Sequence[int], cfg: SpecializationConfig) -> bool:
-    """Hot path: no validation, early abort on the first interior failure."""
-    d, r, g = cfg.d, cfg.r, cfg.g
-    t = t0
-    b = list(mults)
-    while t >= d:
-        if d * t - sum(b[:r]) > g - 1:
-            return False
-        t -= d
-        _step_normal_form(b, r)
-    # at j: d*t_j - D_j.C equals the sum of the first r multiplicities
-    return (t + 1) * (t + 2) <= 2 * sum(b[:r])
+    q = max(d0.degree, 0) // cfg.d
+    sums = _head_sums(d0.mults, cfg.r, q)
+    return _passes(d0.degree, cfg, sums, _interior_lows(sums, cfg.d))
 
 
 def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
@@ -248,14 +331,19 @@ def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
     The window [0, ceil(sum(m)/sqrt(n)) + d] is scanned from the top (the
     criterion is not assumed monotone in t, and the first satisfying t from
     above is the maximum); if no t satisfies the criterion the bound is 1.
+    The multiplicity walk does not depend on t, so it runs once, as runs,
+    up to D_{hi // d}; each scanned t then costs O(1) via the prefix-minimum
+    form of the criterion (see the module docstring).
     """
     ms = _require_normal_form(mults, cfg.n)
     total = sum(ms)
     if total == 0:
         raise InvalidInput("all-zero multiplicity vector")
     hi = _ceil_div_sqrt(total, cfg.n) + cfg.d
+    sums = _head_sums(ms, cfg.r, hi // cfg.d)
+    lows = _interior_lows(sums, cfg.d)
     for t in range(hi, -1, -1):
-        if _criterion(t, ms, cfg):
+        if _passes(t, cfg, sums, lows):
             return t + 1
     return 1
 

@@ -38,6 +38,47 @@ def unload_literal(mults):
         assert steps <= cap, "literal unloading diverged"
 
 
+def step_normal_form_literal(b, r):
+    """Reference specialization step on a list: subtract 1 from the first r
+    entries of a normal-form vector, re-sort, and raise entries driven to -1
+    back to 0 (the unloading fixpoint for such inputs).  In place."""
+    for i in range(r):
+        b[i] -= 1
+    b.sort(reverse=True)
+    i = len(b) - 1
+    while i >= 0 and b[i] < 0:
+        b[i] = 0
+        i -= 1
+
+
+def criterion_literal(t0, mults, cfg):
+    """Reference criterion: walk the whole trace of t0 as a list, checking
+    D_i . C <= g - 1 while t_i >= d, then the final inequality at j."""
+    d, r, g = cfg.d, cfg.r, cfg.g
+    t = t0
+    b = list(mults)
+    while t >= d:
+        if d * t - sum(b[:r]) > g - 1:
+            return False
+        t -= d
+        step_normal_form_literal(b, r)
+    return (t + 1) * (t + 2) <= 2 * sum(b[:r])
+
+
+def alpha_lower_bound_literal(mults, cfg):
+    """Reference 1 + max{t : criterion} over the window
+    [0, ceil(sum(m)/sqrt(n)) + d], one full trace walk per t."""
+    total = sum(mults)
+    hi = isqrt(total * total // cfg.n)
+    while hi * hi * cfg.n < total * total:
+        hi += 1
+    hi += cfg.d
+    for t in range(hi, -1, -1):
+        if criterion_literal(t, mults, cfg):
+            return t + 1
+    return 1
+
+
 def brute_force_candidates(n, m_max):
     """Naive triple loop over (t, m, k), applying the admissibility
     predicates verbatim; the enumeration oracle."""

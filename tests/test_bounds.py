@@ -7,6 +7,7 @@ import pytest
 
 from conftest import ceil_frac
 from seshadri.bounds import (
+    _worker_count,
     all_formula_bounds,
     best_known,
     bounds_for_ns,
@@ -106,6 +107,26 @@ class TestComputeBound:
         serial = bounds_for_ns(ns, jobs=1)
         parallel = bounds_for_ns(ns, jobs=2)
         assert serial == parallel
+
+
+class TestWorkerCount:
+    """The pool size bounds_for_ns would use; no pool is started here."""
+
+    def test_capped_by_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert _worker_count(3, 10) == 3
+        assert _worker_count(64, 10) == 4
+        assert _worker_count(64, 2) == 2
+        assert _worker_count(4, 0) == 1
+
+    def test_nonpositive_jobs_run_serially(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert _worker_count(0, 10) == 1
+        assert _worker_count(-3, 10) == 1
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert _worker_count(8, 10) == 1
 
 
 class TestCaseFormulas:

@@ -4,8 +4,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from seshadri.bounds import compute_bound
-from seshadri.cli import main
+from seshadri.cli import _Cache, main
 from seshadri.render import (
     report_from_json_dict,
     report_to_json_dict,
@@ -133,6 +135,47 @@ class TestBoundCommand:
         cache.write_text(json.dumps(data))
         _, out, _ = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
         assert "999" in out
+
+
+class TestCacheRobustness:
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]", "\xff\xfe"])
+    def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path, content):
+        cache = tmp_path / "cache.json"
+        _, plain, _ = run_cli(capsys, "bound", "--n", "12")
+        cache.write_bytes(content.encode("latin-1"))
+        code, out, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+        assert code == 0
+        assert out == plain
+        assert "warning: ignoring corrupt cache" in err
+        (key,) = json.loads(cache.read_text())
+        assert key.startswith("n=12|")
+        code, warm, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+        assert code == 0 and err == ""
+        assert warm == plain
+
+    def test_flush_replaces_the_file_and_leaves_no_temp(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        c = _Cache(str(cache))
+        c.put("k", compute_bound(11))
+        c.flush()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+        assert set(_Cache(str(cache)).data) == {"k"}
+
+    def test_failed_flush_keeps_the_old_file(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.json"
+        cache.write_text('{"old": 1}\n')
+        c = _Cache(str(cache))
+        c.put("k", compute_bound(11))
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"partial')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError):
+            c.flush()
+        assert cache.read_text() == '{"old": 1}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 
 
 class TestFormulasCommand:

@@ -8,11 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ceil_frac, unload_literal
+from conftest import (
+    alpha_lower_bound_literal,
+    ceil_frac,
+    criterion_literal,
+    step_normal_form_literal,
+    unload_literal,
+)
 from seshadri.candidates import CandidateTriple
 from seshadri.effectivity import (
     SpecializationConfig,
-    _step_normal_form,
+    _from_runs,
+    _step_runs,
+    _to_runs,
     alpha_lb_closed,
     alpha_lower_bound,
     criterion_holds,
@@ -96,12 +104,11 @@ class TestUnload:
             n = rnd.randint(2, 14)
             r = rnd.randint(1, n)
             b = sorted((rnd.randint(0, 8) for _ in range(n)), reverse=True)
-            via_sort = list(b)
-            _step_normal_form(via_sort, r)
+            via_runs = _from_runs(_step_runs(_to_runs(b), r))
             w = list(b)
             for i in range(r):
                 w[i] -= 1
-            assert tuple(via_sort) == unload(DivisorClass(0, tuple(w))).mults
+            assert via_runs == unload(DivisorClass(0, tuple(w))).mults
 
 
 class TestDSequence:
@@ -202,6 +209,103 @@ class TestAlphaBounds:
         assert alpha_lb_closed(18, 10, -3) == 41
         # n = 19 has odd n - d^2; the standard numerator applies
         assert alpha_lb_closed(19, 10, -3) == 43
+
+
+def _configs(n):
+    return (SpecializationConfig.default(n), SpecializationConfig.with_ceil_r(n))
+
+
+def _full_r(n):
+    base = SpecializationConfig.default(n)
+    return SpecializationConfig(n=n, d=base.d, r=n, g=base.g)
+
+
+def _sorted_with_prefix_zeros(rnd, n, r):
+    """Nonincreasing vector whose zeros start inside the first r entries."""
+    support = rnd.randint(1, max(1, r - 1))
+    head = sorted((rnd.randint(1, 40) for _ in range(support)), reverse=True)
+    return tuple(head) + (0,) * (n - support)
+
+
+class TestAlphaMatchesListOracle:
+    """alpha_lower_bound against the list walk kept in conftest, which
+    re-walks the whole trace for every scanned t."""
+
+    @pytest.mark.parametrize("regime", ["k=0", "k>0", "k<0"])
+    def test_semiuniform_vectors(self, regime):
+        rnd = random.Random({"k=0": 11, "k>0": 12, "k<0": 13}[regime])
+        ns = nonsquare_range(10, 120)
+        for _ in range(60):
+            n = rnd.choice(ns)
+            m = rnd.randint(1, 40)
+            kmax = isqrt(m)
+            k = {"k=0": 0, "k>0": rnd.randint(1, max(1, kmax)), "k<0": -rnd.randint(1, m)}[regime]
+            mults = semiuniformize(n, m, k)
+            for cfg in _configs(n):
+                assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (n, m, k, cfg)
+
+    def test_sorted_vectors_with_zeros_in_the_specialized_prefix(self):
+        # zeros inside the first r entries step to -1 and are clamped back to 0
+        rnd = random.Random(14)
+        for _ in range(150):
+            n = rnd.randint(10, 120)
+            for cfg in _configs(n):
+                mults = _sorted_with_prefix_zeros(rnd, n, cfg.r)
+                assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (mults, cfg)
+
+    def test_arbitrary_sorted_vectors(self):
+        rnd = random.Random(15)
+        for _ in range(150):
+            n = rnd.randint(10, 120)
+            mults = tuple(sorted((rnd.randint(0, 30) for _ in range(n)), reverse=True))
+            if mults[0] == 0:
+                continue
+            for cfg in _configs(n) + (_full_r(n),):
+                assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (mults, cfg)
+
+    def test_r_equals_n(self):
+        rnd = random.Random(16)
+        for _ in range(80):
+            n = rnd.randint(10, 120)
+            cfg = _full_r(n)
+            m = rnd.randint(1, 40)
+            k = rnd.randint(-m, isqrt(m))
+            mults = semiuniformize(n, m, k)
+            assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (n, m, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(10, 60),
+        st.lists(st.integers(0, 25), min_size=1, max_size=60),
+        st.sampled_from(["floor", "ceil", "full"]),
+    )
+    def test_fuzz(self, n, raw, which):
+        mults = tuple(sorted((raw * n)[:n], reverse=True))
+        if mults[0] == 0:
+            mults = (1,) + mults[1:]
+        cfg = {"floor": SpecializationConfig.default, "ceil": SpecializationConfig.with_ceil_r,
+               "full": _full_r}[which](n)
+        assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(10, 60), st.integers(-5, 200), st.lists(st.integers(0, 12), min_size=1, max_size=60))
+    def test_criterion_holds_fuzz(self, n, t, raw):
+        mults = tuple(sorted((raw * n)[:n], reverse=True))
+        for cfg in _configs(n):
+            assert criterion_holds(DivisorClass(t, mults), cfg) is criterion_literal(t, mults, cfg)
+
+    def test_trace_classes_match_list_walk(self):
+        rnd = random.Random(17)
+        for _ in range(100):
+            n = rnd.randint(10, 60)
+            cfg = rnd.choice(_configs(n) + (_full_r(n),))
+            mults = sorted((rnd.randint(0, 9) for _ in range(n)), reverse=True)
+            tr = d_sequence(DivisorClass(rnd.randint(0, 60), tuple(mults)), cfg, extend_to_omega=True)
+            b = list(mults)
+            for step in tr.steps:
+                assert step.cls.mults == tuple(b)
+                assert step.dot_c == cfg.d * step.t - sum(b[: cfg.r])
+                step_normal_form_literal(b, cfg.r)
 
 
 class TestSemiuniformize:
