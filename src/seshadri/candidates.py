@@ -16,6 +16,20 @@ and, when 0 < m < n and k != 0, the sharper almost-uniform constraints
 
        m + k > 0,  k^2 <= m,  2mk = t^2 - m^2*n,  m*sqrt(n)-1 < t < m*sqrt(n)+1.
 
+For m >= n and k != 0 the enumeration runs over t, with one k per t.  By (b)
+the nonzero k lie in [k_min, k_max] with k_max = isqrt((nm-1)//(n-1)) and
+k_min = -j, j the largest integer with j^2*(n-1) + n*j < n*m (that forces
+j < m), or k_min = 1 when j = 0.  The lower bound of (c) is at least
+m^2*n + 2mk and its upper bound grows with k, so every admissible t satisfies
+
+       m^2*n + 2m*k_min <= t^2 <= (n*(m^2*n + 2m*k_max) + k_max^2 - 1) // n.
+
+For a fixed t, the lower bound of (c) gives 2mk <= t^2 - m^2*n.  The upper
+bound gives 2mk > t^2 - m^2*n - k^2/n, and k^2/n < m/(n-1) < 2m by (b), so
+2mk > t^2 - m^2*n - 2m.  Hence k = floor((t^2 - m^2*n) / (2m)) is the only
+candidate, and (b)-(d) are checked on it as written.  The t window holds
+about 2*sqrt(m/n) + 1 integers, against the ~2*sqrt(m) values of k.
+
 Each candidate carries the exact rational e = e(t, m, k) at which the nef
 test class sqrt(n + delta)*L - sum(E_i) meets it with value zero; the minimum
 e over the candidates that survive exclusion fixes the certified bound.
@@ -77,12 +91,6 @@ class EValue:
 
     e: Fraction
     f: Fraction
-
-
-def is_abnormal(n: int, t: int, m: int, k: int) -> bool:
-    """t * sqrt(n) < m*n + k, decided on squares."""
-    s = m * n + k
-    return s > 0 and t * t * n < s * s
 
 
 def szcor_b(n: int, m: int, k: int) -> bool:
@@ -154,9 +162,12 @@ def enumerate_szcor(n: int, m_max: int) -> list[CandidateTriple]:
 
     For k = 0 the degree window is m^2*n - m <= t^2 < m^2*n.  For k != 0 and
     m < n the almost-uniform constraints pin t to one of the at most two
-    integers adjacent to m*sqrt(n) and force k = (t^2 - m^2*n) / (2m); for
-    m >= n the raw window of condition (c) is scanned over the k admitted by
-    condition (b).  Deterministic.
+    integers adjacent to m*sqrt(n) and force k = (t^2 - m^2*n) / (2m).  For
+    m >= n the scan runs over t, not k: condition (c) over the k range of
+    condition (b) bounds t, and each t in that window admits only
+    k = floor((t^2 - m^2*n) / (2m)), which `szcor_conditions` then checks
+    (see the module docstring).  O(sqrt(m/n) + 1) work per m >= n.
+    Deterministic.
     """
     if n < 10:
         raise DomainError(f"enumeration requires n >= 10, got {n}")
@@ -186,29 +197,31 @@ def enumerate_szcor(n: int, m_max: int) -> list[CandidateTriple]:
                 if szcor_conditions(n, t, m, k):
                     out.append(CandidateTriple(n, t, m, k))
         else:
-            for k in _k_range(n, m):
-                lo = base + 2 * m * k + max(k * k - m, k * k - (m + k), 0)
-                # n*t^2 <= n*(base + 2mk) + k^2 - 1
-                hi2 = (n * (base + 2 * m * k) + k * k - 1) // n
-                if hi2 < 0:
-                    continue
-                for t in range(max(1, ceil_sqrt(lo)), floor_sqrt(hi2) + 1):
-                    if szcor_conditions(n, t, m, k):
-                        out.append(CandidateTriple(n, t, m, k))
+            # k != 0: one k per degree t
+            k_lo, k_hi = _k_bounds(n, m)
+            t_hi2 = (n * (base + 2 * m * k_hi) + k_hi * k_hi - 1) // n
+            for t in range(ceil_sqrt(base + 2 * m * k_lo), floor_sqrt(t_hi2) + 1):
+                k = (t * t - base) // (2 * m)
+                if k != 0 and szcor_conditions(n, t, m, k):
+                    out.append(CandidateTriple(n, t, m, k))
     out.sort(key=CandidateTriple.sort_key)
     return out
 
 
-def _k_range(n: int, m: int) -> Iterable[int]:
-    """Nonzero k admitted by condition (b), for a fixed m."""
-    k = 1
-    while k * k * (n - 1) < n * m:
-        yield k
-        k += 1
-    k = -1
-    while m + k > 0 and k * k * (n - 1) < n * (m + k):
-        yield k
-        k -= 1
+def _k_bounds(n: int, m: int) -> tuple[int, int]:
+    """Least and greatest nonzero k admitted by condition (b), for m >= 1.
+
+    The admitted k are exactly the nonzero integers between the two.  The
+    greatest is isqrt((nm - 1) // (n - 1)).  The least is -j for the largest
+    j with j^2*(n-1) + n*j < n*m (such j is below m), or 1 when j = 0.
+    """
+    k_hi = floor_sqrt((n * m - 1) // (n - 1))
+    # floor of the positive root of (n-1)j^2 + nj - nm; one step down when
+    # that root is itself an integer
+    j = (floor_sqrt(n * n + 4 * (n - 1) * n * m) - n) // (2 * (n - 1))
+    while j * j * (n - 1) + n * j >= n * m:
+        j -= 1
+    return (-j if j else 1), k_hi
 
 
 def e_value(c: CandidateTriple) -> EValue:

@@ -9,7 +9,7 @@ Subcommands:
   verify     --table A|B [--db PATH]
 
 Global flags: --jobs J (parallelism across n), --cache PATH (bound-report
-cache keyed by (n, d, r, db-hash, m-cap)).
+cache keyed by (n, d, r, db-hash, m-cap, package version)).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget-
 limited bound under --strict.
@@ -23,6 +23,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+from . import __version__
 from .bounds import (
     DEFAULT_M_BUDGET_CAP,
     BoundReport,
@@ -120,7 +121,9 @@ class _Cache:
     """Single-writer JSON cache of bound reports.
 
     A file that is not a JSON object is ignored with a warning on stderr, so
-    every report is recomputed; flush replaces the file atomically.
+    every report is recomputed; flush replaces the file atomically.  Keys
+    carry the package version, so a report cached by another release is
+    recomputed, not served.
     """
 
     def __init__(self, path: Optional[str]):
@@ -139,7 +142,7 @@ class _Cache:
 
     @staticmethod
     def key(n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> str:
-        return f"n={n}|d={cfg.d}|r={cfg.r}|db={db.digest()}|cap={cap}"
+        return f"n={n}|d={cfg.d}|r={cfg.r}|db={db.digest()}|cap={cap}|v={__version__}"
 
     def get(self, key: str) -> Optional[BoundReport]:
         raw = self.data.get(key)

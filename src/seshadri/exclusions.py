@@ -107,24 +107,27 @@ class ExclusionDb:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ExclusionDb":
-        entries: list[Entry] = []
-        for raw in data["entries"]:
-            kind = raw.get("kind")
-            if kind == "uniform_bound":
-                entries.append(
-                    UniformBound(n_min=int(raw["n_min"]), m_max=int(raw["m_max"]), source=str(raw["source"]))
-                )
-            elif kind == "explicit_class":
-                entries.append(
-                    ExplicitClass(
-                        n=int(raw["n"]), t=int(raw["t"]), m=int(raw["m"]), k=int(raw["k"]),
-                        source=str(raw["source"]),
-                    )
-                )
-            else:
-                raise InvalidInput(f"unknown exclusion entry kind {kind!r}")
-        return cls(entries=tuple(entries), enabled_sources=frozenset(data["enabled_sources"]))
+    def from_json_dict(cls, data: object) -> "ExclusionDb":
+        """Decode a database, checked by hand against
+        docs/exclusion_db.schema.json: required keys and no others, JSON
+        integers with their minimums, nonempty unique source names.  An
+        enabled source that no entry carries is rejected too, so a misspelt
+        name cannot switch its rulings off silently.  Raises InvalidInput.
+        """
+        _check_keys(data, {"entries", "enabled_sources"}, "the top level")
+        raw_entries, sources = data["entries"], data["enabled_sources"]
+        for name, value in (("entries", raw_entries), ("enabled_sources", sources)):
+            if not isinstance(value, list):
+                raise _invalid(f"{name} must be a list")
+        entries = tuple(_entry_from_json(raw, f"entries[{i}]") for i, raw in enumerate(raw_entries))
+        for i, source in enumerate(sources):
+            _check_source(source, f"enabled_sources[{i}]")
+        if len(set(sources)) != len(sources):
+            raise _invalid("enabled_sources has duplicates")
+        orphans = sorted(set(sources) - {e.source for e in entries})
+        if orphans:
+            raise _invalid(f"no entry carries the enabled source(s) {orphans}")
+        return cls(entries=entries, enabled_sources=frozenset(sources))
 
     @classmethod
     def from_json(cls, text: str) -> "ExclusionDb":
@@ -143,6 +146,51 @@ class ExclusionDb:
         """Stable hash of the database contents, for cache keys."""
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+# kind -> entry type and its integer fields with their schema minimums
+_ENTRY_KINDS: dict[str, tuple[type, dict[str, Optional[int]]]] = {
+    "uniform_bound": (UniformBound, {"n_min": 1, "m_max": 1}),
+    "explicit_class": (ExplicitClass, {"n": 1, "t": 1, "m": 1, "k": None}),
+}
+
+
+def _invalid(msg: str) -> InvalidInput:
+    return InvalidInput(f"exclusion database: {msg}")
+
+
+def _check_keys(obj: object, keys: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise _invalid(f"{where} must be a JSON object")
+    missing = sorted(keys - obj.keys())
+    if missing:
+        raise _invalid(f"{where} lacks {', '.join(missing)}")
+    extra = sorted(obj.keys() - keys)
+    if extra:
+        raise _invalid(f"{where} has unknown key(s) {', '.join(extra)}")
+
+
+def _check_source(value: object, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise _invalid(f"{where} must be a nonempty string, got {value!r}")
+    return value
+
+
+def _entry_from_json(raw: object, where: str) -> Entry:
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if not isinstance(kind, str) or kind not in _ENTRY_KINDS:
+        raise _invalid(f"{where} needs kind {' or '.join(_ENTRY_KINDS)}, got {kind!r}")
+    entry_type, fields = _ENTRY_KINDS[kind]
+    _check_keys(raw, {"kind", "source", *fields}, where)
+    values = {}
+    for name, minimum in fields.items():
+        v = raw[name]
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise _invalid(f"{where}.{name} must be an integer, got {v!r}")
+        if minimum is not None and v < minimum:
+            raise _invalid(f"{where}.{name} must be >= {minimum}, got {v}")
+        values[name] = v
+    return entry_type(**values, source=_check_source(raw["source"], f"{where}.source"))
 
 
 def default_db() -> ExclusionDb:

@@ -104,19 +104,9 @@ class DivisorClass:
             tuple(a + b for a, b in zip(self.mults, other.mults)),
         )
 
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same_n(other)
-        return DivisorClass(
-            self.degree - other.degree,
-            tuple(a - b for a, b in zip(self.mults, other.mults)),
-        )
-
     def _check_same_n(self, other: "DivisorClass") -> None:
         if self.n != other.n:
             raise DimensionMismatch(f"n mismatch: {self.n} != {other.n}")
-
-    def dot(self, other: "DivisorClass") -> int:
-        return intersect(self, other)
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:

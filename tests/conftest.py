@@ -2,10 +2,17 @@
 from __future__ import annotations
 
 from math import isqrt
+from typing import Iterable
 
 import pytest
 
-from seshadri.candidates import lemaaa_conditions, szcor_conditions
+from seshadri.candidates import (
+    CandidateTriple,
+    lemaaa_conditions,
+    szcor_conditions,
+    szcor_d,
+)
+from seshadri.lattice import DomainError, ceil_sqrt, floor_sqrt
 
 
 def unload_literal(mults):
@@ -93,6 +100,62 @@ def brute_force_candidates(n, m_max):
                     continue
                 out.append((t, m, k))
     return sorted(out)
+
+
+def enumerate_szcor_literal(n: int, m_max: int) -> list[CandidateTriple]:
+    """Reference enumeration: for m >= n, scan the raw window of condition
+    (c) over every nonzero k that condition (b) admits, O(sqrt(m)) per m."""
+    if n < 10:
+        raise DomainError(f"enumeration requires n >= 10, got {n}")
+    if m_max < 1:
+        raise DomainError(f"m_max must be >= 1, got {m_max}")
+    out: list[CandidateTriple] = []
+    for m in range(1, m_max + 1):
+        base = m * m * n
+        # k = 0: t^2 in [base - m, base)
+        for t in range(max(1, ceil_sqrt(base - m)), floor_sqrt(base - 1) + 1):
+            if szcor_d(n, t, m, 0):
+                out.append(CandidateTriple(n, t, m, 0))
+        if m < n:
+            # k != 0 pinned by the almost-uniform constraints
+            tm = floor_sqrt(base)
+            for t in (tm, tm + 1):
+                if t < 1:
+                    continue
+                num = t * t - base
+                if num == 0 or num % (2 * m) != 0:
+                    continue
+                k = num // (2 * m)
+                if k == 0:
+                    continue
+                if not lemaaa_conditions(n, t, m, k):
+                    continue
+                if szcor_conditions(n, t, m, k):
+                    out.append(CandidateTriple(n, t, m, k))
+        else:
+            for k in k_range_literal(n, m):
+                lo = base + 2 * m * k + max(k * k - m, k * k - (m + k), 0)
+                # n*t^2 <= n*(base + 2mk) + k^2 - 1
+                hi2 = (n * (base + 2 * m * k) + k * k - 1) // n
+                if hi2 < 0:
+                    continue
+                for t in range(max(1, ceil_sqrt(lo)), floor_sqrt(hi2) + 1):
+                    if szcor_conditions(n, t, m, k):
+                        out.append(CandidateTriple(n, t, m, k))
+    out.sort(key=CandidateTriple.sort_key)
+    return out
+
+
+def k_range_literal(n: int, m: int) -> Iterable[int]:
+    """Nonzero k admitted by condition (b), for a fixed m."""
+    k = 1
+    while k * k * (n - 1) < n * m:
+        yield k
+        k += 1
+    k = -1
+    while m + k > 0 and k * k * (n - 1) < n * (m + k):
+        yield k
+        k -= 1
 
 
 def ceil_frac(num, den):

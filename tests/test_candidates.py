@@ -1,13 +1,17 @@
 """Candidate enumeration, e-values, and the level filter."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_candidates
+from conftest import brute_force_candidates, enumerate_szcor_literal, k_range_literal
 from seshadri.candidates import (
     CandidateTriple,
+    _k_bounds,
     almunif_filter,
     e_value,
     enumerate_szcor,
@@ -81,6 +85,34 @@ class TestEnumeration:
             enumerate_szcor(9, 10)
         with pytest.raises(DomainError):
             enumerate_szcor(10, 0)
+
+    def test_matches_literal_scan_on_both_sides_of_n(self):
+        # m_max below n exercises only the pinned branch; above n, the t-driven one
+        rnd = random.Random(31)
+        t_driven = 0
+        for n in sorted(rnd.sample(range(10, 261), 60)):
+            for m_max in (rnd.randint(1, n - 1), n, rnd.randint(n + 1, 3 * n)):
+                got = enumerate_szcor(n, m_max)
+                assert got == enumerate_szcor_literal(n, m_max), (n, m_max)
+                t_driven += sum(1 for c in got if c.k != 0 and c.m >= n)
+        assert t_driven > 0
+
+    @pytest.mark.parametrize("n, m_max", [(1000, 2048), (2000, 5000), (3001, 6000), (10001, 12000)])
+    def test_matches_literal_scan_at_large_n(self, n, m_max):
+        assert enumerate_szcor(n, m_max) == enumerate_szcor_literal(n, m_max)
+
+    def test_closed_form_k_bounds_on_a_small_grid(self):
+        # includes the integer roots of (n-1)j^2 + nj = nm, e.g. n=10, m=100, j=10
+        for n in range(10, 41):
+            for m in range(1, 301):
+                k_lo, k_hi = _k_bounds(n, m)
+                assert sorted(k_range_literal(n, m)) == [k for k in range(k_lo, k_hi + 1) if k != 0], (n, m)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(10, 20000), st.integers(1, 40000))
+    def test_closed_form_k_bounds_match_literal_range(self, n, m):
+        k_lo, k_hi = _k_bounds(n, m)
+        assert sorted(k_range_literal(n, m)) == [k for k in range(k_lo, k_hi + 1) if k != 0]
 
     def test_every_output_passes_finiteness_test_at_its_own_level(self):
         # at delta = 1/(2e - 2/n), strictly inside the abnormality range

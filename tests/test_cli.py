@@ -178,6 +178,82 @@ class TestCacheRobustness:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 
 
+class TestCacheVersion:
+    def test_key_carries_the_package_version(self):
+        from seshadri import __version__
+        from seshadri.effectivity import SpecializationConfig
+        from seshadri.exclusions import default_db
+
+        key = _Cache.key(12, SpecializationConfig.default(12), default_db(), 5000)
+        assert key.endswith(f"|v={__version__}")
+
+    def test_report_cached_by_another_version_is_recomputed(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        _, plain, _ = run_cli(capsys, "bound", "--n", "12")
+        run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+        (key, payload), = json.loads(cache.read_text()).items()
+        old_key = key.rsplit("|v=", 1)[0] + "|v=0.0.0-other"
+        payload["f"] = {"num": "999", "den": "1"}
+        cache.write_text(json.dumps({old_key: payload}))
+        code, out, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+        assert code == 0 and err == ""
+        assert out == plain
+        assert set(json.loads(cache.read_text())) == {old_key, key}
+
+
+_DB_ENTRY = {"kind": "uniform_bound", "n_min": 10, "m_max": 20, "source": "CCMO"}
+
+
+class TestExclusionDbInput:
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "lacks enabled_sources, entries"),
+        ([], "top level must be a JSON object"),
+        ({"entries": [], "enabled_sources": [], "extra": 1}, "unknown key(s) extra"),
+        ({"entries": {}, "enabled_sources": []}, "entries must be a list"),
+        ({"entries": [], "enabled_sources": "CCMO"}, "enabled_sources must be a list"),
+        ({"entries": [7], "enabled_sources": []}, "entries[0] needs kind"),
+        ({"entries": [{"kind": ["uniform_bound"]}], "enabled_sources": []}, "entries[0] needs kind"),
+        ({"entries": [{"kind": "mystery", "source": "X"}], "enabled_sources": []}, "got 'mystery'"),
+        ({"entries": [{k: v for k, v in _DB_ENTRY.items() if k != "m_max"}], "enabled_sources": ["CCMO"]},
+         "entries[0] lacks m_max"),
+        ({"entries": [dict(_DB_ENTRY, note="x")], "enabled_sources": ["CCMO"]}, "unknown key(s) note"),
+        ({"entries": [dict(_DB_ENTRY, m_max=0)], "enabled_sources": ["CCMO"]}, "m_max must be >= 1, got 0"),
+        ({"entries": [dict(_DB_ENTRY, n_min="10")], "enabled_sources": ["CCMO"]}, "n_min must be an integer"),
+        ({"entries": [dict(_DB_ENTRY, m_max=20.5)], "enabled_sources": ["CCMO"]}, "m_max must be an integer"),
+        ({"entries": [dict(_DB_ENTRY, m_max=True)], "enabled_sources": ["CCMO"]}, "m_max must be an integer"),
+        ({"entries": [{"kind": "explicit_class", "n": 10, "t": 0, "m": 25, "k": 0, "source": "Miranda"}],
+          "enabled_sources": ["Miranda"]}, "entries[0].t must be >= 1, got 0"),
+        ({"entries": [dict(_DB_ENTRY, source="")], "enabled_sources": []}, "entries[0].source must be a nonempty"),
+        ({"entries": [_DB_ENTRY], "enabled_sources": ["CCMO", ""]}, "enabled_sources[1] must be a nonempty"),
+        ({"entries": [_DB_ENTRY], "enabled_sources": ["CCMO", "CCMO"]}, "enabled_sources has duplicates"),
+        ({"entries": [_DB_ENTRY, {"kind": "explicit_class", "n": 10, "t": 79, "m": 25, "k": 0,
+                                  "source": "Miranda"}],
+          "enabled_sources": ["CCMO", "Mirand"]}, "no entry carries the enabled source(s) ['Mirand']"),
+    ])
+    def test_malformed_db_exits_2_without_traceback(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "bound", "--n", "10", "--db", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: exclusion database: ") and message in err
+        assert "Traceback" not in err
+
+    def test_carried_source_may_stay_disabled(self):
+        from seshadri.exclusions import ExclusionDb
+
+        db = ExclusionDb.from_json_dict({"entries": [_DB_ENTRY], "enabled_sources": []})
+        assert db.active_entries() == ()
+
+    def test_default_db_round_trips(self):
+        from seshadri.exclusions import ExclusionDb, default_db
+
+        db = default_db()
+        again = ExclusionDb.from_json(db.to_json())
+        assert again == db
+        assert again.to_json() == db.to_json() and again.digest() == db.digest()
+
+
 class TestFormulasCommand:
     def test_range(self, capsys):
         code, out, _ = run_cli(capsys, "formulas", "--n", "17..17")
