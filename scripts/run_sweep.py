@@ -13,7 +13,7 @@ import time
 
 from seshadri.bounds import best_known, bounds_for_ns
 from seshadri.exclusions import default_db
-from seshadri.lattice import is_square
+from seshadri.lattice import InvalidInput, is_square
 from seshadri.render import truncate2, truncate2_value
 from seshadri.tables import TABLE_B_BY_N, implied_f
 
@@ -28,7 +28,10 @@ def main() -> None:
     ap.add_argument("--disable", action="append", default=[], help="disable an exclusion source")
     args = ap.parse_args()
 
-    db = default_db().with_sources(enable=tuple(args.enable), disable=tuple(args.disable))
+    try:
+        db = default_db().with_sources(enable=tuple(args.enable), disable=tuple(args.disable))
+    except InvalidInput as exc:
+        ap.error(str(exc))
     ns = [n for n in range(args.n_min, args.n_max + 1) if n >= 10 and not is_square(n)]
     t0 = time.perf_counter()
     reports = bounds_for_ns(ns, db=db, m_budget_cap=args.m_cap, jobs=args.jobs)

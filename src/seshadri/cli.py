@@ -8,7 +8,7 @@ Subcommands:
   formulas   --n A..B [--db PATH] [--format ...]
   verify     --table A|B [--db PATH]
 
-Global flags: --jobs J (parallelism across n), --cache PATH (bound-report
+Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (bound-report
 cache keyed by (n, d, r, db-hash, m-cap, package version)).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget-
@@ -121,9 +121,10 @@ class _Cache:
     """Single-writer JSON cache of bound reports.
 
     A file that is not a JSON object is ignored with a warning on stderr, so
-    every report is recomputed; flush replaces the file atomically.  Keys
-    carry the package version, so a report cached by another release is
-    recomputed, not served.
+    every report is recomputed; an entry that does not decode as a report is
+    ignored the same way, and the recomputed report replaces it.  flush
+    replaces the file atomically.  Keys carry the package version, so a
+    report cached by another release is recomputed, not served.
     """
 
     def __init__(self, path: Optional[str]):
@@ -145,8 +146,14 @@ class _Cache:
         return f"n={n}|d={cfg.d}|r={cfg.r}|db={db.digest()}|cap={cap}|v={__version__}"
 
     def get(self, key: str) -> Optional[BoundReport]:
-        raw = self.data.get(key)
-        return report_from_json_dict(raw) if raw is not None else None
+        if key not in self.data:
+            return None
+        try:
+            return report_from_json_dict(self.data[key])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            sys.stderr.write(f"warning: ignoring malformed cache entry {key} ({reason}); recomputing\n")
+            return None
 
     def put(self, key: str, rep: BoundReport) -> None:
         self.data[key] = report_to_json_dict(rep)
@@ -316,6 +323,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if args.jobs < 1:
+        sys.stderr.write(f"error: --jobs must be >= 1, got {args.jobs}\n")
+        return EXIT_USAGE
     cache = _Cache(args.cache)
     try:
         if args.command == "candidates":

@@ -28,13 +28,23 @@ with s = t_0 mod d (the first condition is empty when t_0 < d).  One walk
 of S_0, S_1, ... and its prefix minima therefore decide every t_0 in O(1).
 The walk is stepped in run-length form [(value, count), ...]: a step
 touches each run once, and semiuniform vectors stay a few runs long.
+
+Once the vector is *balanced* (its entries differ by at most 1) the walk
+has a closed form.  A balanced vector is fixed by its total T: with
+v, a = divmod(T, n) it is (v+1)^[a], v^[n-a], so S = r*v + min(a, r).  One
+step keeps it balanced with total max(T - r, 0).  Proof: subtracting 1 from
+the first r entries gives (v+1)^[a-r], v^[n-a+r] when a >= r, and
+v^[n-r+a], (v-1)^[r-a] after re-sorting when a < r; the second has an
+entry -1 only when v = 0, and then T = a < r and the clamp leaves the zero
+vector.  So the walk steps runs only until the vector is balanced, and the
+rest of S_0, S_1, ... follows from T alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from math import isqrt
-from operator import lt
+from operator import add, lt
 from typing import Optional, Sequence
 
 from .lattice import (
@@ -205,24 +215,43 @@ def _step_runs(runs: Runs, r: int) -> Runs:
 def _head_sums(mults: Sequence[int], r: int, count: int) -> list[int]:
     """S_0, ..., S_count: the sum of the first r multiplicities of each D_i.
 
-    S_i = 0 means D_i is zero (the first r entries are the largest), and the
-    zero vector steps to itself, so the walk stops there.
+    Runs are stepped only until the vector is balanced (entries differ by
+    at most 1: one run, or two runs one apart).  A balanced vector with
+    total T is (v+1)^[a], v^[n-a] with v, a = divmod(T, n), so its head sum
+    is r*v + min(a, r), and one step leaves it balanced with total
+    max(T - r, 0): if a >= r the r largest entries drop to v; if a < r and
+    v >= 1 the vector becomes v^[n-r+a], (v-1)^[r-a]; if a < r and v = 0
+    then T < r and every entry ends at 0.  So the rest of the walk is
+    S_i = r*(T_i // n) + min(T_i mod n, r) with T_i = max(T - r*(i - b), 0)
+    and b the first balanced index.  The zero vector is balanced (one run),
+    so it needs no special case.
     """
+    n = len(mults)
     runs = _to_runs(mults)
     sums: list[int] = []
-    while len(sums) <= count:
-        s = _head_sum(runs, r)
-        sums.append(s)
-        if s == 0:
-            sums.extend([0] * (count + 1 - len(sums)))
-            break
+    while len(sums) <= count and not _balanced(runs):
+        sums.append(_head_sum(runs, r))
         runs = _step_runs(runs, r)
+    total = sum(v * c for v, c in runs)
+    live = count + 1 - len(sums)
+    # T_i runs down by r while it is >= 0; past that the vector is zero.
+    # min(a, r) is written inline: a builtin call per entry costs about as
+    # much as the rest of the expression.
+    totals = range(total, max(total - r * live, -1), -r)
+    sums += [r * (t // n) + (a if (a := t % n) < r else r) for t in totals]
+    sums += [0] * (live - len(totals))
     return sums
+
+
+def _balanced(runs: Runs) -> bool:
+    """Entries differ by at most 1: one run, or two runs one apart."""
+    return len(runs) == 1 or (len(runs) == 2 and runs[0][0] == runs[1][0] + 1)
 
 
 def _interior_lows(sums: Sequence[int], d: int) -> list[int]:
     """lows[q] = min over i <= q of d^2*i + S_i (prefix minima)."""
-    return list(accumulate((d * d * i + s for i, s in enumerate(sums)), min))
+    dd = d * d
+    return list(accumulate(map(add, sums, range(0, dd * len(sums), dd)), min))
 
 
 def _passes(t0: int, cfg: SpecializationConfig, sums: Sequence[int], lows: Sequence[int]) -> bool:

@@ -77,6 +77,14 @@ class ExclusionDb:
                 raise InvalidInput("every exclusion entry needs a nonempty source")
 
     def with_sources(self, enable: tuple[str, ...] = (), disable: tuple[str, ...] = ()) -> "ExclusionDb":
+        """Copy with these sources switched on and then these switched off.
+
+        Raises InvalidInput for a name that no entry carries, so a misspelt
+        source cannot silently leave a ruling on or off.
+        """
+        orphans = sorted((set(enable) | set(disable)) - {e.source for e in self.entries})
+        if orphans:
+            raise _invalid(f"no entry carries the source(s) {orphans}")
         sources = (self.enabled_sources | set(enable)) - set(disable)
         return ExclusionDb(self.entries, frozenset(sources))
 

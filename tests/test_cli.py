@@ -153,6 +153,32 @@ class TestCacheRobustness:
         assert code == 0 and err == ""
         assert warm == plain
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda p: {"n": 11}, id="missing-keys"),
+        pytest.param(lambda p: 7, id="number"),
+        pytest.param(lambda p: "report", id="string"),
+        pytest.param(lambda p: None, id="null"),
+        pytest.param(lambda p: dict(p, f="x"), id="f-string"),
+        pytest.param(lambda p: dict(p, coverage=None), id="coverage-null"),
+        pytest.param(lambda p: dict(p, cfg=dict(p["cfg"], d="three")), id="cfg-d-string"),
+        pytest.param(lambda p: dict(p, f={"num": "1", "den": "0"}), id="zero-denominator"),
+    ])
+    def test_malformed_entry_warns_and_recomputes(self, capsys, tmp_path, corrupt):
+        cache = tmp_path / "cache.json"
+        _, plain, _ = run_cli(capsys, "bound", "--n", "12")
+        run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+        (key, payload), = json.loads(cache.read_text()).items()
+        cache.write_text(json.dumps({key: corrupt(payload)}))
+        code, out, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+        assert code == 0
+        assert out == plain
+        assert err.startswith(f"warning: ignoring malformed cache entry {key} (")
+        assert "Traceback" not in err
+        assert json.loads(cache.read_text()) == {key: payload}
+        code, warm, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+        assert code == 0 and err == ""
+        assert warm == plain
+
     def test_flush_replaces_the_file_and_leaves_no_temp(self, tmp_path):
         cache = tmp_path / "cache.json"
         c = _Cache(str(cache))
@@ -252,6 +278,17 @@ class TestExclusionDbInput:
         again = ExclusionDb.from_json(db.to_json())
         assert again == db
         assert again.to_json() == db.to_json() and again.digest() == db.digest()
+
+
+class TestJobsFlag:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_exits_2(self, capsys, tmp_path, jobs):
+        cache = tmp_path / "cache.json"
+        code, out, err = run_cli(capsys, "--jobs", jobs, "--cache", str(cache), "verify", "--table", "A")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not cache.exists()
 
 
 class TestFormulasCommand:

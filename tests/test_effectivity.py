@@ -18,7 +18,9 @@ from conftest import (
 from seshadri.candidates import CandidateTriple
 from seshadri.effectivity import (
     SpecializationConfig,
+    _balanced,
     _from_runs,
+    _head_sums,
     _step_runs,
     _to_runs,
     alpha_lb_closed,
@@ -308,6 +310,105 @@ class TestAlphaMatchesListOracle:
                 step_normal_form_literal(b, cfg.r)
 
 
+def _walk_sums(mults, r, count):
+    """S_0..S_count from the conftest list walk, one full step at a time."""
+    b = list(mults)
+    sums = []
+    for _ in range(count + 1):
+        sums.append(sum(b[:r]))
+        step_normal_form_literal(b, r)
+    return sums
+
+
+def _first_balanced(mults, r, limit):
+    """Index of the first balanced D_i on the list walk, or None."""
+    b = list(mults)
+    for i in range(limit + 1):
+        if b[0] - b[-1] <= 1:
+            return i
+        step_normal_form_literal(b, r)
+    return None
+
+
+class TestHeadSumsClosedForm:
+    """_head_sums finishes the walk in closed form once the vector is
+    balanced; every case is compared with the list walk in conftest."""
+
+    def test_turns_balanced_mid_walk(self):
+        rnd = random.Random(21)
+        for _ in range(80):
+            n = rnd.randint(10, 120)
+            m = rnd.randint(3, 60)
+            mults = semiuniformize(n, m, -rnd.randint(2, m - 1))
+            for cfg in _configs(n) + (_full_r(n),):
+                count = 3 * m
+                b = _first_balanced(mults, cfg.r, count)
+                assert b is not None and b >= 1
+                assert _head_sums(mults, cfg.r, count) == _walk_sums(mults, cfg.r, count), (mults, cfg)
+
+    def test_large_k_fallback_stays_at_three_runs(self):
+        rnd = random.Random(22)
+        for _ in range(60):
+            n = rnd.randint(10, 120)
+            m = rnd.randint(2, 60)
+            k = rnd.randint(isqrt(m) + 1, 3 * m)
+            mults = semiuniformize(n, m, k)
+            assert mults == (m + k,) + (m,) * (n - 1)
+            for cfg in _configs(n):
+                if cfg.r < n:
+                    assert len(_step_runs(_to_runs(mults), cfg.r)) == 3
+                count = (sum(mults) + n) // cfg.r + 2
+                assert _head_sums(mults, cfg.r, count) == _walk_sums(mults, cfg.r, count), (mults, cfg)
+
+    def test_total_below_r_clamps_to_zero(self):
+        for n in (10, 11, 37, 99):
+            for cfg in _configs(n) + (_full_r(n),):
+                r = cfg.r
+                for total in range(1, r):
+                    v, a = divmod(total, n)
+                    balanced = (v + 1,) * a + (v,) * (n - a)
+                    assert _head_sums(balanced, r, 3) == [total, 0, 0, 0]
+                    spiky = tuple(sorted([total - total // 2, total // 2] + [0] * (n - 2), reverse=True))
+                    assert _head_sums(spiky, r, 3) == _walk_sums(spiky, r, 3)
+
+    def test_count_past_the_zero_step(self):
+        rnd = random.Random(23)
+        for _ in range(60):
+            n = rnd.randint(10, 80)
+            mults = tuple(sorted((rnd.randint(0, 6) for _ in range(n)), reverse=True))
+            for cfg in _configs(n) + (_full_r(n),):
+                # a nonzero vector loses at least 1 per step
+                count = sum(mults) + rnd.randint(2, 20)
+                sums = _head_sums(mults, cfg.r, count)
+                assert sums == _walk_sums(mults, cfg.r, count), (mults, cfg)
+                assert len(sums) == count + 1 and sums[-2:] == [0, 0]
+
+    def test_balanced_vectors_give_the_closed_form(self):
+        for n in (10, 12, 50):
+            for cfg in _configs(n) + (_full_r(n),):
+                r = cfg.r
+                for total in range(0, 4 * n + 3):
+                    v, a = divmod(total, n)
+                    mults = (v + 1,) * a + (v,) * (n - a)
+                    assert _balanced(_to_runs(mults))
+                    assert _head_sums(mults, r, 0) == [r * v + min(a, r)]
+                    count = total // r + 2
+                    assert _head_sums(mults, r, count) == _walk_sums(mults, r, count)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(10, 60),
+        st.lists(st.integers(0, 25), min_size=1, max_size=60),
+        st.sampled_from(["floor", "ceil", "full"]),
+        st.integers(0, 80),
+    )
+    def test_fuzz(self, n, raw, which, count):
+        mults = tuple(sorted((raw * n)[:n], reverse=True))
+        cfg = {"floor": SpecializationConfig.default, "ceil": SpecializationConfig.with_ceil_r,
+               "full": _full_r}[which](n)
+        assert _head_sums(mults, cfg.r, count) == _walk_sums(mults, cfg.r, count)
+
+
 class TestSemiuniformize:
     def test_positive_k(self):
         assert semiuniformize(10, 25, 3) == (26,) * 3 + (25,) * 7
@@ -414,6 +515,15 @@ class TestExclusionDb:
         c = CandidateTriple(10, 22, 7, 0)
         assert db.ruling(c) == "CCMO"
         assert db.with_sources(disable=("CCMO",)).ruling(c) is None
+
+    @pytest.mark.parametrize("enable, disable", [
+        (("Mirand",), ()),
+        ((), ("Mirand",)),
+        (("Mirand",), ("Miranda",)),
+    ])
+    def test_with_sources_rejects_a_source_no_entry_carries(self, enable, disable):
+        with pytest.raises(InvalidInput, match=r"no entry carries the source\(s\) \['Mirand'\]"):
+            default_db().with_sources(enable=enable, disable=disable)
 
     def test_json_round_trip_and_digest(self):
         db = default_db()
