@@ -19,15 +19,12 @@ from .bounds import (
     formula_theoremone,
     lemcc_hypothesis,
     mu_n,
-    theoremunif_hypothesis,
 )
 from .candidates import (
     CandidateTriple,
     EValue,
-    almunif_filter,
     e_value,
     enumerate_szcor,
-    passes_testlem,
 )
 from .effectivity import (
     SpecializationConfig,
@@ -70,7 +67,6 @@ __all__ = [
     "SpecializationConfig",
     "UnloadingTrace",
     "all_formula_bounds",
-    "almunif_filter",
     "alpha_lb_closed",
     "alpha_lower_bound",
     "best_known",
@@ -88,9 +84,7 @@ __all__ = [
     "is_excluded",
     "lemcc_hypothesis",
     "mu_n",
-    "passes_testlem",
     "semiuniformize",
     "sign_of",
-    "theoremunif_hypothesis",
     "unload",
 ]

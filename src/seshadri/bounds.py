@@ -306,19 +306,6 @@ def lemcc_hypothesis(n: int, mu: Rational) -> bool:
     return sign_of(diff) >= 0
 
 
-def theoremunif_hypothesis(n: int, mu: Rational) -> bool:
-    """Either mu <= 6(n-1), or (nu*r+g-1)/d - 1 >= (nu - d/n)*sqrt(n - 1/mu)
-    with nu = (mu-1)/(n-1); exact."""
-    mu = _check_mu_range(n, mu)
-    if mu <= 6 * (n - 1):
-        return True
-    cfg = SpecializationConfig.default(n)
-    nu = Q(mu - 1, 1) / (n - 1)
-    lhs = (nu * cfg.r + cfg.g - 1) / cfg.d - 1
-    diff = QuadraticExpr(lhs, -(nu - Q(cfg.d, n)), n - 1 / mu)
-    return sign_of(diff) >= 0
-
-
 @dataclass(frozen=True)
 class BestKnown:
     f_best: BoundValue

@@ -38,16 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .lattice import (
-    DivisorClass,
-    DomainError,
-    InvalidInput,
-    Rational,
-    ceil_sqrt,
-    floor_sqrt,
-)
+from .lattice import DomainError, InvalidInput, ceil_sqrt, floor_sqrt
 
 
 @dataclass(frozen=True)
@@ -68,9 +60,6 @@ class CandidateTriple:
     @property
     def mult_sum(self) -> int:
         return self.m * self.n + self.k
-
-    def divisor_class(self) -> DivisorClass:
-        return DivisorClass.almost_uniform(self.n, self.t, self.m, self.k)
 
     def mults(self) -> tuple[int, ...]:
         """Multiplicity vector sorted nonincreasingly."""
@@ -126,35 +115,6 @@ def lemaaa_conditions(n: int, t: int, m: int, k: int) -> bool:
         return False
     # m*sqrt(n) - 1 < t < m*sqrt(n) + 1
     return (t + 1) ** 2 > m * m * n and (t - 1) ** 2 < m * m * n
-
-
-def passes_testlem(h: Sequence[int], t: int, delta: Rational) -> bool:
-    """Finiteness test for a prospective class t*L - h_1*E_1 - ... - h_n*E_n.
-
-    With gamma the number of nonzero h_i and a the least positive h_i, checks
-
-      (a)  h_1^2 + ... + h_n^2 < (1 + n/delta)^2 / gamma
-      (b)  h_1^2 + ... + h_n^2 - a <= t^2 < (h_1 + ... + h_n)^2 / (n + delta)
-
-    exactly, over the rationals.
-    """
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    h = [int(x) for x in h]
-    if any(x < 0 for x in h):
-        raise InvalidInput("multiplicities must be non-negative")
-    n = len(h)
-    gamma = sum(1 for x in h if x != 0)
-    if gamma == 0:
-        raise InvalidInput("all-zero multiplicity vector")
-    a = min(x for x in h if x > 0)
-    sq = sum(x * x for x in h)
-    s = sum(h)
-    t2 = Fraction(t * t)
-    cond_a = Fraction(sq) < (1 + Fraction(n) / delta) ** 2 / gamma
-    cond_b = sq - a <= t2 and t2 < Fraction(s * s) / (n + delta)
-    return cond_a and cond_b
 
 
 def enumerate_szcor(n: int, m_max: int) -> list[CandidateTriple]:
@@ -236,22 +196,3 @@ def e_value(c: CandidateTriple) -> EValue:
         raise DomainError(f"{c.label()} is not abnormal for n={c.n}")
     f = Fraction(s * s, gap)
     return EValue(e=f / c.n, f=f)
-
-
-def almunif_filter(cands: Iterable[CandidateTriple], mu: Rational) -> list[CandidateTriple]:
-    """Candidates that could be abnormal for the nef test class at level mu.
-
-    Keeps (t, m, k) with 0 < m < mu and (k = 0 or m*(n-1) < mu); preserves
-    input order.
-    """
-    mu = Fraction(mu)
-    if mu < 1:
-        raise DomainError(f"mu must be >= 1, got {mu}")
-    kept = []
-    for c in cands:
-        if not 0 < c.m < mu:
-            continue
-        if c.k != 0 and not c.m * (c.n - 1) < mu:
-            continue
-        kept.append(c)
-    return kept

@@ -6,7 +6,14 @@ Subcommands:
   alpha      --n N (--m M [--k K] | --mults v1,v2,...) [--d D --r R] [--trace]
   bound      --n N [--db PATH] [--m-cap C] [--d D --r R] [--format ...] [--strict]
   formulas   --n A..B [--db PATH] [--format ...]
+  sweep      --n A..B [--db PATH] [--m-cap C]
   verify     --table A|B [--db PATH]
+
+sweep reports f(n) for every nonsquare n in A..B (A >= 10) and judges each
+n that has a Table-B row as verify does; `verify --table B` is the sweep over
+the Table-B n at the default m cap.  Exclusion sources are switched with a
+database file (`--db`), for example one written by
+`default_db().with_sources(disable=("Miranda",)).save(path)`.
 
 Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (bound-report
 cache keyed by (n, d, r, db-hash, m-cap, package version)).
@@ -41,7 +48,7 @@ from .effectivity import (
     semiuniformize,
 )
 from .exclusions import ExclusionDb, default_db
-from .lattice import DivisorClass, DomainError, InvalidInput
+from .lattice import DivisorClass, DomainError, InvalidInput, is_square
 from .render import (
     render_candidates,
     render_formulas,
@@ -50,8 +57,9 @@ from .render import (
     report_from_json_dict,
     report_to_json_dict,
     truncate2,
+    truncate2_value,
 )
-from .tables import TABLE_A, TABLE_B, implied_f
+from .tables import TABLE_A, TABLE_B, TABLE_B_BY_N, implied_f
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -95,6 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--n", type=str, required=True, help="single n or range A..B")
     f.add_argument("--db", default=None)
     f.add_argument("--format", choices=("text", "csv", "json"), default="text")
+
+    s = sub.add_parser("sweep", help="certified f(n) over a range of n, judged against table B")
+    s.add_argument("--n", type=str, required=True, help="single n or range A..B, A >= 10")
+    s.add_argument("--db", default=None, help="path to an exclusion database (JSON)")
+    s.add_argument("--m-cap", type=int, default=DEFAULT_M_BUDGET_CAP)
 
     v = sub.add_parser("verify", help="check the build against the embedded reference tables")
     v.add_argument("--table", choices=("A", "B"), required=True)
@@ -237,11 +250,21 @@ def _cmd_formulas(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, jobs: int, cache: _Cache) -> int:
+def _cmd_sweep(args, cache: _Cache) -> int:
+    lo, hi = _parse_range(args.n)
+    if lo < 10 or lo > hi:
+        raise InvalidInput(f"sweep needs a range A..B with 10 <= A <= B, got {args.n}")
+    db = _load_db(args.db)
+    ns = [n for n in range(lo, hi + 1) if not is_square(n)]
+    return _print_sweep(ns, _default_reports(ns, db, args.m_cap, args.jobs, cache), db)
+
+
+def _cmd_verify(args, cache: _Cache) -> int:
     db = _load_db(args.db)
     if args.table == "A":
         return _verify_table_a()
-    return _verify_table_b(db, jobs, cache)
+    ns = [row.n for row in TABLE_B]
+    return _print_sweep(ns, _default_reports(ns, db, DEFAULT_M_BUDGET_CAP, args.jobs, cache), db)
 
 
 def _verify_table_a() -> int:
@@ -260,54 +283,73 @@ def _verify_table_a() -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def _verify_table_b(db: ExclusionDb, jobs: int, cache: _Cache) -> int:
-    ns = [row.n for row in TABLE_B]
+def _default_reports(
+    ns: list[int], db: ExclusionDb, cap: int, jobs: int, cache: _Cache
+) -> dict[int, BoundReport]:
+    """Default-configuration reports for ns: cached ones are read, and all
+    the misses are computed by one bounds_for_ns call and cached."""
+    keys = {n: _Cache.key(n, SpecializationConfig.default(n), db, cap) for n in ns}
     reports: dict[int, BoundReport] = {}
     missing = []
     for n in ns:
-        key = _Cache.key(n, SpecializationConfig.default(n), db, DEFAULT_M_BUDGET_CAP)
-        rep = cache.get(key)
+        rep = cache.get(keys[n])
         if rep is None:
             missing.append(n)
         else:
             reports[n] = rep
     if missing:
-        fresh = bounds_for_ns(missing, db=db, jobs=jobs)
-        for n, rep in fresh.items():
+        for n, rep in bounds_for_ns(missing, db=db, m_budget_cap=cap, jobs=jobs).items():
             reports[n] = rep
-            cache.put(_Cache.key(n, SpecializationConfig.default(n), db, DEFAULT_M_BUDGET_CAP), rep)
+            cache.put(keys[n], rep)
+    return reports
 
+
+def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb) -> int:
+    """One line per n and a table-B summary.  An n with a Table-B row is
+    judged against the f implied by the row's class: above it (beyond a
+    1e-9 relative slack) is EXCESS, a hard failure; below it, a row with a
+    reference value must have that value recovered by best_known.  An n
+    without a row shows f, the blocker and best_known.  Exit 1 on a hard
+    failure, else 0."""
     hard_fail = False
+    rows = 0
     matches = 0
     deficit_rows = []
     slack = Fraction(1, 10**9)
-    for row in TABLE_B:
-        rep = reports[row.n]
-        target = implied_f(row)
-        note = f"  [{row.note}]" if row.note else ""
-        if rep.f > target * (1 + slack):
-            sys.stdout.write(
-                f"n={row.n:3d} f={truncate2(rep.f):>9} table={row.f_str:>9} EXCESS (hard failure)\n"
-            )
-            hard_fail = True
-            continue
-        if truncate2(rep.f) == truncate2(target):
-            matches += 1
-            sys.stdout.write(f"n={row.n:3d} f={truncate2(rep.f):>9} table={row.f_str:>9} match{note}\n")
-            continue
+    for n in ns:
+        rep = reports[n]
+        row = TABLE_B_BY_N.get(n)
         survivor = rep.blocker.label() if rep.blocker else "none"
-        line = f"n={row.n:3d} f={truncate2(rep.f):>9} table={row.f_str:>9} deficit, survivor {survivor}"
-        if row.source is not None:
-            bk = best_known(row.n, rep, db)
-            ref_ok = bk.f_best == Fraction(int(row.f_str))
-            line += f"; reference ({row.source}) gives {row.f_str}: {'OK' if ref_ok else 'MISSING'}"
-            if not ref_ok:
-                hard_fail = True
+        head = f"n={n:3d} f={truncate2(rep.f):>9} table={row.f_str if row else '-':>9}"
+        if row is None:
+            bk = best_known(n, rep, db)
+            line = (f"{head} no table row, blocker {survivor}; "
+                    f"best known {truncate2_value(bk.f_best)} ({bk.source})")
         else:
-            deficit_rows.append(row.n)
-        sys.stdout.write(line + note + "\n")
+            rows += 1
+            target = implied_f(row)
+            note = f"  [{row.note}]" if row.note else ""
+            if rep.f > target * (1 + slack):
+                line = f"{head} EXCESS (hard failure)"
+                hard_fail = True
+            elif truncate2(rep.f) == truncate2(target):
+                matches += 1
+                line = f"{head} match{note}"
+            else:
+                line = f"{head} deficit, survivor {survivor}"
+                if row.source is not None:
+                    bk = best_known(n, rep, db)
+                    ref_ok = bk.f_best == Fraction(int(row.f_str))
+                    line += f"; reference ({row.source}) gives {row.f_str}: {'OK' if ref_ok else 'MISSING'}"
+                    hard_fail = hard_fail or not ref_ok
+                else:
+                    deficit_rows.append(n)
+                line += note
+        if rep.budget_limited:
+            line += " [budget-limited]"
+        sys.stdout.write(line + "\n")
     sys.stdout.write(
-        f"table B: {matches}/{len(TABLE_B)} exact matches (vs class-implied exact values); "
+        f"table B: {matches}/{rows} exact matches (vs class-implied exact values); "
         f"unexplained deficits: {deficit_rows or 'none'}\n"
     )
     if hard_fail:
@@ -326,8 +368,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.jobs < 1:
         sys.stderr.write(f"error: --jobs must be >= 1, got {args.jobs}\n")
         return EXIT_USAGE
-    cache = _Cache(args.cache)
     try:
+        cache = _Cache(args.cache)
         if args.command == "candidates":
             code = _cmd_candidates(args)
         elif args.command == "alpha":
@@ -336,14 +378,16 @@ def main(argv: Optional[list[str]] = None) -> int:
             code = _cmd_bound(args, cache)
         elif args.command == "formulas":
             code = _cmd_formulas(args)
+        elif args.command == "sweep":
+            code = _cmd_sweep(args, cache)
         elif args.command == "verify":
-            code = _cmd_verify(args, args.jobs, cache)
+            code = _cmd_verify(args, cache)
         else:  # pragma: no cover
             return EXIT_USAGE
+        cache.flush()
     except (DomainError, InvalidInput, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    cache.flush()
     return code
 
 

@@ -88,15 +88,6 @@ class DivisorClass:
     def n(self) -> int:
         return len(self.mults)
 
-    @classmethod
-    def uniform(cls, n: int, degree: int, m: int) -> "DivisorClass":
-        return cls(degree, (m,) * n)
-
-    @classmethod
-    def almost_uniform(cls, n: int, t: int, m: int, k: int) -> "DivisorClass":
-        """t*L - m*(E_1 + ... + E_n) - k*E_1."""
-        return cls(t, (m + k,) + (m,) * (n - 1))
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_same_n(other)
         return DivisorClass(
@@ -135,10 +126,6 @@ class QuadraticExpr:
         object.__setattr__(self, "q", Fraction(self.q))
         if self.q < 0:
             raise DomainError(f"radicand must be >= 0, got {self.q}")
-
-    @classmethod
-    def from_rational(cls, x: Rational, q: Rational = 0) -> "QuadraticExpr":
-        return cls(Fraction(x), Fraction(0), Fraction(q))
 
     def sign(self) -> int:
         return sign_of(self)

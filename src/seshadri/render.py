@@ -61,8 +61,20 @@ def fraction_to_json(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator)}
 
 
+def _int_from_json(v: object) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _str_from_json(v: object) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
+
+
 def fraction_from_json(d: dict) -> Fraction:
-    return Fraction(int(d["num"]), int(d["den"]))
+    return Fraction(int(_str_from_json(d["num"])), int(_str_from_json(d["den"])))
 
 
 def value_to_json(x: Value) -> dict:
@@ -76,20 +88,13 @@ def value_to_json(x: Value) -> dict:
     }
 
 
-def value_from_json(d: dict) -> Value:
-    if d["kind"] == "rational":
-        return fraction_from_json(d)
-    return QuadraticExpr(
-        fraction_from_json(d["a"]), fraction_from_json(d["b"]), fraction_from_json(d["q"])
-    )
-
-
 def candidate_to_json(c: CandidateTriple) -> dict:
     return {"n": c.n, "t": c.t, "m": c.m, "k": c.k}
 
 
 def candidate_from_json(d: dict) -> CandidateTriple:
-    return CandidateTriple(n=int(d["n"]), t=int(d["t"]), m=int(d["m"]), k=int(d["k"]))
+    return CandidateTriple(n=_int_from_json(d["n"]), t=_int_from_json(d["t"]),
+                           m=_int_from_json(d["m"]), k=_int_from_json(d["k"]))
 
 
 def cfg_to_json(cfg: SpecializationConfig) -> dict:
@@ -97,7 +102,8 @@ def cfg_to_json(cfg: SpecializationConfig) -> dict:
 
 
 def cfg_from_json(d: dict) -> SpecializationConfig:
-    return SpecializationConfig(n=int(d["n"]), d=int(d["d"]), r=int(d["r"]), g=int(d["g"]))
+    return SpecializationConfig(n=_int_from_json(d["n"]), d=_int_from_json(d["d"]),
+                                r=_int_from_json(d["r"]), g=_int_from_json(d["g"]))
 
 
 def report_to_json_dict(rep: BoundReport) -> dict:
@@ -119,21 +125,28 @@ def report_to_json_dict(rep: BoundReport) -> dict:
 
 
 def report_from_json_dict(d: dict) -> BoundReport:
+    """Inverse of report_to_json_dict.  Values are type-checked, not coerced:
+    a wrong-typed field raises TypeError, so a mistyped cache entry is
+    recomputed rather than served."""
+    budget_limited = d["budget_limited"]
+    if not isinstance(budget_limited, bool):
+        raise TypeError(f"budget_limited must be a bool, got {budget_limited!r}")
     return BoundReport(
-        n=int(d["n"]),
+        n=_int_from_json(d["n"]),
         f=fraction_from_json(d["f"]),
         mu=fraction_from_json(d["mu"]),
-        blocker=candidate_from_json(d["blocker"]) if d["blocker"] else None,
+        blocker=candidate_from_json(d["blocker"]) if d["blocker"] is not None else None,
         exclusions_used=tuple(
-            (candidate_from_json(e["candidate"]), e["reason"]) for e in d["exclusions_used"]
+            (candidate_from_json(e["candidate"]), _str_from_json(e["reason"]))
+            for e in d["exclusions_used"]
         ),
         coverage=Coverage(
-            m_checked_k0=int(d["coverage"]["m_checked_k0"]),
-            m_checked_knz=int(d["coverage"]["m_checked_knz"]),
+            m_checked_k0=_int_from_json(d["coverage"]["m_checked_k0"]),
+            m_checked_knz=_int_from_json(d["coverage"]["m_checked_knz"]),
         ),
         cfg=cfg_from_json(d["cfg"]),
-        budget_limited=bool(d["budget_limited"]),
-        m_budget_cap=int(d["m_budget_cap"]),
+        budget_limited=budget_limited,
+        m_budget_cap=_int_from_json(d["m_budget_cap"]),
     )
 
 

@@ -1,8 +1,9 @@
 """Shared reference implementations and helpers for the test suite."""
 from __future__ import annotations
 
+from fractions import Fraction
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -12,7 +13,7 @@ from seshadri.candidates import (
     szcor_conditions,
     szcor_d,
 )
-from seshadri.lattice import DomainError, ceil_sqrt, floor_sqrt
+from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, floor_sqrt
 
 
 def unload_literal(mults):
@@ -156,6 +157,36 @@ def k_range_literal(n: int, m: int) -> Iterable[int]:
     while m + k > 0 and k * k * (n - 1) < n * (m + k):
         yield k
         k -= 1
+
+
+def passes_testlem(h: Sequence[int], t: int, delta) -> bool:
+    """Finiteness test for a prospective class t*L - h_1*E_1 - ... - h_n*E_n;
+    the oracle that enumeration outputs are checked against.
+
+    With gamma the number of nonzero h_i and a the least positive h_i, checks
+
+      (a)  h_1^2 + ... + h_n^2 < (1 + n/delta)^2 / gamma
+      (b)  h_1^2 + ... + h_n^2 - a <= t^2 < (h_1 + ... + h_n)^2 / (n + delta)
+
+    exactly, over the rationals.
+    """
+    delta = Fraction(delta)
+    if delta <= 0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    h = [int(x) for x in h]
+    if any(x < 0 for x in h):
+        raise InvalidInput("multiplicities must be non-negative")
+    n = len(h)
+    gamma = sum(1 for x in h if x != 0)
+    if gamma == 0:
+        raise InvalidInput("all-zero multiplicity vector")
+    a = min(x for x in h if x > 0)
+    sq = sum(x * x for x in h)
+    s = sum(h)
+    t2 = Fraction(t * t)
+    cond_a = Fraction(sq) < (1 + Fraction(n) / delta) ** 2 / gamma
+    cond_b = sq - a <= t2 and t2 < Fraction(s * s) / (n + delta)
+    return cond_a and cond_b
 
 
 def ceil_frac(num, den):

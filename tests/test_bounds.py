@@ -18,7 +18,6 @@ from seshadri.bounds import (
     mu_n,
     theoremone_weak_c,
     theoremone_weak_d,
-    theoremunif_hypothesis,
 )
 from seshadri.candidates import e_value, enumerate_szcor
 from seshadri.exclusions import default_db, is_excluded
@@ -218,17 +217,11 @@ class TestHypothesisCheckers:
     def test_golden_pair(self):
         assert lemcc_hypothesis(47, 71) is True
 
-    def test_small_levels_always_pass_the_uniform_variant(self):
-        for n in nonsquares(10, 99):
-            assert theoremunif_hypothesis(n, 6 * (n - 1)) is True
-
     def test_out_of_range_level(self):
         with pytest.raises(DomainError):
             lemcc_hypothesis(10, 0)
         with pytest.raises(DomainError):
             lemcc_hypothesis(10, 10 * 9 + 1)
-        with pytest.raises(DomainError):
-            theoremunif_hypothesis(10, 1000)
 
     def test_square_n_rejected(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,4 @@
-"""Candidate enumeration, e-values, and the level filter."""
+"""Candidate enumeration and e-values."""
 from __future__ import annotations
 
 import random
@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_candidates, enumerate_szcor_literal, k_range_literal
-from seshadri.candidates import (
-    CandidateTriple,
-    _k_bounds,
-    almunif_filter,
-    e_value,
-    enumerate_szcor,
+from conftest import (
+    brute_force_candidates,
+    enumerate_szcor_literal,
+    k_range_literal,
     passes_testlem,
 )
+from seshadri.candidates import CandidateTriple, _k_bounds, e_value, enumerate_szcor
 from seshadri.lattice import DomainError, InvalidInput
 from seshadri.tables import TABLE_A
 
@@ -145,32 +143,3 @@ class TestEValue:
         with pytest.raises(DomainError):
             e_value(CandidateTriple(19, 170, 39, 0))
 
-
-class TestLevelFilter:
-    def test_blocker_level_for_ten_points(self):
-        cands = enumerate_szcor(10, 182)
-        mu = Q(313600, 3100)
-        kept = almunif_filter(cands, mu)
-        for c in kept:
-            if c.k == 0:
-                assert c.m <= 101
-            else:
-                assert c.m <= 11
-        assert (154, 49, -3) not in [(c.t, c.m, c.k) for c in kept]
-        assert 49 * 9 >= mu
-
-    def test_level_one_keeps_nothing(self):
-        assert almunif_filter(enumerate_szcor(10, 182), 1) == []
-
-    def test_level_eight(self):
-        kept = almunif_filter(enumerate_szcor(10, 182), 8)
-        assert [(c.t, c.m, c.k) for c in kept] == [(3, 1, 0), (22, 7, 0)]
-
-    def test_preserves_order(self):
-        cands = enumerate_szcor(10, 182)
-        kept = almunif_filter(cands, 200)
-        assert kept == [c for c in cands if c in kept]
-
-    def test_bad_level(self):
-        with pytest.raises(DomainError):
-            almunif_filter([], Q(1, 2))

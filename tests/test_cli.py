@@ -1,11 +1,13 @@
 """Command-line surface: formats, round-trips, cache transparency, exit codes."""
 from __future__ import annotations
 
+import argparse
 import json
 from fractions import Fraction
 
 import pytest
 
+from seshadri import cli
 from seshadri.bounds import compute_bound
 from seshadri.cli import _Cache, main
 from seshadri.render import (
@@ -162,6 +164,8 @@ class TestCacheRobustness:
         pytest.param(lambda p: dict(p, coverage=None), id="coverage-null"),
         pytest.param(lambda p: dict(p, cfg=dict(p["cfg"], d="three")), id="cfg-d-string"),
         pytest.param(lambda p: dict(p, f={"num": "1", "den": "0"}), id="zero-denominator"),
+        pytest.param(lambda p: dict(p, budget_limited="no"), id="budget-limited-string"),
+        pytest.param(lambda p: dict(p, m_budget_cap="7"), id="m-budget-cap-string"),
     ])
     def test_malformed_entry_warns_and_recomputes(self, capsys, tmp_path, corrupt):
         cache = tmp_path / "cache.json"
@@ -178,6 +182,12 @@ class TestCacheRobustness:
         code, warm, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
         assert code == 0 and err == ""
         assert warm == plain
+
+    def test_cache_path_that_is_a_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "--cache", str(tmp_path), "bound", "--n", "11")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_flush_replaces_the_file_and_leaves_no_temp(self, tmp_path):
         cache = tmp_path / "cache.json"
@@ -308,6 +318,69 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--table", "A")
         assert code == 0
         assert "PASS" in out
+
+
+class TestSweepCommand:
+    def test_table_b_range_is_verify_table_b(self, capsys):
+        verify = run_cli(capsys, "verify", "--table", "B")
+        sweep = run_cli(capsys, "sweep", "--n", "10..99")
+        assert sweep == verify
+        assert verify[0] == 0 and verify[1].endswith("table B: PASS\n")
+
+    def test_reads_the_cache_verify_filled(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.json"
+        _, verify_out, _ = run_cli(capsys, "--cache", str(cache), "verify", "--table", "B")
+        filled = cache.read_bytes()
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("bounds_for_ns called on a warm cache")
+
+        monkeypatch.setattr(cli, "bounds_for_ns", no_compute)
+        code, out, err = run_cli(capsys, "--cache", str(cache), "sweep", "--n", "10..99")
+        assert (code, out, err) == (0, verify_out, "")
+        assert cache.read_bytes() == filled
+
+    def test_rows_past_the_table_and_squares(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "95..101")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line[:5] for line in lines[:-2]] == ["n= 95", "n= 96", "n= 97", "n= 98", "n= 99", "n=101"]
+        rep = compute_bound(101)
+        assert lines[5] == (
+            f"n=101 f={truncate2(rep.f):>9} table=        - no table row, "
+            f"blocker {rep.blocker.label()}; best known 40401 (theoremone-a)"
+        )
+        assert lines[-2].startswith("table B: 5/5 exact matches")
+        assert lines[-1] == "table B: PASS"
+
+    def test_budget_limited_rows_are_marked(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "10..11", "--m-cap", "20")
+        assert code == 0
+        rows = out.splitlines()[:2]
+        assert all(row.endswith(" [budget-limited]") for row in rows)
+
+    def test_toggled_database_file(self, capsys, tmp_path):
+        from seshadri.exclusions import default_db
+
+        path = tmp_path / "db.json"
+        default_db().with_sources(disable=("Miranda",)).save(str(path))
+        code, out, _ = run_cli(capsys, "sweep", "--n", "10..10", "--db", str(path))
+        assert code == 0
+        assert out.splitlines()[0].endswith("deficit, survivor C(79,25,0)")
+
+    @pytest.mark.parametrize("spec", ["9..20", "30..20", "abc"])
+    def test_bad_range_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "sweep", "--n", spec)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_docstring_names_every_subcommand():
+    lines = cli.__doc__.split("Subcommands:\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    documented = [line.split()[0] for line in lines]
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == list(sub.choices)
 
 
 class TestExitCodes:
