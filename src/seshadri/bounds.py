@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from .candidates import CandidateTriple, e_value, enumerate_szcor
@@ -72,6 +73,12 @@ def compute_bound(
     excluded is the blocker and fixes mu.  If the enumeration budget is
     exhausted before coverage, the report is flagged budget_limited and f is
     computed from the largest covered level, min(mu, m_max + 1).
+
+    The budget grows in rounds (16, 32, 64, ..., capped by ceil(mu)), and
+    each round enumerates only the new m, those above the previous budget.
+    Each candidate is keyed by (e, sort_key) once and merged into one sorted
+    list that lives across rounds; sort_key is unique per candidate, so the
+    list is in the order a full sort of every m would give.
     """
     if n < 10:
         raise DomainError(f"bounds are computed for n >= 10, got {n}")
@@ -85,13 +92,17 @@ def compute_bound(
         cfg = SpecializationConfig.default(n)
 
     verdicts: dict[CandidateTriple, ExclusionResult] = {}
+    keyed: list[tuple[tuple[Fraction, tuple[int, ...]], CandidateTriple]] = []
+    m_done = 0
     m_max = min(16, m_budget_cap)
     while True:
-        cands = sorted(enumerate_szcor(n, m_max), key=lambda c: (e_value(c).e, c.sort_key()))
+        keyed += [((e_value(c).e, c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1)]
+        keyed.sort(key=itemgetter(0))
+        m_done = m_max
         excluded: list[tuple[CandidateTriple, str]] = []
         mu: Optional[Fraction] = None
         blocker: Optional[CandidateTriple] = None
-        for c in cands:
+        for _, c in keyed:
             res = verdicts.get(c)
             if res is None:
                 res = is_excluded(c, cfg, db)

@@ -16,6 +16,12 @@ and, when 0 < m < n and k != 0, the sharper almost-uniform constraints
 
        m + k > 0,  k^2 <= m,  2mk = t^2 - m^2*n,  m*sqrt(n)-1 < t < m*sqrt(n)+1.
 
+For k = 0 the window m^2*n - m <= t^2 < m^2*n holds at most one t, namely
+t = isqrt(m^2*n - 1).  Any t in it has t^2 >= 10m^2 - m > (3m - 1)^2, so
+t >= 3m, and consecutive squares there lie 2t + 1 > m apart, farther than
+the width m of the window; the largest t with t^2 < m^2*n is the only one
+that can reach it.
+
 For m >= n and k != 0 the enumeration runs over t, with one k per t.  By (b)
 the nonzero k lie in [k_min, k_max] with k_max = isqrt((nm-1)//(n-1)) and
 k_min = -j, j the largest integer with j^2*(n-1) + n*j < n*m (that forces
@@ -117,10 +123,11 @@ def lemaaa_conditions(n: int, t: int, m: int, k: int) -> bool:
     return (t + 1) ** 2 > m * m * n and (t - 1) ** 2 < m * m * n
 
 
-def enumerate_szcor(n: int, m_max: int) -> list[CandidateTriple]:
-    """All candidates with 1 <= m <= m_max, sorted by (m, k=0 first, k, t).
+def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:
+    """All candidates with m_min <= m <= m_max, sorted by (m, k=0 first, k, t).
 
-    For k = 0 the degree window is m^2*n - m <= t^2 < m^2*n.  For k != 0 and
+    For k = 0 the degree window m^2*n - m <= t^2 < m^2*n holds at most
+    t = isqrt(m^2*n - 1) (see the module docstring).  For k != 0 and
     m < n the almost-uniform constraints pin t to one of the at most two
     integers adjacent to m*sqrt(n) and force k = (t^2 - m^2*n) / (2m).  For
     m >= n the scan runs over t, not k: condition (c) over the k range of
@@ -133,13 +140,15 @@ def enumerate_szcor(n: int, m_max: int) -> list[CandidateTriple]:
         raise DomainError(f"enumeration requires n >= 10, got {n}")
     if m_max < 1:
         raise DomainError(f"m_max must be >= 1, got {m_max}")
+    if m_min < 1:
+        raise DomainError(f"m_min must be >= 1, got {m_min}")
     out: list[CandidateTriple] = []
-    for m in range(1, m_max + 1):
+    for m in range(m_min, m_max + 1):
         base = m * m * n
-        # k = 0: t^2 in [base - m, base)
-        for t in range(max(1, ceil_sqrt(base - m)), floor_sqrt(base - 1) + 1):
-            if szcor_d(n, t, m, 0):
-                out.append(CandidateTriple(n, t, m, 0))
+        # k = 0: the one t with t^2 < base that can reach base - m
+        t = floor_sqrt(base - 1)
+        if t * t >= base - m and szcor_d(n, t, m, 0):
+            out.append(CandidateTriple(n, t, m, 0))
         if m < n:
             # k != 0 pinned by the almost-uniform constraints
             tm = floor_sqrt(base)

@@ -134,10 +134,12 @@ class _Cache:
     """Single-writer JSON cache of bound reports.
 
     A file that is not a JSON object is ignored with a warning on stderr, so
-    every report is recomputed; an entry that does not decode as a report is
-    ignored the same way, and the recomputed report replaces it.  flush
-    replaces the file atomically.  Keys carry the package version, so a
-    report cached by another release is recomputed, not served.
+    every report is recomputed.  An entry is ignored the same way, and the
+    recomputed report replaces it, unless it decodes as a report that fits
+    its key and itself: the key's n, configuration and m cap, f = n*mu, and
+    a blocker of the same n with e = mu.  flush replaces the file
+    atomically.  Keys carry the package version, so a report cached by
+    another release is recomputed, not served.
     """
 
     def __init__(self, path: Optional[str]):
@@ -158,11 +160,20 @@ class _Cache:
     def key(n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> str:
         return f"n={n}|d={cfg.d}|r={cfg.r}|db={db.digest()}|cap={cap}|v={__version__}"
 
-    def get(self, key: str) -> Optional[BoundReport]:
+    def get(self, key: str, n: int, cfg: SpecializationConfig, cap: int) -> Optional[BoundReport]:
+        """The report cached under key, which _Cache.key(n, cfg, db, cap)
+        made, or None when there is none or it is malformed."""
         if key not in self.data:
             return None
         try:
-            return report_from_json_dict(self.data[key])
+            rep = report_from_json_dict(self.data[key])
+            if (rep.n, rep.cfg, rep.m_budget_cap) != (n, cfg, cap):
+                raise ValueError(f"entry is for n={rep.n}, {rep.cfg}, cap={rep.m_budget_cap}")
+            if rep.f != rep.n * rep.mu:
+                raise ValueError(f"f = {rep.f} is not n*mu = {rep.n * rep.mu}")
+            if rep.blocker is not None and (rep.blocker.n != n or e_value(rep.blocker).e != rep.mu):
+                raise ValueError(f"blocker {rep.blocker.label()} does not give mu = {rep.mu}")
+            return rep
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             sys.stderr.write(f"warning: ignoring malformed cache entry {key} ({reason}); recomputing\n")
@@ -222,7 +233,7 @@ def _cmd_bound(args, cache: _Cache) -> int:
     db = _load_db(args.db)
     cfg = _make_cfg(args.n, args.d, args.r)
     key = _Cache.key(args.n, cfg, db, args.m_cap)
-    rep = cache.get(key)
+    rep = cache.get(key, args.n, cfg, args.m_cap)
     if rep is None:
         rep = compute_bound(args.n, db=db, cfg=cfg, m_budget_cap=args.m_cap)
         cache.put(key, rep)
@@ -288,11 +299,12 @@ def _default_reports(
 ) -> dict[int, BoundReport]:
     """Default-configuration reports for ns: cached ones are read, and all
     the misses are computed by one bounds_for_ns call and cached."""
-    keys = {n: _Cache.key(n, SpecializationConfig.default(n), db, cap) for n in ns}
+    cfgs = {n: SpecializationConfig.default(n) for n in ns}
+    keys = {n: _Cache.key(n, cfgs[n], db, cap) for n in ns}
     reports: dict[int, BoundReport] = {}
     missing = []
     for n in ns:
-        rep = cache.get(keys[n])
+        rep = cache.get(keys[n], n, cfgs[n], cap)
         if rep is None:
             missing.append(n)
         else:

@@ -38,6 +38,25 @@ v^[n-r+a], (v-1)^[r-a] after re-sorting when a < r; the second has an
 entry -1 only when v = 0, and then T = a < r and the clamp leaves the zero
 vector.  So the walk steps runs only until the vector is balanced, and the
 rest of S_0, S_1, ... follows from T alone.
+
+Only a bounded stretch of the balanced tail needs storing.  Let b be the
+first balanced index, T_b its total, and T_i = T_b - r*(i - b) for
+b <= i < z, where z = b + ceil(T_b / r) is the first index of the zero
+vector.  Writing x = T_i mod n and psi(x) = n*min(x, r) - r*x,
+
+    n*(d^2*i + S_i) = n*d^2*b + r*T_b + (i - b)*(n*d^2 - r^2) + psi(x),
+
+because n*S_i = r*(T_i - x) + n*min(x, r) = r*T_i + psi(x).  psi lies in
+[0, r(n - r)]: it is (n - r)*x for x <= r and r*(n - x) for r <= x < n.
+So n*(a_i - a_b) >= (i - b)*(n*d^2 - r^2) - r(n - r) for a_i = d^2*i + S_i,
+and when n*d^2 > r^2 every i >= b + K with K = floor(r(n - r)/(n*d^2 - r^2))
++ 1 has a_i > a_b: it cannot lower a prefix minimum.  Past z the vector is
+zero and a_i = d^2*i, whose least value d^2*z joins the minima.  The walk
+therefore stores entries only up to min(count, b + K - 1, z - 1), and the
+criterion reads later S_i from the closed form and later prefix minima as
+the last stored one, lowered to d^2*z once i >= z.  When n*d^2 <= r^2
+(r = ceil(d*sqrt(n)) for nonsquare n, or r = n) there is no K, and the
+store runs to z - 1.
 """
 from __future__ import annotations
 
@@ -212,8 +231,44 @@ def _step_runs(runs: Runs, r: int) -> Runs:
     return out
 
 
-def _head_sums(mults: Sequence[int], r: int, count: int) -> list[int]:
-    """S_0, ..., S_count: the sum of the first r multiplicities of each D_i.
+@dataclass(frozen=True)
+class _HeadSums:
+    """S_i and the prefix minima min_{j <= i} (d^2*j + S_j) of one walk.
+
+    Entries up to index len(sums) - 1 are stored.  Later ones follow the
+    balanced closed form from the first balanced index `start` and its
+    total `total`; `zero` is the first index of the zero vector (see
+    _head_sums).
+    """
+
+    sums: list[int]
+    lows: list[int]
+    start: int
+    total: int
+    zero: int
+    n: int
+    r: int
+    dd: int
+
+    def at(self, i: int) -> int:
+        """S_i."""
+        if i < len(self.sums):
+            return self.sums[i]
+        t = self.total - self.r * (i - self.start)
+        if t <= 0:
+            return 0
+        return self.r * (t // self.n) + min(t % self.n, self.r)
+
+    def low(self, i: int) -> int:
+        """min over j <= i of d^2*j + S_j."""
+        lows = self.lows
+        low = lows[i] if i < len(lows) else lows[-1]
+        return min(low, self.dd * self.zero) if i >= self.zero else low
+
+
+def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _HeadSums:
+    """S_0, ..., S_count (the sum of the first r multiplicities of each D_i)
+    and their prefix minima of d^2*i + S_i.
 
     Runs are stepped only until the vector is balanced (entries differ by
     at most 1: one run, or two runs one apart).  A balanced vector with
@@ -225,22 +280,40 @@ def _head_sums(mults: Sequence[int], r: int, count: int) -> list[int]:
     S_i = r*(T_i // n) + min(T_i mod n, r) with T_i = max(T - r*(i - b), 0)
     and b the first balanced index.  The zero vector is balanced (one run),
     so it needs no special case.
+
+    Past b the entries are stored only while they can lower a prefix
+    minimum.  With z = b + ceil(T_b / r) the first zero index and
+    psi(x) = n*min(x, r) - r*x, every b <= i < z has
+
+        n*(d^2*i + S_i) = n*d^2*b + r*T_b + (i - b)*(n*d^2 - r^2) + psi(T_i mod n),
+
+    and 0 <= psi <= r(n - r).  So when n*d^2 > r^2 no i >= b + K, with
+    K = floor(r(n - r)/(n*d^2 - r^2)) + 1, lowers a minimum, and for i >= z
+    only d^2*z can.  The store ends at min(count, b + K - 1, z - 1), and at
+    least at b; without a positive n*d^2 - r^2 there is no K.
     """
-    n = len(mults)
+    n, r, dd = cfg.n, cfg.r, cfg.d * cfg.d
     runs = _to_runs(mults)
     sums: list[int] = []
     while len(sums) <= count and not _balanced(runs):
         sums.append(_head_sum(runs, r))
         runs = _step_runs(runs, r)
+    # start is b, or count + 1 when the vector is not balanced by then and
+    # every entry is already stored
+    start = len(sums)
     total = sum(v * c for v, c in runs)
-    live = count + 1 - len(sums)
-    # T_i runs down by r while it is >= 0; past that the vector is zero.
-    # min(a, r) is written inline: a builtin call per entry costs about as
-    # much as the rest of the expression.
-    totals = range(total, max(total - r * live, -1), -r)
-    sums += [r * (t // n) + (a if (a := t % n) < r else r) for t in totals]
-    sums += [0] * (live - len(totals))
-    return sums
+    zero = start - (-total // r)
+    if start <= count:
+        last = min(count, zero - 1)
+        slope = n * dd - r * r
+        if slope > 0:
+            last = min(last, start + r * (n - r) // slope)
+        # min(a, r) is written inline: a builtin call per entry costs about
+        # as much as the rest of the expression.
+        totals = range(total, total - r * (max(last, start) + 1 - start), -r)
+        sums += [r * (t // n) + (a if (a := t % n) < r else r) for t in totals]
+    lows = list(accumulate(map(add, sums, range(0, dd * len(sums), dd)), min))
+    return _HeadSums(sums, lows, start, total, zero, n, r, dd)
 
 
 def _balanced(runs: Runs) -> bool:
@@ -248,13 +321,7 @@ def _balanced(runs: Runs) -> bool:
     return len(runs) == 1 or (len(runs) == 2 and runs[0][0] == runs[1][0] + 1)
 
 
-def _interior_lows(sums: Sequence[int], d: int) -> list[int]:
-    """lows[q] = min over i <= q of d^2*i + S_i (prefix minima)."""
-    dd = d * d
-    return list(accumulate(map(add, sums, range(0, dd * len(sums), dd)), min))
-
-
-def _passes(t0: int, cfg: SpecializationConfig, sums: Sequence[int], lows: Sequence[int]) -> bool:
+def _passes(t0: int, cfg: SpecializationConfig, walk: _HeadSums) -> bool:
     """The criterion for degree t0, in O(1) from S_i and its prefix minima.
 
     With q = t0 // d (0 when t0 < d), the interior steps are i < q, where
@@ -264,9 +331,9 @@ def _passes(t0: int, cfg: SpecializationConfig, sums: Sequence[int], lows: Seque
     d = cfg.d
     q = t0 // d if t0 > 0 else 0
     tj = t0 - q * d
-    if q and d * t0 > cfg.g - 1 + lows[q - 1]:
+    if q and d * t0 > cfg.g - 1 + walk.low(q - 1):
         return False
-    return (tj + 1) * (tj + 2) <= 2 * sums[q]
+    return (tj + 1) * (tj + 2) <= 2 * walk.at(q)
 
 
 @dataclass(frozen=True)
@@ -350,8 +417,7 @@ def criterion_holds(d0: DivisorClass, cfg: SpecializationConfig) -> bool:
         raise InvalidInput(f"class has n={d0.n}, config has n={cfg.n}")
     _require_normal_form(d0.mults, cfg.n)
     q = max(d0.degree, 0) // cfg.d
-    sums = _head_sums(d0.mults, cfg.r, q)
-    return _passes(d0.degree, cfg, sums, _interior_lows(sums, cfg.d))
+    return _passes(d0.degree, cfg, _head_sums(d0.mults, cfg, q))
 
 
 def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
@@ -369,10 +435,9 @@ def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
     if total == 0:
         raise InvalidInput("all-zero multiplicity vector")
     hi = _ceil_div_sqrt(total, cfg.n) + cfg.d
-    sums = _head_sums(ms, cfg.r, hi // cfg.d)
-    lows = _interior_lows(sums, cfg.d)
+    walk = _head_sums(ms, cfg, hi // cfg.d)
     for t in range(hi, -1, -1):
-        if _passes(t, cfg, sums, lows):
+        if _passes(t, cfg, walk):
             return t + 1
     return 1
 

@@ -2,18 +2,31 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt
-from typing import Iterable, Sequence
+from operator import add
+from typing import Iterable, Optional, Sequence
 
 import pytest
 
+from seshadri.bounds import DEFAULT_M_BUDGET_CAP, BoundReport, Coverage
 from seshadri.candidates import (
     CandidateTriple,
+    e_value,
+    enumerate_szcor,
     lemaaa_conditions,
     szcor_conditions,
     szcor_d,
 )
-from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, floor_sqrt
+from seshadri.effectivity import (
+    SpecializationConfig,
+    _balanced,
+    _head_sum,
+    _step_runs,
+    _to_runs,
+)
+from seshadri.exclusions import ExclusionDb, ExclusionResult, default_db, is_excluded
+from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, floor_sqrt, is_square
 
 
 def unload_literal(mults):
@@ -85,6 +98,97 @@ def alpha_lower_bound_literal(mults, cfg):
         if criterion_literal(t, mults, cfg):
             return t + 1
     return 1
+
+
+def head_sums_list(mults: Sequence[int], r: int, count: int) -> list[int]:
+    """Reference S_0, ..., S_count as one full list: runs are stepped until
+    the vector is balanced, and every later entry is built from the
+    balanced closed form S_i = r*(T_i // n) + min(T_i mod n, r) with
+    T_i = max(T - r*(i - b), 0)."""
+    n = len(mults)
+    runs = _to_runs(mults)
+    sums: list[int] = []
+    while len(sums) <= count and not _balanced(runs):
+        sums.append(_head_sum(runs, r))
+        runs = _step_runs(runs, r)
+    total = sum(v * c for v, c in runs)
+    live = count + 1 - len(sums)
+    totals = range(total, max(total - r * live, -1), -r)
+    sums += [r * (t // n) + min(t % n, r) for t in totals]
+    sums += [0] * (live - len(totals))
+    return sums
+
+
+def interior_lows_list(sums: Sequence[int], d: int) -> list[int]:
+    """Reference prefix minima: lows[q] = min over i <= q of d^2*i + S_i."""
+    dd = d * d
+    return list(accumulate(map(add, sums, range(0, dd * len(sums), dd)), min))
+
+
+def compute_bound_literal(
+    n: int,
+    db: Optional[ExclusionDb] = None,
+    cfg: Optional[SpecializationConfig] = None,
+    m_budget_cap: int = DEFAULT_M_BUDGET_CAP,
+) -> BoundReport:
+    """Reference round driver: every round re-enumerates m from 1 and sorts
+    all candidates by (e, sort_key) afresh."""
+    if n < 10:
+        raise DomainError(f"bounds are computed for n >= 10, got {n}")
+    if is_square(n):
+        raise DomainError(f"n = {n} is a square: eps(n) = 1/sqrt(n) exactly, no f(n)")
+    if m_budget_cap < 1:
+        raise DomainError(f"m_budget_cap must be >= 1, got {m_budget_cap}")
+    if db is None:
+        db = default_db()
+    if cfg is None:
+        cfg = SpecializationConfig.default(n)
+
+    verdicts: dict[CandidateTriple, ExclusionResult] = {}
+    m_max = min(16, m_budget_cap)
+    while True:
+        cands = sorted(enumerate_szcor(n, m_max), key=lambda c: (e_value(c).e, c.sort_key()))
+        excluded: list[tuple[CandidateTriple, str]] = []
+        mu: Optional[Fraction] = None
+        blocker: Optional[CandidateTriple] = None
+        for c in cands:
+            res = verdicts.get(c)
+            if res is None:
+                res = is_excluded(c, cfg, db)
+                verdicts[c] = res
+            if res.excluded:
+                excluded.append((c, res.reason))
+                continue
+            mu = e_value(c).e
+            blocker = c
+            break
+        if mu is not None and m_max >= mu:
+            budget_limited = False
+            break
+        if m_max >= m_budget_cap:
+            budget_limited = True
+            cover = Fraction(m_max + 1)
+            if mu is None or cover < mu:
+                mu = cover
+                blocker = None
+            break
+        grown = max(2 * m_max, 32)
+        if mu is not None:
+            # grow toward ceil(mu), geometrically to avoid overshooting when a
+            # smaller-e candidate is still hiding between m_max and the target
+            grown = min(grown, ceil_frac(mu.numerator, mu.denominator))
+        m_max = min(m_budget_cap, grown)
+    return BoundReport(
+        n=n,
+        f=n * mu,
+        mu=mu,
+        blocker=blocker,
+        exclusions_used=tuple(excluded),
+        coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
+        cfg=cfg,
+        budget_limited=budget_limited,
+        m_budget_cap=m_budget_cap,
+    )
 
 
 def brute_force_candidates(n, m_max):

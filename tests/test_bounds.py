@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ceil_frac
+import seshadri.bounds as bounds
+from conftest import ceil_frac, compute_bound_literal
 from seshadri.bounds import (
     _worker_count,
     all_formula_bounds,
@@ -20,8 +21,10 @@ from seshadri.bounds import (
     theoremone_weak_d,
 )
 from seshadri.candidates import e_value, enumerate_szcor
+from seshadri.effectivity import SpecializationConfig
 from seshadri.exclusions import default_db, is_excluded
 from seshadri.lattice import DomainError, QuadraticExpr, is_square, sign_of
+from seshadri.tables import TABLE_B
 
 Q = Fraction
 
@@ -106,6 +109,46 @@ class TestComputeBound:
         serial = bounds_for_ns(ns, jobs=1)
         parallel = bounds_for_ns(ns, jobs=2)
         assert serial == parallel
+
+
+class TestRoundDriverOracle:
+    """compute_bound enumerates each m once and merges across rounds; the
+    conftest driver re-enumerates and re-sorts every round."""
+
+    def test_table_b(self):
+        for row in TABLE_B:
+            assert compute_bound(row.n) == compute_bound_literal(row.n), row.n
+
+    @pytest.mark.parametrize("n, cap", [(527, 5000), (3001, 512), (10, 5), (10, 30)])
+    def test_budget_points(self, n, cap):
+        assert compute_bound(n, m_budget_cap=cap) == compute_bound_literal(n, m_budget_cap=cap)
+
+    def test_nondefault_configs(self):
+        cfgs = [SpecializationConfig(n=41, d=5, r=32, g=6)]
+        cfgs += [SpecializationConfig.with_ceil_r(n) for n in nonsquares(10, 40)]
+        for cfg in cfgs:
+            assert compute_bound(cfg.n, cfg=cfg) == compute_bound_literal(cfg.n, cfg=cfg), cfg
+
+    @pytest.mark.parametrize("change", [{"disable": ("Miranda",)}, {"enable": ("Dumnicki",)}])
+    def test_toggled_databases(self, change):
+        db = default_db().with_sources(**change)
+        for n in nonsquares(10, 60):
+            assert compute_bound(n, db=db) == compute_bound_literal(n, db=db), n
+
+    @pytest.mark.parametrize("n, cap", [(10, 5000), (10, 30), (41, 5000), (527, 5000), (3001, 512)])
+    def test_each_m_is_enumerated_once(self, monkeypatch, n, cap):
+        ranges = []
+        enumerate_all = bounds.enumerate_szcor
+
+        def recording(n, m_max, m_min=1):
+            ranges.append((m_min, m_max))
+            return enumerate_all(n, m_max, m_min)
+
+        monkeypatch.setattr(bounds, "enumerate_szcor", recording)
+        rep = compute_bound(n, m_budget_cap=cap)
+        covered = [m for lo, hi in ranges for m in range(lo, hi + 1)]
+        assert covered == list(range(1, rep.coverage.m_checked_k0 + 1))
+        assert all(lo <= hi for lo, hi in ranges)
 
 
 class TestWorkerCount:

@@ -83,6 +83,9 @@ class TestEnumeration:
             enumerate_szcor(9, 10)
         with pytest.raises(DomainError):
             enumerate_szcor(10, 0)
+        for m_min in (0, -3):
+            with pytest.raises(DomainError):
+                enumerate_szcor(10, 5, m_min)
 
     def test_matches_literal_scan_on_both_sides_of_n(self):
         # m_max below n exercises only the pinned branch; above n, the t-driven one
@@ -97,7 +100,20 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n, m_max", [(1000, 2048), (2000, 5000), (3001, 6000), (10001, 12000)])
     def test_matches_literal_scan_at_large_n(self, n, m_max):
-        assert enumerate_szcor(n, m_max) == enumerate_szcor_literal(n, m_max)
+        want = enumerate_szcor_literal(n, m_max)
+        assert enumerate_szcor(n, m_max) == want
+        for a in (512, n - 1, n):
+            joined = enumerate_szcor(n, a) + enumerate_szcor(n, m_max, a + 1)
+            assert sorted(joined, key=CandidateTriple.sort_key) == want, a
+
+    def test_ranges_concatenate_to_the_full_scan(self):
+        # the seeded grid above, each m_max split at a random point
+        rnd = random.Random(31)
+        for n in sorted(rnd.sample(range(10, 261), 60)):
+            for b in (rnd.randint(1, n - 1), n, rnd.randint(n + 1, 3 * n)):
+                a = rnd.randint(1, b)
+                joined = enumerate_szcor(n, a) + enumerate_szcor(n, b, a + 1)
+                assert sorted(joined, key=CandidateTriple.sort_key) == enumerate_szcor_literal(n, b), (n, a, b)
 
     def test_closed_form_k_bounds_on_a_small_grid(self):
         # includes the integer roots of (n-1)j^2 + nj = nm, e.g. n=10, m=100, j=10

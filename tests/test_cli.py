@@ -133,10 +133,12 @@ class TestBoundCommand:
         data = json.loads(cache.read_text())
         (key, payload), = data.items()
         assert key.startswith("n=12|d=3|r=10|db=")
-        payload["f"] = {"num": "999", "den": "1"}
+        # an entry that fits its key is served as stored: only the cached
+        # report carries this reason
+        payload["exclusions_used"][0]["reason"] = "from-the-cache"
         cache.write_text(json.dumps(data))
         _, out, _ = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
-        assert "999" in out
+        assert "[from-the-cache]" in out
 
 
 class TestCacheRobustness:
@@ -166,6 +168,14 @@ class TestCacheRobustness:
         pytest.param(lambda p: dict(p, f={"num": "1", "den": "0"}), id="zero-denominator"),
         pytest.param(lambda p: dict(p, budget_limited="no"), id="budget-limited-string"),
         pytest.param(lambda p: dict(p, m_budget_cap="7"), id="m-budget-cap-string"),
+        pytest.param(lambda p: dict(p, f={"num": "999999", "den": "1"}), id="f-not-n-mu"),
+        pytest.param(lambda p: report_to_json_dict(compute_bound(11)), id="report-of-another-n"),
+        pytest.param(lambda p: dict(p, m_budget_cap=7), id="other-m-budget-cap"),
+        pytest.param(lambda p: dict(p, cfg=dict(p["cfg"], r=p["cfg"]["r"] - 1)), id="other-cfg"),
+        pytest.param(lambda p: dict(p, f={"num": "1", "den": "1"}, mu={"num": "1", "den": "12"}),
+                     id="mu-not-the-blocker-e"),
+        pytest.param(lambda p: dict(p, blocker=dict(p["blocker"], n=13)), id="blocker-of-another-n"),
+        pytest.param(lambda p: dict(p, blocker=dict(p["blocker"], t=84)), id="blocker-not-abnormal"),
     ])
     def test_malformed_entry_warns_and_recomputes(self, capsys, tmp_path, corrupt):
         cache = tmp_path / "cache.json"

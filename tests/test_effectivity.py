@@ -12,6 +12,8 @@ from conftest import (
     alpha_lower_bound_literal,
     ceil_frac,
     criterion_literal,
+    head_sums_list,
+    interior_lows_list,
     step_normal_form_literal,
     unload_literal,
 )
@@ -310,6 +312,12 @@ class TestAlphaMatchesListOracle:
                 step_normal_form_literal(b, cfg.r)
 
 
+def _sums_of(mults, cfg, count):
+    """S_0..S_count as read from the bounded walk."""
+    walk = _head_sums(mults, cfg, count)
+    return [walk.at(i) for i in range(count + 1)]
+
+
 def _walk_sums(mults, r, count):
     """S_0..S_count from the conftest list walk, one full step at a time."""
     b = list(mults)
@@ -344,7 +352,7 @@ class TestHeadSumsClosedForm:
                 count = 3 * m
                 b = _first_balanced(mults, cfg.r, count)
                 assert b is not None and b >= 1
-                assert _head_sums(mults, cfg.r, count) == _walk_sums(mults, cfg.r, count), (mults, cfg)
+                assert _sums_of(mults, cfg, count) == _walk_sums(mults, cfg.r, count), (mults, cfg)
 
     def test_large_k_fallback_stays_at_three_runs(self):
         rnd = random.Random(22)
@@ -358,7 +366,7 @@ class TestHeadSumsClosedForm:
                 if cfg.r < n:
                     assert len(_step_runs(_to_runs(mults), cfg.r)) == 3
                 count = (sum(mults) + n) // cfg.r + 2
-                assert _head_sums(mults, cfg.r, count) == _walk_sums(mults, cfg.r, count), (mults, cfg)
+                assert _sums_of(mults, cfg, count) == _walk_sums(mults, cfg.r, count), (mults, cfg)
 
     def test_total_below_r_clamps_to_zero(self):
         for n in (10, 11, 37, 99):
@@ -367,9 +375,9 @@ class TestHeadSumsClosedForm:
                 for total in range(1, r):
                     v, a = divmod(total, n)
                     balanced = (v + 1,) * a + (v,) * (n - a)
-                    assert _head_sums(balanced, r, 3) == [total, 0, 0, 0]
+                    assert _sums_of(balanced, cfg, 3) == [total, 0, 0, 0]
                     spiky = tuple(sorted([total - total // 2, total // 2] + [0] * (n - 2), reverse=True))
-                    assert _head_sums(spiky, r, 3) == _walk_sums(spiky, r, 3)
+                    assert _sums_of(spiky, cfg, 3) == _walk_sums(spiky, r, 3)
 
     def test_count_past_the_zero_step(self):
         rnd = random.Random(23)
@@ -379,7 +387,7 @@ class TestHeadSumsClosedForm:
             for cfg in _configs(n) + (_full_r(n),):
                 # a nonzero vector loses at least 1 per step
                 count = sum(mults) + rnd.randint(2, 20)
-                sums = _head_sums(mults, cfg.r, count)
+                sums = _sums_of(mults, cfg, count)
                 assert sums == _walk_sums(mults, cfg.r, count), (mults, cfg)
                 assert len(sums) == count + 1 and sums[-2:] == [0, 0]
 
@@ -391,9 +399,9 @@ class TestHeadSumsClosedForm:
                     v, a = divmod(total, n)
                     mults = (v + 1,) * a + (v,) * (n - a)
                     assert _balanced(_to_runs(mults))
-                    assert _head_sums(mults, r, 0) == [r * v + min(a, r)]
+                    assert _sums_of(mults, cfg, 0) == [r * v + min(a, r)]
                     count = total // r + 2
-                    assert _head_sums(mults, r, count) == _walk_sums(mults, r, count)
+                    assert _sums_of(mults, cfg, count) == _walk_sums(mults, r, count)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -406,7 +414,155 @@ class TestHeadSumsClosedForm:
         mults = tuple(sorted((raw * n)[:n], reverse=True))
         cfg = {"floor": SpecializationConfig.default, "ceil": SpecializationConfig.with_ceil_r,
                "full": _full_r}[which](n)
-        assert _head_sums(mults, cfg.r, count) == _walk_sums(mults, cfg.r, count)
+        assert _sums_of(mults, cfg, count) == _walk_sums(mults, cfg.r, count)
+
+
+def _assert_matches_list_oracle(mults, cfg, count):
+    """S_i and the prefix minima of the bounded walk, for every i <= count,
+    against the full lists of the conftest oracle; returns the walk."""
+    walk = _head_sums(mults, cfg, count)
+    sums = head_sums_list(mults, cfg.r, count)
+    assert [walk.at(i) for i in range(count + 1)] == sums, (mults, cfg, count)
+    assert [walk.low(i) for i in range(count + 1)] == interior_lows_list(sums, cfg.d), (mults, cfg, count)
+    return walk
+
+
+def _cut_k(cfg):
+    """K = floor(r(n - r)/(n*d^2 - r^2)) + 1, or None when n*d^2 <= r^2."""
+    slope = cfg.n * cfg.d ** 2 - cfg.r ** 2
+    return cfg.r * (cfg.n - cfg.r) // slope + 1 if slope > 0 else None
+
+
+def _balanced_vector(n, total):
+    v, a = divmod(total, n)
+    return (v + 1,) * a + (v,) * (n - a)
+
+
+def _cfg(n, d, r):
+    return SpecializationConfig(n=n, d=d, r=r, g=(d - 1) * (d - 2) // 2)
+
+
+class TestBoundedWalk:
+    """The walk stores entries only up to min(count, b + K - 1, z - 1) and
+    reads the rest in closed form; compared with the full-list oracle (the
+    balanced closed form built to count) and with the list walk."""
+
+    def test_balanced_mid_walk(self):
+        rnd = random.Random(41)
+        cut = 0
+        for _ in range(80):
+            n = rnd.choice(nonsquare_range(10, 400))
+            m = rnd.randint(3, 200)
+            mults = semiuniformize(n, m, -rnd.randint(2, m - 1))
+            for cfg in _configs(n) + (_full_r(n),):
+                count = 3 * m + rnd.randint(0, 5)
+                b = _first_balanced(mults, cfg.r, count)
+                assert b is not None and b >= 1
+                walk = _assert_matches_list_oracle(mults, cfg, count)
+                cut += len(walk.sums) < count + 1
+        assert cut > 0
+
+    def test_zero_before_at_and_after_the_cut(self):
+        # balanced from step 0, so b = 0 and z = ceil(T/r); K is fixed by cfg
+        seen = set()
+        for n in nonsquare_range(10, 120):
+            cfg = SpecializationConfig.default(n)
+            k = _cut_k(cfg)
+            for z in range(max(1, k - 2), k + 3):
+                for total in (cfg.r * (z - 1) + 1, cfg.r * z):
+                    mults = _balanced_vector(n, total)
+                    for count in (z - 1, z, z + 3):
+                        walk = _assert_matches_list_oracle(mults, cfg, count)
+                        assert len(walk.sums) == min(count, k - 1, z - 1) + 1
+                    seen.add((z > k) - (z < k))
+        assert seen == {-1, 0, 1}
+
+    def test_last_entry_before_the_cut_can_set_the_minimum(self):
+        # configurations where a_{K-1} is a strict new prefix minimum: the
+        # cut at b + K - 1 is the tightest that holds
+        tight = 0
+        for n in nonsquare_range(10, 40):
+            for d in range(1, 7):
+                for r in range(1, n + 1):
+                    cfg = _cfg(n, d, r)
+                    k = _cut_k(cfg)
+                    if k is None or k < 2:
+                        continue
+                    for total in range(r * (k - 1) + 1, 3 * n):
+                        mults = _balanced_vector(n, total)
+                        lows = interior_lows_list(head_sums_list(mults, r, k), d)
+                        if lows[k - 1] < lows[k - 2]:
+                            tight += 1
+                            _assert_matches_list_oracle(mults, cfg, k + 2)
+        assert tight > 100
+
+    def test_zero_step_joins_the_minima(self):
+        # T < r: the vector is zero after one step, and a_1 = d^2 < a_0 = T
+        for n in nonsquare_range(10, 200):
+            cfg = SpecializationConfig.default(n)
+            for total in range(cfg.d ** 2 + 1, cfg.r):
+                walk = _assert_matches_list_oracle(_balanced_vector(n, total), cfg, 4)
+                assert walk.low(1) == cfg.d ** 2 < walk.low(0)
+
+    def test_count_below_the_cut_stores_everything(self):
+        rnd = random.Random(42)
+        for _ in range(100):
+            n = rnd.choice(nonsquare_range(10, 300))
+            cfg = SpecializationConfig.default(n)
+            k = _cut_k(cfg)
+            mults = _balanced_vector(n, cfg.r * (k + 1) + rnd.randint(0, 40 * n))
+            count = rnd.randint(0, k - 1)
+            walk = _assert_matches_list_oracle(mults, cfg, count)
+            assert len(walk.sums) == count + 1
+
+    @pytest.mark.parametrize("which", ["ceil", "full", "square"])
+    def test_no_cut_without_a_positive_slope(self, which):
+        # n*d^2 <= r^2: no K, and the store runs to z - 1 (at least to b)
+        rnd = random.Random(43)
+        for _ in range(60):
+            if which == "square":
+                d = rnd.randint(4, 15)
+                cfg = _cfg(d * d, d, d * d)
+            else:
+                n = rnd.choice(nonsquare_range(10, 300))
+                cfg = SpecializationConfig.with_ceil_r(n) if which == "ceil" else _full_r(n)
+            assert _cut_k(cfg) is None
+            n = cfg.n
+            m = rnd.randint(1, 60)
+            mults = semiuniformize(n, m, rnd.randint(-m, isqrt(m)))
+            count = sum(mults) // cfg.r + rnd.randint(-3, 3)
+            walk = _assert_matches_list_oracle(mults, cfg, max(count, 0))
+            b = _first_balanced(mults, cfg.r, max(count, 0))
+            if b is not None:
+                zero = b - (-walk.total // cfg.r)
+                assert len(walk.sums) == max(min(max(count, 0), zero - 1), b) + 1
+
+    def test_large_n_stores_at_most_b_plus_k(self):
+        # K is 23 at n = 2000, 1445 at n = 2914 and 111 at n = 3001
+        for n, m, k in ((2000, 3000, -7), (2914, 30000, 0), (3001, 3000, 5)):
+            cfg = SpecializationConfig.default(n)
+            mults = semiuniformize(n, m, k)
+            count = sum(mults) // cfg.r + 2
+            walk = _assert_matches_list_oracle(mults, cfg, count)
+            assert len(walk.sums) <= walk.start + _cut_k(cfg) < count // 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(10, 80),
+        st.lists(st.integers(0, 40), min_size=1, max_size=80),
+        st.integers(-1, 2),
+        st.integers(0, 3),
+        st.integers(0, 120),
+    )
+    def test_fuzz(self, n, raw, d_shift, r_shift, count):
+        mults = tuple(sorted((raw * n)[:n], reverse=True))
+        base = SpecializationConfig.default(n)
+        d = max(1, base.d + d_shift)
+        r = min(n, max(1, isqrt(d * d * n) + r_shift))
+        cfg = _cfg(n, d, r)
+        walk = _assert_matches_list_oracle(mults, cfg, count)
+        walked = _walk_sums(mults, r, min(count, 60))
+        assert [walk.at(i) for i in range(len(walked))] == walked
 
 
 class TestSemiuniformize:
