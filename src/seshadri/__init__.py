@@ -34,7 +34,6 @@ from .effectivity import (
     criterion_holds,
     d_sequence,
     semiuniformize,
-    unload,
 )
 from .exclusions import ExclusionDb, ExclusionResult, default_db, is_excluded
 from .lattice import (
@@ -86,5 +85,4 @@ __all__ = [
     "mu_n",
     "semiuniformize",
     "sign_of",
-    "unload",
 ]

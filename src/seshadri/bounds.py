@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
@@ -127,7 +127,7 @@ def compute_bound(
         if mu is not None:
             # grow toward ceil(mu), geometrically to avoid overshooting when a
             # smaller-e candidate is still hiding between m_max and the target
-            grown = min(grown, _ceil_fraction(mu))
+            grown = min(grown, ceil(mu))
         m_max = min(m_budget_cap, grown)
     return BoundReport(
         n=n,
@@ -140,10 +140,6 @@ def compute_bound(
         budget_limited=budget_limited,
         m_budget_cap=m_budget_cap,
     )
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def _bound_worker(args: tuple) -> tuple[int, BoundReport]:

@@ -160,9 +160,10 @@ class _Cache:
     def key(n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> str:
         return f"n={n}|d={cfg.d}|r={cfg.r}|db={db.digest()}|cap={cap}|v={__version__}"
 
-    def get(self, key: str, n: int, cfg: SpecializationConfig, cap: int) -> Optional[BoundReport]:
-        """The report cached under key, which _Cache.key(n, cfg, db, cap)
-        made, or None when there is none or it is malformed."""
+    def get(self, n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> Optional[BoundReport]:
+        """The report cached for (n, cfg, db, cap), or None when there is
+        none or it is malformed."""
+        key = self.key(n, cfg, db, cap)
         if key not in self.data:
             return None
         try:
@@ -179,8 +180,10 @@ class _Cache:
             sys.stderr.write(f"warning: ignoring malformed cache entry {key} ({reason}); recomputing\n")
             return None
 
-    def put(self, key: str, rep: BoundReport) -> None:
-        self.data[key] = report_to_json_dict(rep)
+    def put(self, db: ExclusionDb, rep: BoundReport) -> None:
+        """Cache rep, computed with db, under the key of its own n,
+        configuration and m cap."""
+        self.data[self.key(rep.n, rep.cfg, db, rep.m_budget_cap)] = report_to_json_dict(rep)
         self.dirty = True
 
     def flush(self) -> None:
@@ -211,7 +214,7 @@ def _cmd_alpha(args) -> int:
         mults = semiuniformize(args.n, args.m, args.k)
         if cfg.is_default():
             try:
-                closed = alpha_lb_closed(args.n, args.m, args.k, cfg)
+                closed = alpha_lb_closed(args.n, args.m, args.k)
             except DomainError:
                 closed = None
     else:
@@ -224,7 +227,7 @@ def _cmd_alpha(args) -> int:
         sys.stdout.write(f"alpha >= {closed}   (closed form)\n")
     if args.trace:
         witness = bound - 1
-        trace = d_sequence(DivisorClass(witness, mults), cfg, extend_to_omega=True)
+        trace = d_sequence(DivisorClass(witness, mults), cfg)
         sys.stdout.write(render_trace(trace))
     return EXIT_OK
 
@@ -232,11 +235,10 @@ def _cmd_alpha(args) -> int:
 def _cmd_bound(args, cache: _Cache) -> int:
     db = _load_db(args.db)
     cfg = _make_cfg(args.n, args.d, args.r)
-    key = _Cache.key(args.n, cfg, db, args.m_cap)
-    rep = cache.get(key, args.n, cfg, args.m_cap)
+    rep = cache.get(args.n, cfg, db, args.m_cap)
     if rep is None:
         rep = compute_bound(args.n, db=db, cfg=cfg, m_budget_cap=args.m_cap)
-        cache.put(key, rep)
+        cache.put(db, rep)
     sys.stdout.write(render_report(rep, args.format))
     if rep.budget_limited and args.strict:
         return EXIT_BUDGET_LIMITED
@@ -299,12 +301,10 @@ def _default_reports(
 ) -> dict[int, BoundReport]:
     """Default-configuration reports for ns: cached ones are read, and all
     the misses are computed by one bounds_for_ns call and cached."""
-    cfgs = {n: SpecializationConfig.default(n) for n in ns}
-    keys = {n: _Cache.key(n, cfgs[n], db, cap) for n in ns}
     reports: dict[int, BoundReport] = {}
     missing = []
     for n in ns:
-        rep = cache.get(keys[n], n, cfgs[n], cap)
+        rep = cache.get(n, SpecializationConfig.default(n), db, cap)
         if rep is None:
             missing.append(n)
         else:
@@ -312,7 +312,7 @@ def _default_reports(
     if missing:
         for n, rep in bounds_for_ns(missing, db=db, m_budget_cap=cap, jobs=jobs).items():
             reports[n] = rep
-            cache.put(keys[n], rep)
+            cache.put(db, rep)
     return reports
 
 
@@ -321,8 +321,9 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
     judged against the f implied by the row's class: above it (beyond a
     1e-9 relative slack) is EXCESS, a hard failure; below it, a row with a
     reference value must have that value recovered by best_known.  An n
-    without a row shows f, the blocker and best_known.  Exit 1 on a hard
-    failure, else 0."""
+    without a row shows f, the blocker and best_known.  A range with no
+    Table-B row ends in "table B: no rows in range" instead of a summary.
+    Exit 1 on a hard failure, else 0."""
     hard_fail = False
     rows = 0
     matches = 0
@@ -360,6 +361,9 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
         if rep.budget_limited:
             line += " [budget-limited]"
         sys.stdout.write(line + "\n")
+    if not rows:
+        sys.stdout.write("table B: no rows in range\n")
+        return EXIT_OK
     sys.stdout.write(
         f"table B: {matches}/{rows} exact matches (vs class-implied exact values); "
         f"unexplained deficits: {deficit_rows or 'none'}\n"

@@ -6,6 +6,9 @@ sequence D_0, D_1, ... where each step subtracts the class
 [C] = d*L - E_1 - ... - E_r and renormalizes by *unloading*: repeatedly
 subtracting N_j = E_j - E_{j+1} (and N_n = E_n) whenever the class meets N_j
 negatively, until the multiplicities are nonincreasing with last entry >= 0.
+The rewriting itself is never run: on a normal-form vector the fixpoint of
+one step has a closed form (re-sort, then raise -1 entries to 0), which
+_step_runs applies, and _walk is the one loop that steps D_i -> D_{i+1}.
 
 Writing t_i = D_i . L and stopping at the first index j with t_j < d, the
 criterion
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby
 from math import isqrt
 from operator import add, lt
-from typing import Optional, Sequence
+from typing import Iterator, Sequence
 
 from .lattice import (
     DivisorClass,
@@ -76,7 +79,7 @@ from .lattice import (
 
 
 class UnloadingDiverged(RuntimeError):
-    """Internal diagnostic: the unloading rewriting exceeded its step cap."""
+    """Internal diagnostic: the specialization walk exceeded its step cap."""
 
 
 @dataclass(frozen=True)
@@ -116,59 +119,6 @@ class SpecializationConfig:
 
     def is_default(self) -> bool:
         return self == SpecializationConfig.default(self.n)
-
-    def curve_class(self) -> DivisorClass:
-        return DivisorClass(self.d, (1,) * self.r + (0,) * (self.n - self.r))
-
-
-def unload(f: DivisorClass) -> DivisorClass:
-    """Unique unloading fixpoint of f: multiplicities nonincreasing, last >= 0.
-
-    The rewriting (fix the smallest violating j, repeat) is confluent, so the
-    fixpoint may be computed with batched moves; the result is identical.
-    Degree is unchanged.
-    """
-    b = list(f.mults)
-    n = len(b)
-    sites = [j for j in range(1, n) if b[j - 1] < b[j]]
-    if b[-1] < 0:
-        sites.append(n)
-    cap = (n * (1 + sum(abs(m) for m in b))) ** 2 + n
-    _relax(b, sites, cap)
-    return DivisorClass(f.degree, tuple(b))
-
-
-def _relax(b: list[int], sites: list[int], cap: int) -> None:
-    """Drive b to the unloading fixpoint from a worklist of suspect sites.
-
-    Site j in 1..n-1 is the adjacent pair (b[j-1], b[j]); site n is the
-    non-negativity rule for the last entry.  Each interior batch performs
-    ceil((b[j] - b[j-1]) / 2) elementary moves at once, which repeated
-    single moves at the same site would also reach.
-    """
-    n = len(b)
-    work = list(sites)
-    moves = 0
-    while work:
-        j = work.pop()
-        if j == n:
-            if b[n - 1] < 0:
-                moves += -b[n - 1]
-                b[n - 1] = 0
-                if n > 1:
-                    work.append(n - 1)
-        else:
-            lo, hi = b[j - 1], b[j]
-            if lo < hi:
-                c = (hi - lo + 1) // 2
-                b[j - 1] = lo + c
-                b[j] = hi - c
-                moves += c
-                if j > 1:
-                    work.append(j - 1)
-                work.append(j + 1)
-        if moves > cap:
-            raise UnloadingDiverged(f"exceeded {cap} elementary moves")
 
 
 Runs = list[tuple[int, int]]
@@ -229,6 +179,15 @@ def _step_runs(runs: Runs, r: int) -> Runs:
         else:
             out.append((v, c))
     return out
+
+
+def _walk(mults: Sequence[int], r: int) -> Iterator[Runs]:
+    """Runs of D_0, D_1, ... for the normal-form vector mults: the one loop
+    that steps D_i -> D_{i+1}.  Endless; the zero vector steps to itself."""
+    runs = _to_runs(mults)
+    while True:
+        yield runs
+        runs = _step_runs(runs, r)
 
 
 @dataclass(frozen=True)
@@ -293,11 +252,11 @@ def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _
     least at b; without a positive n*d^2 - r^2 there is no K.
     """
     n, r, dd = cfg.n, cfg.r, cfg.d * cfg.d
-    runs = _to_runs(mults)
     sums: list[int] = []
-    while len(sums) <= count and not _balanced(runs):
+    for runs in _walk(mults, r):
+        if len(sums) > count or _balanced(runs):
+            break
         sums.append(_head_sum(runs, r))
-        runs = _step_runs(runs, r)
     # start is b, or count + 1 when the vector is not balanced by then and
     # every entry is already stored
     start = len(sums)
@@ -348,13 +307,14 @@ class TraceStep:
 class UnloadingTrace:
     """Recorded walk D_0, D_1, ... with t_i = D_i . L and D_i . C.
 
-    j is the first index with t_j < d.  omega_prime, when computed, is the
-    least index at which every multiplicity has unloaded to zero.
+    j is the first index with t_j < d, and omega_prime the least index at
+    which every multiplicity has unloaded to zero; steps holds D_0 up to
+    D_max(j, omega_prime).
     """
 
     steps: tuple[TraceStep, ...]
     j: int
-    omega_prime: Optional[int] = None
+    omega_prime: int
 
 
 def _require_normal_form(mults: Sequence[int], n: int) -> tuple[int, ...]:
@@ -368,47 +328,33 @@ def _require_normal_form(mults: Sequence[int], n: int) -> tuple[int, ...]:
     return ms
 
 
-def d_sequence(
-    d0: DivisorClass,
-    cfg: SpecializationConfig,
-    extend_to_omega: bool = False,
-) -> UnloadingTrace:
+def d_sequence(d0: DivisorClass, cfg: SpecializationConfig) -> UnloadingTrace:
     """Trace of the specialization walk starting at d0.
 
-    Records (i, D_i, t_i, D_i . C) for i = 0..j where j is the first index
-    with t_i < d; D_i . C = d*t_i - (sum of the first r multiplicities).
-    With extend_to_omega the walk continues past j until the multiplicities
-    are all zero and records omega_prime (steps are recorded up to
-    max(j, omega_prime)).
+    Records (i, D_i, t_i, D_i . C) for i = 0..max(j, omega_prime), with
+    D_i . C = d*t_i - (sum of the first r multiplicities).  j is the first
+    index with t_i < d, which is max(t_0, 0) // d, and omega_prime the first
+    index of the zero vector.  A walk longer than its step cap raises
+    UnloadingDiverged: a faulty step, not a long trace.
     """
     if d0.n != cfg.n:
         raise InvalidInput(f"class has n={d0.n}, config has n={cfg.n}")
     _require_normal_form(d0.mults, cfg.n)
     d, r = cfg.d, cfg.r
-    runs = _to_runs(d0.mults)
-    t = d0.degree
+    j = max(d0.degree, 0) // d
+    cap = sum(d0.mults) + d0.n + 12 + j
     steps: list[TraceStep] = []
-    j: Optional[int] = None
-    omega: Optional[int] = None
-    cap = sum(d0.mults) + d0.n + 12 + max(0, t) // d
-    i = 0
-    while True:
-        dot = d * t - _head_sum(runs, r)
-        record = j is None or (extend_to_omega and (omega is None))
-        if record:
-            steps.append(TraceStep(i, DivisorClass(t, _from_runs(runs)), t, dot))
-        if omega is None and runs[0][0] == 0:
+    omega = -1
+    for i, runs in enumerate(_walk(d0.mults, r)):
+        t = d0.degree - i * d
+        steps.append(TraceStep(i, DivisorClass(t, _from_runs(runs)), t, d * t - _head_sum(runs, r)))
+        if omega < 0 and runs[0][0] == 0:
             omega = i
-        if j is None and t < d:
-            j = i
-        if j is not None and (not extend_to_omega or omega is not None):
+        if omega >= 0 and i >= j:
             break
         if i > cap:
             raise UnloadingDiverged(f"trace exceeded {cap} steps")
-        t -= d
-        runs = _step_runs(runs, r)
-        i += 1
-    return UnloadingTrace(steps=tuple(steps), j=j, omega_prime=omega if extend_to_omega else None)
+    return UnloadingTrace(steps=tuple(steps), j=j, omega_prime=omega)
 
 
 def criterion_holds(d0: DivisorClass, cfg: SpecializationConfig) -> bool:
@@ -471,20 +417,17 @@ def semiuniformize(n: int, m: int, k: int) -> tuple[int, ...]:
     return (m + k,) + (m,) * (n - 1)
 
 
-def alpha_lb_closed(n: int, m: int, k: int, cfg: Optional[SpecializationConfig] = None) -> int:
+def alpha_lb_closed(n: int, m: int, k: int) -> int:
     """Closed-form bound 1 + min(floor((mr+k+g-1)/d), s + u*d) for alpha.
 
-    Requires k^2 <= m, m < n when k != 0, and the default specialization
-    (the uniform k = 0 case is valid for every m >= 1).  u and rho split the
-    total multiplicity as m*n + k = u*r + rho with 0 < rho <= r, and s is
-    the largest integer with (s+1)(s+2) <= 2*rho and 0 <= s < d.  When k < 0
-    and Delta = n - d^2 is even and positive, mr + g - 1 replaces
-    mr + k + g - 1.
+    Uses the default specialization of n, the only one the form is proved
+    for, and requires k^2 <= m and m < n when k != 0 (the uniform k = 0 case
+    is valid for every m >= 1).  u and rho split the total multiplicity as
+    m*n + k = u*r + rho with 0 < rho <= r, and s is the largest integer
+    with (s+1)(s+2) <= 2*rho and 0 <= s < d.  When k < 0 and Delta = n - d^2
+    is even and positive, mr + g - 1 replaces mr + k + g - 1.
     """
-    if cfg is None:
-        cfg = SpecializationConfig.default(n)
-    elif not cfg.is_default() or cfg.n != n:
-        raise DomainError("closed form is proved only for the default d, r, g")
+    cfg = SpecializationConfig.default(n)
     if m < 1 or k * k > m or (k != 0 and m >= n):
         raise DomainError(f"closed form needs k^2 <= m (and m < n unless k = 0), got m={m}, k={k}")
     d, r, g = cfg.d, cfg.r, cfg.g

@@ -271,5 +271,5 @@ def render_trace(trace: UnloadingTrace) -> str:
     lines = [f"{'i':>4} {'t_i':>6} {'D_i.C':>7}  multiplicities"]
     for step in trace.steps:
         lines.append(f"{step.index:>4} {step.t:>6} {step.dot_c:>7}  {step.cls.mults}")
-    lines.append(f"j = {trace.j}" + (f", omega' = {trace.omega_prime}" if trace.omega_prime is not None else ""))
+    lines.append(f"j = {trace.j}, omega' = {trace.omega_prime}")
     return "\n".join(lines) + "\n"

@@ -29,11 +29,13 @@ from seshadri.candidates import CandidateTriple, e_value, enumerate_szcor
 from seshadri.cli import main as cli_main
 from seshadri.effectivity import (
     SpecializationConfig,
+    _from_runs,
+    _step_runs,
+    _to_runs,
     alpha_lb_closed,
     alpha_lower_bound,
     d_sequence,
     semiuniformize,
-    unload,
 )
 from seshadri.exclusions import default_db
 from seshadri.lattice import DivisorClass, QuadraticExpr, is_square, sign_of
@@ -179,16 +181,17 @@ def test_criterion_6_property_suites():
     rnd = random.Random(0xACCE97)
     details = []
 
-    # unloading: idempotent, degree-preserving, normal form, literal-equal
+    # unloading: one step on runs equals the literal rewriting of the
+    # stepped vector, and lands in normal form
     for _ in range(1000):
-        n = rnd.randint(1, 9)
-        mults = tuple(rnd.randint(-6, 9) for _ in range(n))
-        out = unload(DivisorClass(0, mults))
-        assert out.mults == unload_literal(mults)
-        assert all(a >= b for a, b in zip(out.mults, out.mults[1:]))
-        assert out.mults[-1] >= 0
-        assert unload(out) == out
-    details.append("unload x1000")
+        n = rnd.randint(1, 12)
+        r = rnd.randint(1, n)
+        b = sorted((rnd.randint(0, 9) for _ in range(n)), reverse=True)
+        out = _from_runs(_step_runs(_to_runs(b), r))
+        assert out == unload_literal([x - 1 for x in b[:r]] + b[r:]), (b, r)
+        assert all(a >= c for a, c in zip(out, out[1:]))
+        assert out[-1] >= 0
+    details.append("unloading step x1000")
 
     # trace inequalities and omega' on almost-uniform inputs
     ns = [n for n in range(10, 41) if not is_square(n)]
@@ -204,7 +207,7 @@ def test_criterion_6_property_suites():
         mults = (m + 1,) * k + (m,) * (n - k) if k >= 0 else (m,) * (n - 1) + (m + k,)
         total = m * n + k
         t = rnd.choice([1, (m * r + k + g - 1) // d, isqrt(m * m * n), total // d + 1])
-        tr = d_sequence(DivisorClass(t, mults), cfg, extend_to_omega=True)
+        tr = d_sequence(DivisorClass(t, mults), cfg)
         assert tr.omega_prime == ceil_frac(total, r), (n, m, k, t)
         for step in tr.steps[: tr.omega_prime]:
             assert step.dot_c <= d * t - (m * r + k), (n, m, k, t, step.index)

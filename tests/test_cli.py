@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from seshadri import cli
-from seshadri.bounds import compute_bound
+from seshadri.bounds import DEFAULT_M_BUDGET_CAP, compute_bound
 from seshadri.cli import _Cache, main
+from seshadri.effectivity import SpecializationConfig
+from seshadri.exclusions import default_db
 from seshadri.render import (
     report_from_json_dict,
     report_to_json_dict,
@@ -83,8 +85,49 @@ class TestAlphaCommand:
         code, out, _ = run_cli(capsys, "alpha", "--n", "10",
                                "--mults", "1,1,1,1,1,1,1,1,1,1", "--trace")
         assert code == 0
-        assert "alpha >= 4" in out
-        assert "j = 3" in out or "j = " in out
+        assert out == (
+            "n = 10, d = 3, r = 9, g = 1\n"
+            "mults = 1,1,1,1,1,1,1,1,1,1\n"
+            "alpha >= 4   (specialization criterion)\n"
+            "   i    t_i   D_i.C  multiplicities\n"
+            "   0      3       0  (1, 1, 1, 1, 1, 1, 1, 1, 1, 1)\n"
+            "   1      0      -1  (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
+            "   2     -3      -9  (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
+            "j = 1, omega' = 2\n"
+        )
+
+    def test_semiuniform_trace(self, capsys):
+        code, out, _ = run_cli(capsys, "alpha", "--n", "10", "--m", "2", "--k", "-1", "--trace")
+        assert code == 0
+        assert out == (
+            "n = 10, d = 3, r = 9, g = 1\n"
+            "mults = 2,2,2,2,2,2,2,2,2,1\n"
+            "alpha >= 7   (specialization criterion)\n"
+            "alpha >= 6   (closed form)\n"
+            "   i    t_i   D_i.C  multiplicities\n"
+            "   0      6       0  (2, 2, 2, 2, 2, 2, 2, 2, 2, 1)\n"
+            "   1      3       0  (1, 1, 1, 1, 1, 1, 1, 1, 1, 1)\n"
+            "   2      0      -1  (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
+            "   3     -3      -9  (0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
+            "j = 2, omega' = 3\n"
+        )
+
+    def test_trace_with_r_equal_to_n(self, capsys):
+        code, out, _ = run_cli(capsys, "alpha", "--n", "20", "--m", "4", "--k", "-2",
+                               "--d", "4", "--r", "20", "--trace")
+        assert code == 0
+        assert out == (
+            "n = 20, d = 4, r = 20, g = 3\n"
+            "mults = 4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,2\n"
+            "alpha >= 16   (specialization criterion)\n"
+            "   i    t_i   D_i.C  multiplicities\n"
+            "   0     15     -18  (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2)\n"
+            "   1     11     -14  (3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1)\n"
+            "   2      7     -10  (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0)\n"
+            "   3      3      -7  (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)\n"
+            "   4     -1      -4  (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
+            "j = 3, omega' = 4\n"
+        )
 
     def test_custom_parameters(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--n", "14", "--m", "1", "--k", "1",
@@ -202,16 +245,17 @@ class TestCacheRobustness:
     def test_flush_replaces_the_file_and_leaves_no_temp(self, tmp_path):
         cache = tmp_path / "cache.json"
         c = _Cache(str(cache))
-        c.put("k", compute_bound(11))
+        c.put(default_db(), compute_bound(11))
         c.flush()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
-        assert set(_Cache(str(cache)).data) == {"k"}
+        key = _Cache.key(11, SpecializationConfig.default(11), default_db(), DEFAULT_M_BUDGET_CAP)
+        assert set(_Cache(str(cache)).data) == {key}
 
     def test_failed_flush_keeps_the_old_file(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache.json"
         cache.write_text('{"old": 1}\n')
         c = _Cache(str(cache))
-        c.put("k", compute_bound(11))
+        c.put(default_db(), compute_bound(11))
 
         def broken_dump(obj, fh, **kwargs):
             fh.write('{"partial')
@@ -362,6 +406,13 @@ class TestSweepCommand:
         )
         assert lines[-2].startswith("table B: 5/5 exact matches")
         assert lines[-1] == "table B: PASS"
+
+    def test_range_without_table_rows_claims_no_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--n", "101..103")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line[:5] for line in lines[:-1]] == ["n=101", "n=102", "n=103"]
+        assert lines[-1] == "table B: no rows in range"
 
     def test_budget_limited_rows_are_marked(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--n", "10..11", "--m-cap", "20")

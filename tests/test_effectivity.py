@@ -30,7 +30,6 @@ from seshadri.effectivity import (
     criterion_holds,
     d_sequence,
     semiuniformize,
-    unload,
 )
 from seshadri.exclusions import (
     ExclusionDb,
@@ -61,47 +60,8 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             SpecializationConfig(n=10, d=3, r=11, g=1)
 
-    def test_curve_class(self):
-        c = SpecializationConfig.default(10).curve_class()
-        assert c.degree == 3 and c.mults == (1,) * 9 + (0,)
-
 
 class TestUnload:
-    def test_mass_at_last_point_moves_to_front(self):
-        out = unload(DivisorClass(0, (0,) * 9 + (1,)))
-        assert out.degree == 0 and out.mults == (1,) + (0,) * 9
-
-    def test_fixpoint_unchanged(self):
-        d = DivisorClass(4, (3, 2, 2, 0, 0))
-        assert unload(d) == d
-
-    def test_negative_tail_clears_to_zero(self):
-        out = unload(DivisorClass(5, (0,) * 9 + (-2,)))
-        assert out.degree == 5 and out.mults == (0,) * 10
-
-    def test_balances_rather_than_sorts(self):
-        assert unload(DivisorClass(0, (0, 2))).mults == (1, 1)
-        assert unload(DivisorClass(0, (0, 3))).mults == (2, 1)
-
-    def test_matches_literal_rewriting_and_is_idempotent(self):
-        rnd = random.Random(987)
-        for _ in range(1200):
-            n = rnd.randint(1, 9)
-            mults = tuple(rnd.randint(-6, 9) for _ in range(n))
-            d = DivisorClass(rnd.randint(-3, 12), mults)
-            out = unload(d)
-            assert out.mults == unload_literal(mults)
-            assert out.degree == d.degree
-            assert all(a >= b for a, b in zip(out.mults, out.mults[1:]))
-            assert out.mults[-1] >= 0
-            assert unload(out) == out
-
-    @settings(max_examples=400)
-    @given(st.integers(-5, 10), st.lists(st.integers(-8, 12), min_size=1, max_size=12))
-    def test_matches_literal_rewriting_fuzz(self, degree, mults):
-        out = unload(DivisorClass(degree, tuple(mults)))
-        assert out.mults == unload_literal(mults)
-
     def test_step_shortcut_matches_generic_unload(self):
         rnd = random.Random(4242)
         for _ in range(1500):
@@ -112,35 +72,56 @@ class TestUnload:
             w = list(b)
             for i in range(r):
                 w[i] -= 1
-            assert via_runs == unload(DivisorClass(0, tuple(w))).mults
+            assert via_runs == unload_literal(w)
 
 
 class TestDSequence:
     def test_uniform_cubic_trace(self):
         cfg = SpecializationConfig.default(10)
         tr = d_sequence(DivisorClass(3, (1,) * 10), cfg)
-        assert tr.j == 1 and len(tr.steps) == 2
+        assert tr.j == 1 and tr.omega_prime == 2 and len(tr.steps) == 3
         assert tr.steps[0].t == 3 and tr.steps[0].dot_c == 0
         assert tr.steps[1].t == 0 and tr.steps[1].dot_c == -1
         assert tr.steps[1].cls.mults == (1,) + (0,) * 9
+        assert tr.steps[2].t == -3 and tr.steps[2].cls.mults == (0,) * 10
 
     def test_stops_immediately_below_curve_degree(self):
         cfg = SpecializationConfig.default(10)
         tr = d_sequence(DivisorClass(2, (1,) * 10), cfg)
-        assert tr.j == 0 and len(tr.steps) == 1
+        assert tr.j == 0 and tr.omega_prime == 2 and len(tr.steps) == 3
 
     def test_uniform_steps_match_closed_shape(self):
         # every recorded class is (t - i*d)L - (m - i + q)(E_1+...+E_n) + A_rho
         # with i*(n - r) = q*n + rho
         for n, m, t in ((10, 7, 21), (13, 9, 30), (18, 11, 44)):
             cfg = SpecializationConfig.default(n)
-            tr = d_sequence(DivisorClass(t, (m,) * n), cfg, extend_to_omega=True)
+            tr = d_sequence(DivisorClass(t, (m,) * n), cfg)
             for step in tr.steps[: tr.omega_prime]:
                 i = step.index
                 q, rho = divmod(i * (n - cfg.r), n)
                 base = m - i + q
                 want = tuple(base + 1 if j < rho else base for j in range(n))
                 assert step.cls.mults == want, (n, m, t, i)
+
+    @pytest.mark.parametrize("t0", [-7, -1, 0, 1, 2])
+    def test_degree_below_d_records_to_omega(self, t0):
+        cfg = SpecializationConfig.default(13)  # d = 3, r = 10
+        mults = (4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 0, 0)
+        tr = d_sequence(DivisorClass(t0, mults), cfg)
+        assert tr.j == 0
+        assert tr.steps[-1].index == tr.omega_prime > 0
+        b = list(mults)
+        for i, step in enumerate(tr.steps):
+            assert step.index == i and step.t == t0 - i * cfg.d
+            assert step.cls.mults == tuple(b)
+            assert any(b) is (i < tr.omega_prime)
+            step_normal_form_literal(b, cfg.r)
+
+    def test_omega_before_j_records_to_j(self):
+        cfg = SpecializationConfig.default(10)
+        tr = d_sequence(DivisorClass(30, (1,) * 10), cfg)
+        assert tr.j == 10 and tr.omega_prime == 2 and len(tr.steps) == 11
+        assert all(step.cls.mults == (0,) * 10 for step in tr.steps[2:])
 
     def test_degree_steps_down_by_d(self):
         cfg = SpecializationConfig.default(11)
@@ -205,7 +186,7 @@ class TestAlphaBounds:
         with pytest.raises(DomainError):
             alpha_lb_closed(10, 12, 2)  # k != 0 with m >= n
         with pytest.raises(DomainError):
-            alpha_lb_closed(10, 5, 1, SpecializationConfig(10, 3, 8, 1))
+            alpha_lb_closed(9, 1, 0)  # no default specialization below n = 10
 
     def test_even_gap_variant_selected(self):
         # n = 18 has d = 4 and even positive n - d^2, so the k < 0 bound drops
@@ -304,7 +285,7 @@ class TestAlphaMatchesListOracle:
             n = rnd.randint(10, 60)
             cfg = rnd.choice(_configs(n) + (_full_r(n),))
             mults = sorted((rnd.randint(0, 9) for _ in range(n)), reverse=True)
-            tr = d_sequence(DivisorClass(rnd.randint(0, 60), tuple(mults)), cfg, extend_to_omega=True)
+            tr = d_sequence(DivisorClass(rnd.randint(0, 60), tuple(mults)), cfg)
             b = list(mults)
             for step in tr.steps:
                 assert step.cls.mults == tuple(b)
@@ -614,7 +595,7 @@ class TestTraceInvariants:
                 mults = (m,) * (n - 1) + (m + k,)
             total = m * n + k
             t = rnd.choice([1, (m * r + k + g - 1) // d, isqrt(m * m * n), total // d + 1])
-            tr = d_sequence(DivisorClass(t, mults), cfg, extend_to_omega=True)
+            tr = d_sequence(DivisorClass(t, mults), cfg)
             assert tr.omega_prime == ceil_frac(total, r), (n, m, k, t)
             for step in tr.steps[: tr.omega_prime]:
                 assert step.dot_c <= d * t - (m * r + k), (n, m, k, t, step)
