@@ -31,19 +31,15 @@ from .effectivity import (
     UnloadingTrace,
     alpha_lb_closed,
     alpha_lower_bound,
-    criterion_holds,
     d_sequence,
     semiuniformize,
 )
 from .exclusions import ExclusionDb, ExclusionResult, default_db, is_excluded
 from .lattice import (
-    DimensionMismatch,
     DivisorClass,
     DomainError,
     InvalidInput,
     QuadraticExpr,
-    compare_rational_sqrt,
-    intersect,
     sign_of,
 )
 
@@ -54,7 +50,6 @@ __all__ = [
     "BoundReport",
     "CandidateTriple",
     "Coverage",
-    "DimensionMismatch",
     "DivisorClass",
     "DomainError",
     "EValue",
@@ -70,16 +65,13 @@ __all__ = [
     "alpha_lower_bound",
     "best_known",
     "bounds_for_ns",
-    "compare_rational_sqrt",
     "compute_bound",
-    "criterion_holds",
     "d_sequence",
     "default_db",
     "e_value",
     "enumerate_szcor",
     "formula_correm_and_circ",
     "formula_theoremone",
-    "intersect",
     "is_excluded",
     "lemcc_hypothesis",
     "mu_n",

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Union
 
 from .candidates import CandidateTriple, e_value, enumerate_szcor
 from .effectivity import SpecializationConfig
-from .exclusions import ExclusionDb, ExclusionResult, default_db, is_excluded
+from .exclusions import ExclusionDb, default_db, is_excluded
 from .lattice import (
     DomainError,
     Q,
@@ -34,6 +34,9 @@ from .lattice import (
 )
 
 BoundValue = Union[Fraction, QuadraticExpr]
+
+# A candidate's place in the walk: (e, sort_key), unique per candidate.
+_Key = tuple[Fraction, tuple[int, ...]]
 
 DEFAULT_M_BUDGET_CAP = 5000
 
@@ -76,9 +79,11 @@ def compute_bound(
 
     The budget grows in rounds (16, 32, 64, ..., capped by ceil(mu)), and
     each round enumerates only the new m, those above the previous budget.
-    Each candidate is keyed by (e, sort_key) once and merged into one sorted
-    list that lives across rounds; sort_key is unique per candidate, so the
-    list is in the order a full sort of every m would give.
+    A round sorts only its new candidates by (e, sort_key) and decides, in
+    that order, those keyed below the least survivor so far, stopping at the
+    first survivor.  No candidate list or verdict cache carries over between
+    rounds; the exclusions keyed below the final survivor, in key order, are
+    the walk a full sort of every m would give.
     """
     if n < 10:
         raise DomainError(f"bounds are computed for n >= 10, got {n}")
@@ -91,28 +96,26 @@ def compute_bound(
     if cfg is None:
         cfg = SpecializationConfig.default(n)
 
-    verdicts: dict[CandidateTriple, ExclusionResult] = {}
-    keyed: list[tuple[tuple[Fraction, tuple[int, ...]], CandidateTriple]] = []
+    # best is the least survivor so far, with its key.  That key never goes
+    # up, so each candidate keyed below the final one was decided in its own
+    # round.
+    best: Optional[tuple[_Key, CandidateTriple]] = None
+    ruled_out: list[tuple[_Key, CandidateTriple, str]] = []
     m_done = 0
     m_max = min(16, m_budget_cap)
     while True:
-        keyed += [((e_value(c).e, c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1)]
-        keyed.sort(key=itemgetter(0))
+        fresh = [((e_value(c).e, c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1)]
+        fresh.sort(key=itemgetter(0))
         m_done = m_max
-        excluded: list[tuple[CandidateTriple, str]] = []
-        mu: Optional[Fraction] = None
-        blocker: Optional[CandidateTriple] = None
-        for _, c in keyed:
-            res = verdicts.get(c)
-            if res is None:
-                res = is_excluded(c, cfg, db)
-                verdicts[c] = res
-            if res.excluded:
-                excluded.append((c, res.reason))
-                continue
-            mu = e_value(c).e
-            blocker = c
-            break
+        for key, c in fresh:
+            if best is not None and key >= best[0]:
+                break
+            res = is_excluded(c, cfg, db)
+            if not res.excluded:
+                best = (key, c)
+                break
+            ruled_out.append((key, c, res.reason))
+        mu, blocker = (best[0][0], best[1]) if best else (None, None)
         if mu is not None and m_max >= mu:
             budget_limited = False
             break
@@ -123,18 +126,19 @@ def compute_bound(
                 mu = cover
                 blocker = None
             break
-        grown = max(2 * m_max, 32)
+        grown = 2 * m_max
         if mu is not None:
             # grow toward ceil(mu), geometrically to avoid overshooting when a
             # smaller-e candidate is still hiding between m_max and the target
             grown = min(grown, ceil(mu))
         m_max = min(m_budget_cap, grown)
+    ruled_out.sort(key=itemgetter(0))
     return BoundReport(
         n=n,
         f=n * mu,
         mu=mu,
         blocker=blocker,
-        exclusions_used=tuple(excluded),
+        exclusions_used=tuple((c, why) for key, c, why in ruled_out if best is None or key < best[0]),
         coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
         cfg=cfg,
         budget_limited=budget_limited,

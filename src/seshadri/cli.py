@@ -122,12 +122,8 @@ def _load_db(path: Optional[str]) -> ExclusionDb:
 
 
 def _make_cfg(n: int, d: Optional[int], r: Optional[int]) -> SpecializationConfig:
-    if d is None and r is None:
-        return SpecializationConfig.default(n)
     base = SpecializationConfig.default(n)
-    dd = d if d is not None else base.d
-    rr = r if r is not None else base.r
-    return SpecializationConfig(n=n, d=dd, r=rr, g=(dd - 1) * (dd - 2) // 2)
+    return SpecializationConfig(n=n, d=base.d if d is None else d, r=base.r if r is None else r)
 
 
 class _Cache:
@@ -136,10 +132,14 @@ class _Cache:
     A file that is not a JSON object is ignored with a warning on stderr, so
     every report is recomputed.  An entry is ignored the same way, and the
     recomputed report replaces it, unless it decodes as a report that fits
-    its key and itself: the key's n, configuration and m cap, f = n*mu, and
-    a blocker of the same n with e = mu.  flush replaces the file
-    atomically.  Keys carry the package version, so a report cached by
-    another release is recomputed, not served.
+    its key and itself: the key's n, configuration and m cap, f = n*mu, a
+    blocker of the same n with e = mu, and what compute_bound guarantees.
+    That is, no blocker means budget-limited with mu = cap + 1; a
+    budget-limited report has both coverage fields at the cap and
+    mu <= cap + 1; any other report has a blocker and mu at most both
+    coverage fields.  flush replaces the file atomically.  Keys carry the
+    package version, so a report cached by another release is recomputed,
+    not served.
     """
 
     def __init__(self, path: Optional[str]):
@@ -174,6 +174,13 @@ class _Cache:
                 raise ValueError(f"f = {rep.f} is not n*mu = {rep.n * rep.mu}")
             if rep.blocker is not None and (rep.blocker.n != n or e_value(rep.blocker).e != rep.mu):
                 raise ValueError(f"blocker {rep.blocker.label()} does not give mu = {rep.mu}")
+            if rep.blocker is None and not (rep.budget_limited and rep.mu == cap + 1):
+                raise ValueError(f"no blocker, yet not budget-limited at mu = {cap + 1}")
+            covered = (rep.coverage.m_checked_k0, rep.coverage.m_checked_knz)
+            if rep.budget_limited and (covered != (cap, cap) or rep.mu > cap + 1):
+                raise ValueError(f"budget-limited at cap {cap}, yet coverage {covered}, mu = {rep.mu}")
+            if not rep.budget_limited and rep.mu > min(covered):
+                raise ValueError(f"mu = {rep.mu} is above the coverage {covered}")
             return rep
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             reason = f"{type(exc).__name__}: {exc}"

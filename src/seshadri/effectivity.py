@@ -84,38 +84,38 @@ class UnloadingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class SpecializationConfig:
-    """Parameters (n, d, r, g) of the specialization curve.
+    """Parameters (n, d, r) of the specialization curve, and its genus g.
 
-    Defaults are d = floor(sqrt(n)), r = floor(d*sqrt(n)), g = (d-1)(d-2)/2;
+    Defaults are d = floor(sqrt(n)) and r = floor(d*sqrt(n));
     r = ceil(d*sqrt(n)) is a supported override.
     """
 
     n: int
     d: int
     r: int
-    g: int
 
     def __post_init__(self) -> None:
         if self.n < 10:
             raise DomainError(f"specialization requires n >= 10, got {self.n}")
-        if self.d < 1 or self.r < 1 or self.g < 0:
+        if self.d < 1 or self.r < 1:
             raise InvalidInput(f"bad specialization parameters {self}")
         if self.r > self.n:
             raise InvalidInput(f"r = {self.r} exceeds n = {self.n}")
 
+    @property
+    def g(self) -> int:
+        """Genus (d-1)(d-2)/2 of a smooth plane curve of degree d."""
+        return (self.d - 1) * (self.d - 2) // 2
+
     @classmethod
     def default(cls, n: int) -> "SpecializationConfig":
         d = isqrt(n)
-        r = floor_sqrt(d * d * n)
-        g = (d - 1) * (d - 2) // 2
-        return cls(n=n, d=d, r=r, g=g)
+        return cls(n=n, d=d, r=floor_sqrt(d * d * n))
 
     @classmethod
     def with_ceil_r(cls, n: int) -> "SpecializationConfig":
         d = isqrt(n)
-        r = ceil_sqrt(d * d * n)
-        g = (d - 1) * (d - 2) // 2
-        return cls(n=n, d=d, r=r, g=g)
+        return cls(n=n, d=d, r=ceil_sqrt(d * d * n))
 
     def is_default(self) -> bool:
         return self == SpecializationConfig.default(self.n)
@@ -357,15 +357,6 @@ def d_sequence(d0: DivisorClass, cfg: SpecializationConfig) -> UnloadingTrace:
     return UnloadingTrace(steps=tuple(steps), j=j, omega_prime=omega)
 
 
-def criterion_holds(d0: DivisorClass, cfg: SpecializationConfig) -> bool:
-    """Non-effectivity criterion on the trace of d0 (see module docstring)."""
-    if d0.n != cfg.n:
-        raise InvalidInput(f"class has n={d0.n}, config has n={cfg.n}")
-    _require_normal_form(d0.mults, cfg.n)
-    q = max(d0.degree, 0) // cfg.d
-    return _passes(d0.degree, cfg, _head_sums(d0.mults, cfg, q))
-
-
 def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
     """Certified lower bound for alpha(mults): 1 + max{t : criterion holds}.
 
@@ -380,20 +371,12 @@ def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
     total = sum(ms)
     if total == 0:
         raise InvalidInput("all-zero multiplicity vector")
-    hi = _ceil_div_sqrt(total, cfg.n) + cfg.d
+    hi = ceil_sqrt(-(-total * total // cfg.n)) + cfg.d
     walk = _head_sums(ms, cfg, hi // cfg.d)
     for t in range(hi, -1, -1):
         if _passes(t, cfg, walk):
             return t + 1
     return 1
-
-
-def _ceil_div_sqrt(s: int, n: int) -> int:
-    """Smallest integer c with c >= s / sqrt(n)."""
-    c = isqrt(s * s // n)
-    while c * c * n < s * s:
-        c += 1
-    return c
 
 
 def semiuniformize(n: int, m: int, k: int) -> tuple[int, ...]:

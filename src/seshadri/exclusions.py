@@ -99,16 +99,10 @@ class ExclusionDb:
         return None
 
     def to_json_dict(self) -> dict:
-        entries = []
-        for e in self.entries:
-            if isinstance(e, UniformBound):
-                entries.append(
-                    {"kind": e.kind, "n_min": e.n_min, "m_max": e.m_max, "source": e.source}
-                )
-            else:
-                entries.append(
-                    {"kind": e.kind, "n": e.n, "t": e.t, "m": e.m, "k": e.k, "source": e.source}
-                )
+        entries = [
+            {"kind": e.kind, "source": e.source, **{f: getattr(e, f) for f in _ENTRY_KINDS[e.kind][1]}}
+            for e in self.entries
+        ]
         return {"entries": entries, "enabled_sources": sorted(self.enabled_sources)}
 
     def to_json(self) -> str:

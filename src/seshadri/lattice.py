@@ -1,9 +1,10 @@
-"""Exact arithmetic substrate: the blow-up lattice of the plane and surd signs.
+"""Exact arithmetic substrate: divisor classes on the blow-up of the plane
+and surd signs.
 
 Everything downstream reduces to two primitives kept here:
 
-* integer intersection numbers of divisor classes on the blow-up of n
-  points (basis L, E_1, ..., E_n with L^2 = 1, E_i^2 = -1, mixed products 0),
+* divisor classes t*L - m_1*E_1 - ... - m_n*E_n on the blow-up of n points,
+  with integer coordinates,
 * exact sign decisions for numbers of the form a + b*sqrt(q) with a, b, q
   rational and q >= 0.
 
@@ -23,14 +24,6 @@ Rational = Union[int, Fraction]
 NEGATIVE = -1
 ZERO = 0
 POSITIVE = 1
-
-LESS = -1
-EQUAL = 0
-GREATER = 1
-
-
-class DimensionMismatch(ValueError):
-    """Two divisor classes live on blow-ups of different numbers of points."""
 
 
 class DomainError(ValueError):
@@ -88,24 +81,6 @@ class DivisorClass:
     def n(self) -> int:
         return len(self.mults)
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same_n(other)
-        return DivisorClass(
-            self.degree + other.degree,
-            tuple(a + b for a, b in zip(self.mults, other.mults)),
-        )
-
-    def _check_same_n(self, other: "DivisorClass") -> None:
-        if self.n != other.n:
-            raise DimensionMismatch(f"n mismatch: {self.n} != {other.n}")
-
-
-def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
-    """Intersection pairing t1*t2 - sum(m_i * m'_i); exact, symmetric."""
-    if d1.n != d2.n:
-        raise DimensionMismatch(f"n mismatch: {d1.n} != {d2.n}")
-    return d1.degree * d2.degree - sum(a * b for a, b in zip(d1.mults, d2.mults))
-
 
 @dataclass(frozen=True)
 class QuadraticExpr:
@@ -126,9 +101,6 @@ class QuadraticExpr:
         object.__setattr__(self, "q", Fraction(self.q))
         if self.q < 0:
             raise DomainError(f"radicand must be >= 0, got {self.q}")
-
-    def sign(self) -> int:
-        return sign_of(self)
 
     def __float__(self) -> float:
         # Display only; never used in a decision.
@@ -156,21 +128,6 @@ def sign_of(x: QuadraticExpr) -> int:
     if lhs < rhs:
         return sb
     return ZERO
-
-
-def compare_rational_sqrt(p: Rational, a: Rational) -> int:
-    """Ordering of the rational p against sqrt(a), for a >= 0.
-
-    Returns LESS / EQUAL / GREATER.  Negative p is always LESS; otherwise the
-    comparison of p^2 with a decides.
-    """
-    p = Fraction(p)
-    a = Fraction(a)
-    if a < 0:
-        raise DomainError(f"sqrt argument must be >= 0, got {a}")
-    if p < 0:
-        return LESS
-    return _sign(p * p - a)
 
 
 def compare_values(x: Union[Rational, QuadraticExpr], y: Union[Rational, QuadraticExpr]) -> int:

@@ -102,8 +102,13 @@ def cfg_to_json(cfg: SpecializationConfig) -> dict:
 
 
 def cfg_from_json(d: dict) -> SpecializationConfig:
-    return SpecializationConfig(n=_int_from_json(d["n"]), d=_int_from_json(d["d"]),
-                                r=_int_from_json(d["r"]), g=_int_from_json(d["g"]))
+    """Inverse of cfg_to_json.  g is derived from d, so a stored g that
+    differs raises ValueError."""
+    cfg = SpecializationConfig(n=_int_from_json(d["n"]), d=_int_from_json(d["d"]),
+                               r=_int_from_json(d["r"]))
+    if _int_from_json(d["g"]) != cfg.g:
+        raise ValueError(f"g = {d['g']} is not (d-1)(d-2)/2 = {cfg.g}")
+    return cfg
 
 
 def report_to_json_dict(rep: BoundReport) -> dict:

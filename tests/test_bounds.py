@@ -112,8 +112,9 @@ class TestComputeBound:
 
 
 class TestRoundDriverOracle:
-    """compute_bound enumerates each m once and merges across rounds; the
-    conftest driver re-enumerates and re-sorts every round."""
+    """compute_bound enumerates each m once and decides each candidate in
+    its own round; the conftest driver re-enumerates and re-sorts every
+    round."""
 
     def test_table_b(self):
         for row in TABLE_B:
@@ -124,7 +125,7 @@ class TestRoundDriverOracle:
         assert compute_bound(n, m_budget_cap=cap) == compute_bound_literal(n, m_budget_cap=cap)
 
     def test_nondefault_configs(self):
-        cfgs = [SpecializationConfig(n=41, d=5, r=32, g=6)]
+        cfgs = [SpecializationConfig(n=41, d=5, r=32)]
         cfgs += [SpecializationConfig.with_ceil_r(n) for n in nonsquares(10, 40)]
         for cfg in cfgs:
             assert compute_bound(cfg.n, cfg=cfg) == compute_bound_literal(cfg.n, cfg=cfg), cfg

@@ -9,10 +9,13 @@ import pytest
 
 from seshadri import cli
 from seshadri.bounds import DEFAULT_M_BUDGET_CAP, compute_bound
+from seshadri.candidates import CandidateTriple
 from seshadri.cli import _Cache, main
 from seshadri.effectivity import SpecializationConfig
 from seshadri.exclusions import default_db
 from seshadri.render import (
+    candidate_to_json,
+    fraction_to_json,
     report_from_json_dict,
     report_to_json_dict,
     truncate2,
@@ -184,6 +187,15 @@ class TestBoundCommand:
         assert "[from-the-cache]" in out
 
 
+def _at_the_cap(payload, blocker, mu):
+    """The n = 12 payload made budget-limited at the default cap, with this
+    blocker and mu."""
+    cap = DEFAULT_M_BUDGET_CAP
+    return dict(payload, budget_limited=True, mu=fraction_to_json(mu), f=fraction_to_json(12 * mu),
+                blocker=candidate_to_json(blocker) if blocker else None,
+                coverage={"m_checked_k0": cap, "m_checked_knz": cap})
+
+
 class TestCacheRobustness:
     @pytest.mark.parametrize("content", ["{not json", "[1, 2]", "\xff\xfe"])
     def test_corrupt_cache_warns_and_recomputes(self, capsys, tmp_path, content):
@@ -219,6 +231,18 @@ class TestCacheRobustness:
                      id="mu-not-the-blocker-e"),
         pytest.param(lambda p: dict(p, blocker=dict(p["blocker"], n=13)), id="blocker-of-another-n"),
         pytest.param(lambda p: dict(p, blocker=dict(p["blocker"], t=84)), id="blocker-not-abnormal"),
+        pytest.param(lambda p: dict(p, cfg=dict(p["cfg"], g=2)), id="g-not-derived-from-d"),
+        pytest.param(lambda p: dict(p, blocker=None, mu=fraction_to_json(Q(10**6)),
+                                    f=fraction_to_json(Q(12 * 10**6)), exclusions_used=[]),
+                     id="no-blocker-not-budget-limited"),
+        pytest.param(lambda p: _at_the_cap(p, None, Q(5000)), id="no-blocker-mu-not-cap-plus-one"),
+        pytest.param(lambda p: dict(p, budget_limited=True), id="budget-limited-below-the-cap"),
+        pytest.param(lambda p: _at_the_cap(p, CandidateTriple(12, 627, 181, 0), Q(181 ** 2, 3)),
+                     id="budget-limited-mu-above-cap-plus-one"),
+        pytest.param(lambda p: dict(p, coverage=dict(p["coverage"], m_checked_k0=25)),
+                     id="mu-above-k0-coverage"),
+        pytest.param(lambda p: dict(p, coverage=dict(p["coverage"], m_checked_knz=25)),
+                     id="mu-above-knz-coverage"),
     ])
     def test_malformed_entry_warns_and_recomputes(self, capsys, tmp_path, corrupt):
         cache = tmp_path / "cache.json"
@@ -235,6 +259,20 @@ class TestCacheRobustness:
         code, warm, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
         assert code == 0 and err == ""
         assert warm == plain
+
+    def test_budget_limited_entry_is_served(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        argv = ("bound", "--n", "10", "--m-cap", "5")
+        _, plain, _ = run_cli(capsys, *argv)
+        run_cli(capsys, "--cache", str(cache), *argv)
+        data = json.loads(cache.read_text())
+        (payload,) = data.values()
+        assert payload["blocker"] is None and payload["budget_limited"]
+        payload["exclusions_used"][0]["reason"] = "from-the-cache"
+        cache.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "--cache", str(cache), *argv)
+        assert code == 0 and err == ""
+        assert out == plain.replace("[CCMO]", "[from-the-cache]", 1)
 
     def test_cache_path_that_is_a_directory_exits_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "--cache", str(tmp_path), "bound", "--n", "11")

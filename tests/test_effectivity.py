@@ -23,11 +23,11 @@ from seshadri.effectivity import (
     _balanced,
     _from_runs,
     _head_sums,
+    _passes,
     _step_runs,
     _to_runs,
     alpha_lb_closed,
     alpha_lower_bound,
-    criterion_holds,
     d_sequence,
     semiuniformize,
 )
@@ -48,9 +48,10 @@ def nonsquare_range(lo, hi):
 
 class TestConfig:
     def test_defaults(self):
-        assert SpecializationConfig.default(10) == SpecializationConfig(10, 3, 9, 1)
-        assert SpecializationConfig.default(14) == SpecializationConfig(14, 3, 11, 1)
-        assert SpecializationConfig.default(98) == SpecializationConfig(98, 9, 89, 28)
+        assert SpecializationConfig.default(10) == SpecializationConfig(10, 3, 9)
+        assert SpecializationConfig.default(14) == SpecializationConfig(14, 3, 11)
+        assert SpecializationConfig.default(98) == SpecializationConfig(98, 9, 89)
+        assert [SpecializationConfig.default(n).g for n in (10, 14, 98)] == [1, 1, 28]
 
     def test_ceil_override(self):
         cfg = SpecializationConfig.with_ceil_r(14)
@@ -58,7 +59,7 @@ class TestConfig:
 
     def test_r_cannot_exceed_n(self):
         with pytest.raises(InvalidInput):
-            SpecializationConfig(n=10, d=3, r=11, g=1)
+            SpecializationConfig(n=10, d=3, r=11)
 
 
 class TestUnload:
@@ -137,18 +138,23 @@ class TestDSequence:
             d_sequence(DivisorClass(3, (1,) * 9 + (-1,)), cfg)
 
 
+def criterion(t, mults, cfg):
+    """The criterion for degree t, as alpha_lower_bound decides it."""
+    return _passes(t, cfg, _head_sums(mults, cfg, max(t, 0) // cfg.d))
+
+
 class TestCriterion:
     def test_uniform_cubic_holds(self):
         cfg = SpecializationConfig.default(10)
-        assert criterion_holds(DivisorClass(3, (1,) * 10), cfg) is True
+        assert criterion(3, (1,) * 10, cfg) is True
 
     def test_degree_four_fails_at_start(self):
         cfg = SpecializationConfig.default(10)
-        assert criterion_holds(DivisorClass(4, (1,) * 10), cfg) is False
+        assert criterion(4, (1,) * 10, cfg) is False
 
     def test_degree_two_holds_via_final_inequality(self):
         cfg = SpecializationConfig.default(10)
-        assert criterion_holds(DivisorClass(2, (1,) * 10), cfg) is True
+        assert criterion(2, (1,) * 10, cfg) is True
 
 
 class TestAlphaBounds:
@@ -202,7 +208,7 @@ def _configs(n):
 
 def _full_r(n):
     base = SpecializationConfig.default(n)
-    return SpecializationConfig(n=n, d=base.d, r=n, g=base.g)
+    return SpecializationConfig(n=n, d=base.d, r=n)
 
 
 def _sorted_with_prefix_zeros(rnd, n, r):
@@ -277,7 +283,7 @@ class TestAlphaMatchesListOracle:
     def test_criterion_holds_fuzz(self, n, t, raw):
         mults = tuple(sorted((raw * n)[:n], reverse=True))
         for cfg in _configs(n):
-            assert criterion_holds(DivisorClass(t, mults), cfg) is criterion_literal(t, mults, cfg)
+            assert criterion(t, mults, cfg) is criterion_literal(t, mults, cfg)
 
     def test_trace_classes_match_list_walk(self):
         rnd = random.Random(17)
@@ -419,10 +425,6 @@ def _balanced_vector(n, total):
     return (v + 1,) * a + (v,) * (n - a)
 
 
-def _cfg(n, d, r):
-    return SpecializationConfig(n=n, d=d, r=r, g=(d - 1) * (d - 2) // 2)
-
-
 class TestBoundedWalk:
     """The walk stores entries only up to min(count, b + K - 1, z - 1) and
     reads the rest in closed form; compared with the full-list oracle (the
@@ -465,7 +467,7 @@ class TestBoundedWalk:
         for n in nonsquare_range(10, 40):
             for d in range(1, 7):
                 for r in range(1, n + 1):
-                    cfg = _cfg(n, d, r)
+                    cfg = SpecializationConfig(n, d, r)
                     k = _cut_k(cfg)
                     if k is None or k < 2:
                         continue
@@ -503,7 +505,7 @@ class TestBoundedWalk:
         for _ in range(60):
             if which == "square":
                 d = rnd.randint(4, 15)
-                cfg = _cfg(d * d, d, d * d)
+                cfg = SpecializationConfig(d * d, d, d * d)
             else:
                 n = rnd.choice(nonsquare_range(10, 300))
                 cfg = SpecializationConfig.with_ceil_r(n) if which == "ceil" else _full_r(n)
@@ -540,7 +542,7 @@ class TestBoundedWalk:
         base = SpecializationConfig.default(n)
         d = max(1, base.d + d_shift)
         r = min(n, max(1, isqrt(d * d * n) + r_shift))
-        cfg = _cfg(n, d, r)
+        cfg = SpecializationConfig(n, d, r)
         walk = _assert_matches_list_oracle(mults, cfg, count)
         walked = _walk_sums(mults, r, min(count, 60))
         assert [walk.at(i) for i in range(len(walked))] == walked
@@ -668,6 +670,16 @@ class TestExclusionDb:
         assert again == db
         assert again.digest() == db.digest()
         assert db.with_sources(enable=("Dumnicki",)).digest() != db.digest()
+
+    @pytest.mark.parametrize("change, digest", [
+        ({}, "8138c457c9f753a7"),
+        ({"disable": ("Miranda",)}, "8a843f8c1ddc7bce"),
+        ({"enable": ("Dumnicki",)}, "d8b264a26d998b78"),
+    ])
+    def test_digest_is_pinned(self, change, digest):
+        # the digest is part of every cache key: a new encoding of the same
+        # entries must not move it
+        assert default_db().with_sources(**change).digest() == digest
 
     def test_empty_source_rejected(self):
         with pytest.raises(InvalidInput):

@@ -1,5 +1,5 @@
 """The package has no runtime dependencies: it imports only itself and the
-standard library."""
+standard library.  Every name it exports is used by the package itself."""
 from __future__ import annotations
 
 import ast
@@ -32,3 +32,18 @@ def test_imports_are_relative_or_stdlib(path):
             if top != "__future__" and top not in sys.stdlib_module_names:
                 outside.append(f"line {node.lineno}: {name}")
     assert outside == []
+
+
+def test_every_public_name_is_used_by_the_package():
+    # a name exported only for tests is dead weight: it should join the
+    # certified path or be deleted
+    loaded = set()
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert sorted(set(seshadri.__all__) - loaded) == []

@@ -1,4 +1,4 @@
-"""Intersection pairing and exact surd-sign decisions."""
+"""Divisor classes and exact surd-sign decisions."""
 from __future__ import annotations
 
 import random
@@ -10,62 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seshadri.lattice import (
-    DimensionMismatch,
     DivisorClass,
     DomainError,
     InvalidInput,
     QuadraticExpr,
-    compare_rational_sqrt,
     compare_values,
-    intersect,
     sign_of,
 )
 
 Q = Fraction
 
 
-class TestIntersect:
-    def test_cubic_against_cubic_minus_one_point(self):
-        a = DivisorClass(3, (1,) * 10)
-        b = DivisorClass(3, (1,) * 9 + (0,))
-        assert intersect(a, b) == 0
-
-    def test_line_self_intersection(self):
-        line = DivisorClass(1, (0,) * 10)
-        assert intersect(line, line) == 1
-
-    def test_almost_uniform_self_intersection_is_minus_k_squared(self):
-        c = DivisorClass(6, (2,) * 9 + (1,))
-        assert intersect(c, c) == -1
-
-    def test_signature(self):
-        n = 7
-        line = DivisorClass(1, (0,) * n)
-        assert intersect(line, line) == 1
-        for i in range(n):
-            ei = DivisorClass(0, tuple(1 if j == i else 0 for j in range(n)))
-            assert intersect(ei, ei) == -1
-            assert intersect(line, ei) == 0
-            for j in range(i + 1, n):
-                ej = DivisorClass(0, tuple(1 if x == j else 0 for x in range(n)))
-                assert intersect(ei, ej) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            intersect(DivisorClass(1, (0,) * 3), DivisorClass(1, (0,) * 4))
-
-    @given(
-        st.lists(st.integers(-50, 50), min_size=4, max_size=4),
-        st.lists(st.integers(-50, 50), min_size=4, max_size=4),
-        st.lists(st.integers(-50, 50), min_size=4, max_size=4),
-    )
-    def test_bilinear_and_symmetric(self, xs, ys, zs):
-        a = DivisorClass(xs[0], tuple(xs[1:]))
-        b = DivisorClass(ys[0], tuple(ys[1:]))
-        c = DivisorClass(zs[0], tuple(zs[1:]))
-        assert intersect(a + b, c) == intersect(a, c) + intersect(b, c)
-        assert intersect(a, b) == intersect(b, a)
-
+class TestDivisorClass:
     def test_empty_class_rejected(self):
         with pytest.raises(InvalidInput):
             DivisorClass(1, ())
@@ -114,28 +70,34 @@ class TestSignOf:
 
 
 class TestCompareRationalSqrt:
+    """compare_values on a rational p against sqrt(a), a >= 0."""
+
+    @staticmethod
+    def compare(p, a):
+        return compare_values(Q(p), QuadraticExpr(0, 1, a))
+
     def test_exact_square(self):
-        assert compare_rational_sqrt(3, 9) == 0
+        assert self.compare(3, 9) == 0
 
     def test_22_sevenths_below_sqrt_ten(self):
-        assert compare_rational_sqrt(Q(22, 7), 10) == -1
+        assert self.compare(Q(22, 7), 10) == -1
 
     def test_blocker_slope_below_sqrt_ten(self):
         # 177/56 < sqrt(10) since 31329 < 31360: C(177,56,0) is abnormal
-        assert compare_rational_sqrt(Q(177, 56), 10) == -1
+        assert self.compare(Q(177, 56), 10) == -1
 
     def test_negative_is_always_less(self):
-        assert compare_rational_sqrt(-5, 0) == -1
-        assert compare_rational_sqrt(Q(-1, 3), 100) == -1
+        assert self.compare(-5, 0) == -1
+        assert self.compare(Q(-1, 3), 100) == -1
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(DomainError):
-            compare_rational_sqrt(1, -1)
+            self.compare(1, -1)
 
     @settings(max_examples=300)
     @given(st.fractions(), st.fractions(min_value=0))
     def test_equal_iff_nonnegative_exact_root(self, p, a):
-        got = compare_rational_sqrt(p, a)
+        got = self.compare(p, a)
         assert (got == 0) == (p >= 0 and p * p == a)
 
 
