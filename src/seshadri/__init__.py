@@ -22,7 +22,6 @@ from .bounds import (
 )
 from .candidates import (
     CandidateTriple,
-    EValue,
     e_value,
     enumerate_szcor,
 )
@@ -36,7 +35,6 @@ from .effectivity import (
 )
 from .exclusions import ExclusionDb, ExclusionResult, default_db, is_excluded
 from .lattice import (
-    DivisorClass,
     DomainError,
     InvalidInput,
     QuadraticExpr,
@@ -50,9 +48,7 @@ __all__ = [
     "BoundReport",
     "CandidateTriple",
     "Coverage",
-    "DivisorClass",
     "DomainError",
-    "EValue",
     "ExclusionDb",
     "ExclusionResult",
     "FormulaBound",

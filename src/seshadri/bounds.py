@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, isqrt
 from operator import itemgetter
 from typing import Iterable, Optional, Union
@@ -104,7 +105,7 @@ def compute_bound(
     m_done = 0
     m_max = min(16, m_budget_cap)
     while True:
-        fresh = [((e_value(c).e, c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1)]
+        fresh = [((e_value(c), c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1)]
         fresh.sort(key=itemgetter(0))
         m_done = m_max
         for key, c in fresh:
@@ -146,11 +147,6 @@ def compute_bound(
     )
 
 
-def _bound_worker(args: tuple) -> tuple[int, BoundReport]:
-    n, db, cap = args
-    return n, compute_bound(n, db=db, m_budget_cap=cap)
-
-
 def _worker_count(jobs: int, tasks: int) -> int:
     """Workers to start for `tasks` jobs: at most `jobs`, one per CPU and
     one per task, and at least one."""
@@ -176,9 +172,9 @@ def bounds_for_ns(
         return {n: compute_bound(n, db=db, m_budget_cap=m_budget_cap) for n in ns}
     from concurrent.futures import ProcessPoolExecutor
 
+    work = partial(compute_bound, db=db, m_budget_cap=m_budget_cap)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(_bound_worker, [(n, db, m_budget_cap) for n in ns]))
-    return {n: results[n] for n in ns}
+        return dict(zip(ns, pool.map(work, ns)))
 
 
 @dataclass(frozen=True)
@@ -234,16 +230,6 @@ def formula_theoremone(n: int) -> list[FormulaBound]:
     f_val = QuadraticExpr(Q(-n * (5 * n + 1), 2), Q(n * (n + 5), 2), Q(n)) if f_ok else None
     out.append(FormulaBound("theoremone-f", f_ok, f_val, "Delta=2d-1 case"))
     return out
-
-
-def theoremone_weak_c(n: int) -> QuadraticExpr:
-    """Weaker companion of the odd-Delta case: n(n - 5*sqrt(n) + 1)."""
-    return QuadraticExpr(Q(n * (n + 1)), Q(-5 * n), Q(n))
-
-
-def theoremone_weak_d(n: int) -> QuadraticExpr:
-    """Weaker companion of the even-Delta case: n(n - 5*sqrt(n) + 2)/2."""
-    return QuadraticExpr(Q(n * (n + 2), 2), Q(-5 * n, 2), Q(n))
 
 
 def formula_correm_and_circ(n: int) -> list[FormulaBound]:

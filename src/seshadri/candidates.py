@@ -44,8 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-from .lattice import DomainError, InvalidInput, ceil_sqrt, floor_sqrt
+from .lattice import DomainError, InvalidInput, ceil_sqrt
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,11 @@ class CandidateTriple:
     def mult_sum(self) -> int:
         return self.m * self.n + self.k
 
-    def mults(self) -> tuple[int, ...]:
-        """Multiplicity vector sorted nonincreasingly."""
-        if self.k >= 0:
-            return (self.m + self.k,) + (self.m,) * (self.n - 1)
-        return (self.m,) * (self.n - 1) + (self.m + self.k,)
-
     def sort_key(self) -> tuple[int, int, int, int]:
         return (self.m, 0 if self.k == 0 else 1, self.k, self.t)
 
     def label(self) -> str:
         return f"C({self.t},{self.m},{self.k})"
-
-
-@dataclass(frozen=True)
-class EValue:
-    """Exact e(t, m, k) and f = n*e of a candidate."""
-
-    e: Fraction
-    f: Fraction
 
 
 def szcor_b(n: int, m: int, k: int) -> bool:
@@ -146,12 +133,12 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
     for m in range(m_min, m_max + 1):
         base = m * m * n
         # k = 0: the one t with t^2 < base that can reach base - m
-        t = floor_sqrt(base - 1)
+        t = isqrt(base - 1)
         if t * t >= base - m and szcor_d(n, t, m, 0):
             out.append(CandidateTriple(n, t, m, 0))
         if m < n:
             # k != 0 pinned by the almost-uniform constraints
-            tm = floor_sqrt(base)
+            tm = isqrt(base)
             for t in (tm, tm + 1):
                 if t < 1:
                     continue
@@ -169,7 +156,7 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
             # k != 0: one k per degree t
             k_lo, k_hi = _k_bounds(n, m)
             t_hi2 = (n * (base + 2 * m * k_hi) + k_hi * k_hi - 1) // n
-            for t in range(ceil_sqrt(base + 2 * m * k_lo), floor_sqrt(t_hi2) + 1):
+            for t in range(ceil_sqrt(base + 2 * m * k_lo), isqrt(t_hi2) + 1):
                 k = (t * t - base) // (2 * m)
                 if k != 0 and szcor_conditions(n, t, m, k):
                     out.append(CandidateTriple(n, t, m, k))
@@ -184,17 +171,17 @@ def _k_bounds(n: int, m: int) -> tuple[int, int]:
     greatest is isqrt((nm - 1) // (n - 1)).  The least is -j for the largest
     j with j^2*(n-1) + n*j < n*m (such j is below m), or 1 when j = 0.
     """
-    k_hi = floor_sqrt((n * m - 1) // (n - 1))
+    k_hi = isqrt((n * m - 1) // (n - 1))
     # floor of the positive root of (n-1)j^2 + nj - nm; one step down when
     # that root is itself an integer
-    j = (floor_sqrt(n * n + 4 * (n - 1) * n * m) - n) // (2 * (n - 1))
+    j = (isqrt(n * n + 4 * (n - 1) * n * m) - n) // (2 * (n - 1))
     while j * j * (n - 1) + n * j >= n * m:
         j -= 1
     return (-j if j else 1), k_hi
 
 
-def e_value(c: CandidateTriple) -> EValue:
-    """Exact e and f = n*e of an abnormal candidate.
+def e_value(c: CandidateTriple) -> Fraction:
+    """Exact e of an abnormal candidate; its f is n*e.
 
     e is defined by (1/sqrt(n)) * sqrt(1 - 1/(e*n)) = t/(m*n + k), which
     rearranges to e = (mn+k)^2 / (n*((mn+k)^2 - n*t^2)).
@@ -203,5 +190,4 @@ def e_value(c: CandidateTriple) -> EValue:
     gap = s * s - c.n * c.t * c.t
     if gap <= 0:
         raise DomainError(f"{c.label()} is not abnormal for n={c.n}")
-    f = Fraction(s * s, gap)
-    return EValue(e=f / c.n, f=f)
+    return Fraction(s * s, c.n * gap)

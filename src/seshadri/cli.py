@@ -48,7 +48,7 @@ from .effectivity import (
     semiuniformize,
 )
 from .exclusions import ExclusionDb, default_db
-from .lattice import DivisorClass, DomainError, InvalidInput, is_square
+from .lattice import DomainError, InvalidInput, is_square
 from .render import (
     render_candidates,
     render_formulas,
@@ -172,7 +172,7 @@ class _Cache:
                 raise ValueError(f"entry is for n={rep.n}, {rep.cfg}, cap={rep.m_budget_cap}")
             if rep.f != rep.n * rep.mu:
                 raise ValueError(f"f = {rep.f} is not n*mu = {rep.n * rep.mu}")
-            if rep.blocker is not None and (rep.blocker.n != n or e_value(rep.blocker).e != rep.mu):
+            if rep.blocker is not None and (rep.blocker.n != n or e_value(rep.blocker) != rep.mu):
                 raise ValueError(f"blocker {rep.blocker.label()} does not give mu = {rep.mu}")
             if rep.blocker is None and not (rep.budget_limited and rep.mu == cap + 1):
                 raise ValueError(f"no blocker, yet not budget-limited at mu = {cap + 1}")
@@ -234,7 +234,7 @@ def _cmd_alpha(args) -> int:
         sys.stdout.write(f"alpha >= {closed}   (closed form)\n")
     if args.trace:
         witness = bound - 1
-        trace = d_sequence(DivisorClass(witness, mults), cfg)
+        trace = d_sequence(witness, mults, cfg)
         sys.stdout.write(render_trace(trace))
     return EXIT_OK
 
@@ -294,7 +294,7 @@ def _verify_table_a() -> int:
         sys.stdout.write(f"FAIL: expected {len(TABLE_A)} candidates, got {len(cands)}\n")
         ok = False
     for c, row in zip(cands, TABLE_A):
-        got = (c.t, c.m, c.k, truncate2(e_value(c).e))
+        got = (c.t, c.m, c.k, truncate2(e_value(c)))
         want = (row.t, row.m, row.k, row.e_str)
         if got != want:
             sys.stdout.write(f"FAIL: {got} != {want}\n")

@@ -69,13 +69,7 @@ from math import isqrt
 from operator import add, lt
 from typing import Iterator, Sequence
 
-from .lattice import (
-    DivisorClass,
-    DomainError,
-    InvalidInput,
-    ceil_sqrt,
-    floor_sqrt,
-)
+from .lattice import DomainError, InvalidInput, ceil_sqrt
 
 
 class UnloadingDiverged(RuntimeError):
@@ -86,8 +80,10 @@ class UnloadingDiverged(RuntimeError):
 class SpecializationConfig:
     """Parameters (n, d, r) of the specialization curve, and its genus g.
 
-    Defaults are d = floor(sqrt(n)) and r = floor(d*sqrt(n));
-    r = ceil(d*sqrt(n)) is a supported override.
+    Defaults are d = floor(sqrt(n)) and r = floor(d*sqrt(n)).  Any d >= 1
+    and 1 <= r <= n are accepted (the CLI's --d and --r), but only the
+    default configuration is proved to give one-sided exclusions; the
+    hypotheses of the others are open (ROADMAP item 5).
     """
 
     n: int
@@ -110,12 +106,7 @@ class SpecializationConfig:
     @classmethod
     def default(cls, n: int) -> "SpecializationConfig":
         d = isqrt(n)
-        return cls(n=n, d=d, r=floor_sqrt(d * d * n))
-
-    @classmethod
-    def with_ceil_r(cls, n: int) -> "SpecializationConfig":
-        d = isqrt(n)
-        return cls(n=n, d=d, r=ceil_sqrt(d * d * n))
+        return cls(n=n, d=d, r=isqrt(d * d * n))
 
     def is_default(self) -> bool:
         return self == SpecializationConfig.default(self.n)
@@ -297,8 +288,10 @@ def _passes(t0: int, cfg: SpecializationConfig, walk: _HeadSums) -> bool:
 
 @dataclass(frozen=True)
 class TraceStep:
+    """Step i of the walk: D_i = t*L - sum(mults[j] * E_j), and D_i . C."""
+
     index: int
-    cls: DivisorClass
+    mults: tuple[int, ...]
     t: int
     dot_c: int
 
@@ -328,26 +321,26 @@ def _require_normal_form(mults: Sequence[int], n: int) -> tuple[int, ...]:
     return ms
 
 
-def d_sequence(d0: DivisorClass, cfg: SpecializationConfig) -> UnloadingTrace:
-    """Trace of the specialization walk starting at d0.
+def d_sequence(degree: int, mults: Sequence[int], cfg: SpecializationConfig) -> UnloadingTrace:
+    """Trace of the specialization walk starting at D_0 = degree*L - sum(m_i*E_i).
 
-    Records (i, D_i, t_i, D_i . C) for i = 0..max(j, omega_prime), with
-    D_i . C = d*t_i - (sum of the first r multiplicities).  j is the first
-    index with t_i < d, which is max(t_0, 0) // d, and omega_prime the first
-    index of the zero vector.  A walk longer than its step cap raises
-    UnloadingDiverged: a faulty step, not a long trace.
+    mults must be in normal form (nonincreasing, length n, last entry >= 0).
+    Records (i, multiplicities of D_i, t_i, D_i . C) for i = 0..max(j,
+    omega_prime), with t_i = degree - i*d and D_i . C = d*t_i - (sum of the
+    first r multiplicities).  j is the first index with t_i < d, which is
+    max(degree, 0) // d, and omega_prime the first index of the zero vector.
+    A walk longer than its step cap raises UnloadingDiverged: a faulty step,
+    not a long trace.
     """
-    if d0.n != cfg.n:
-        raise InvalidInput(f"class has n={d0.n}, config has n={cfg.n}")
-    _require_normal_form(d0.mults, cfg.n)
+    ms = _require_normal_form(mults, cfg.n)
     d, r = cfg.d, cfg.r
-    j = max(d0.degree, 0) // d
-    cap = sum(d0.mults) + d0.n + 12 + j
+    j = max(degree, 0) // d
+    cap = sum(ms) + cfg.n + 12 + j
     steps: list[TraceStep] = []
     omega = -1
-    for i, runs in enumerate(_walk(d0.mults, r)):
-        t = d0.degree - i * d
-        steps.append(TraceStep(i, DivisorClass(t, _from_runs(runs)), t, d * t - _head_sum(runs, r)))
+    for i, runs in enumerate(_walk(ms, r)):
+        t = degree - i * d
+        steps.append(TraceStep(i, _from_runs(runs), t, d * t - _head_sum(runs, r)))
         if omega < 0 and runs[0][0] == 0:
             omega = i
         if omega >= 0 and i >= j:

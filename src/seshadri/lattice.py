@@ -1,12 +1,14 @@
-"""Exact arithmetic substrate: divisor classes on the blow-up of the plane
-and surd signs.
+"""Exact arithmetic substrate: integer square roots and surd signs.
 
-Everything downstream reduces to two primitives kept here:
+Kept here, with the package's two error types:
 
-* divisor classes t*L - m_1*E_1 - ... - m_n*E_n on the blow-up of n points,
-  with integer coordinates,
+* integer square-root helpers (ceil_sqrt, is_square); the floor is
+  math.isqrt itself,
 * exact sign decisions for numbers of the form a + b*sqrt(q) with a, b, q
   rational and q >= 0.
+
+Divisor classes t*L - m_1*E_1 - ... - m_n*E_n are plain data where they are
+used: a degree and a multiplicity tuple.
 
 No floating point is used anywhere; decisions that look like "t < m*sqrt(n)"
 are settled by comparing squares of integers or rationals.
@@ -34,13 +36,6 @@ class InvalidInput(ValueError):
     """Structurally bad input (wrong length, degenerate vector, ...)."""
 
 
-def floor_sqrt(x: int) -> int:
-    """Largest integer s with s*s <= x (x >= 0)."""
-    if x < 0:
-        raise DomainError(f"floor_sqrt of negative {x}")
-    return isqrt(x)
-
-
 def ceil_sqrt(x: int) -> int:
     """Smallest integer s >= 0 with s*s >= x."""
     if x <= 0:
@@ -58,28 +53,6 @@ def _sign(x: Rational) -> int:
     if x < 0:
         return NEGATIVE
     return ZERO
-
-
-@dataclass(frozen=True)
-class DivisorClass:
-    """Class t*L - m_1*E_1 - ... - m_n*E_n on the blow-up of n points.
-
-    `mults` holds the m_i; entries may be negative while an unloading pass is
-    in flight.  All coordinates are arbitrary-precision integers.
-    """
-
-    degree: int
-    mults: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
-        object.__setattr__(self, "degree", int(self.degree))
-        if len(self.mults) < 1:
-            raise InvalidInput("divisor class needs at least one point")
-
-    @property
-    def n(self) -> int:
-        return len(self.mults)
 
 
 @dataclass(frozen=True)

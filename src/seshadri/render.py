@@ -164,22 +164,23 @@ def render_candidates(cands: Sequence[CandidateTriple], fmt: str) -> str:
     rows = [(c, e_value(c)) for c in cands]
     if fmt == "text":
         lines = [f"{'t':>6} {'m':>5} {'k':>4}  {'e':>10}"]
-        for c, ev in rows:
-            lines.append(f"{c.t:>6} {c.m:>5} {c.k:>4}  {truncate2(ev.e):>10}")
+        for c, e in rows:
+            lines.append(f"{c.t:>6} {c.m:>5} {c.k:>4}  {truncate2(e):>10}")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["t", "m", "k", "e_num", "e_den", "e_trunc", "f_num", "f_den"])
-        for c, ev in rows:
-            w.writerow([c.t, c.m, c.k, ev.e.numerator, ev.e.denominator,
-                        truncate2(ev.e), ev.f.numerator, ev.f.denominator])
+        for c, e in rows:
+            f = c.n * e
+            w.writerow([c.t, c.m, c.k, e.numerator, e.denominator,
+                        truncate2(e), f.numerator, f.denominator])
         return buf.getvalue()
     if fmt == "json":
         return dumps({
             "candidates": [
-                {**candidate_to_json(c), "e": fraction_to_json(ev.e), "f": fraction_to_json(ev.f)}
-                for c, ev in rows
+                {**candidate_to_json(c), "e": fraction_to_json(e), "f": fraction_to_json(c.n * e)}
+                for c, e in rows
             ]
         })
     raise ValueError(f"unknown format {fmt!r}")
@@ -203,7 +204,7 @@ def render_report(rep: BoundReport, fmt: str) -> str:
         if rep.exclusions_used:
             lines.append("exclusions used:")
             for c, reason in rep.exclusions_used:
-                lines.append(f"  {c.label():>16}  e = {truncate2(e_value(c).e):>9}  [{reason}]")
+                lines.append(f"  {c.label():>16}  e = {truncate2(e_value(c)):>9}  [{reason}]")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
@@ -275,6 +276,6 @@ def render_formulas(per_n: Sequence[tuple[int, Sequence[FormulaBound]]], fmt: st
 def render_trace(trace: UnloadingTrace) -> str:
     lines = [f"{'i':>4} {'t_i':>6} {'D_i.C':>7}  multiplicities"]
     for step in trace.steps:
-        lines.append(f"{step.index:>4} {step.t:>6} {step.dot_c:>7}  {step.cls.mults}")
+        lines.append(f"{step.index:>4} {step.t:>6} {step.dot_c:>7}  {step.mults}")
     lines.append(f"j = {trace.j}, omega' = {trace.omega_prime}")
     return "\n".join(lines) + "\n"

@@ -173,8 +173,6 @@ TABLE_B: tuple[TableBRow, ...] = (
 
 TABLE_B_BY_N: dict[int, TableBRow] = {row.n: row for row in TABLE_B}
 
-EXCEPTION_NS: frozenset[int] = frozenset(row.n for row in TABLE_B if row.source is not None)
-
 # n -> (f value, source) for the rows whose values are imported, not computed.
 REFERENCE_F: dict[int, tuple[int, str]] = {
     row.n: (int(row.f_str), row.source) for row in TABLE_B if row.source is not None

@@ -26,7 +26,7 @@ from seshadri.effectivity import (
     _to_runs,
 )
 from seshadri.exclusions import ExclusionDb, ExclusionResult, default_db, is_excluded
-from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, floor_sqrt, is_square
+from seshadri.lattice import DomainError, InvalidInput, QuadraticExpr, ceil_sqrt, is_square
 
 
 def unload_literal(mults):
@@ -147,7 +147,7 @@ def compute_bound_literal(
     verdicts: dict[CandidateTriple, ExclusionResult] = {}
     m_max = min(16, m_budget_cap)
     while True:
-        cands = sorted(enumerate_szcor(n, m_max), key=lambda c: (e_value(c).e, c.sort_key()))
+        cands = sorted(enumerate_szcor(n, m_max), key=lambda c: (e_value(c), c.sort_key()))
         excluded: list[tuple[CandidateTriple, str]] = []
         mu: Optional[Fraction] = None
         blocker: Optional[CandidateTriple] = None
@@ -159,7 +159,7 @@ def compute_bound_literal(
             if res.excluded:
                 excluded.append((c, res.reason))
                 continue
-            mu = e_value(c).e
+            mu = e_value(c)
             blocker = c
             break
         if mu is not None and m_max >= mu:
@@ -218,12 +218,12 @@ def enumerate_szcor_literal(n: int, m_max: int) -> list[CandidateTriple]:
     for m in range(1, m_max + 1):
         base = m * m * n
         # k = 0: t^2 in [base - m, base)
-        for t in range(max(1, ceil_sqrt(base - m)), floor_sqrt(base - 1) + 1):
+        for t in range(max(1, ceil_sqrt(base - m)), isqrt(base - 1) + 1):
             if szcor_d(n, t, m, 0):
                 out.append(CandidateTriple(n, t, m, 0))
         if m < n:
             # k != 0 pinned by the almost-uniform constraints
-            tm = floor_sqrt(base)
+            tm = isqrt(base)
             for t in (tm, tm + 1):
                 if t < 1:
                     continue
@@ -244,7 +244,7 @@ def enumerate_szcor_literal(n: int, m_max: int) -> list[CandidateTriple]:
                 hi2 = (n * (base + 2 * m * k) + k * k - 1) // n
                 if hi2 < 0:
                     continue
-                for t in range(max(1, ceil_sqrt(lo)), floor_sqrt(hi2) + 1):
+                for t in range(max(1, ceil_sqrt(lo)), isqrt(hi2) + 1):
                     if szcor_conditions(n, t, m, k):
                         out.append(CandidateTriple(n, t, m, k))
     out.sort(key=CandidateTriple.sort_key)
@@ -291,6 +291,30 @@ def passes_testlem(h: Sequence[int], t: int, delta) -> bool:
     cond_a = Fraction(sq) < (1 + Fraction(n) / delta) ** 2 / gamma
     cond_b = sq - a <= t2 and t2 < Fraction(s * s) / (n + delta)
     return cond_a and cond_b
+
+
+def candidate_mults(c: CandidateTriple) -> tuple[int, ...]:
+    """Multiplicity vector of C(t, m, k), sorted nonincreasingly."""
+    if c.k >= 0:
+        return (c.m + c.k,) + (c.m,) * (c.n - 1)
+    return (c.m,) * (c.n - 1) + (c.m + c.k,)
+
+
+def ceil_r_config(n: int) -> SpecializationConfig:
+    """The specialization with r = ceil(d*sqrt(n)) in place of the default
+    floor; for nonsquare n it has n*d^2 < r^2, so the walk has no cut."""
+    d = isqrt(n)
+    return SpecializationConfig(n=n, d=d, r=ceil_sqrt(d * d * n))
+
+
+def theoremone_weak_c(n: int) -> QuadraticExpr:
+    """Weaker companion of the odd-Delta case: n(n - 5*sqrt(n) + 1)."""
+    return QuadraticExpr(Fraction(n * (n + 1)), Fraction(-5 * n), Fraction(n))
+
+
+def theoremone_weak_d(n: int) -> QuadraticExpr:
+    """Weaker companion of the even-Delta case: n(n - 5*sqrt(n) + 2)/2."""
+    return QuadraticExpr(Fraction(n * (n + 2), 2), Fraction(-5 * n, 2), Fraction(n))
 
 
 def ceil_frac(num, den):

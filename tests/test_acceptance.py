@@ -13,7 +13,13 @@ from math import isqrt
 
 import pytest
 
-from conftest import brute_force_candidates, ceil_frac, unload_literal
+from conftest import (
+    brute_force_candidates,
+    ceil_frac,
+    theoremone_weak_c,
+    theoremone_weak_d,
+    unload_literal,
+)
 from seshadri.bounds import (
     best_known,
     bounds_for_ns,
@@ -22,8 +28,6 @@ from seshadri.bounds import (
     formula_theoremone,
     lemcc_hypothesis,
     mu_n,
-    theoremone_weak_c,
-    theoremone_weak_d,
 )
 from seshadri.candidates import CandidateTriple, e_value, enumerate_szcor
 from seshadri.cli import main as cli_main
@@ -38,7 +42,7 @@ from seshadri.effectivity import (
     semiuniformize,
 )
 from seshadri.exclusions import default_db
-from seshadri.lattice import DivisorClass, QuadraticExpr, is_square, sign_of
+from seshadri.lattice import QuadraticExpr, is_square, sign_of
 from seshadri.render import truncate2
 from seshadri.tables import REFERENCE_F, TABLE_A, TABLE_B, implied_f
 
@@ -69,7 +73,7 @@ def test_criterion_1_table_a_reproduction(capsys):
     t0 = time.perf_counter()
     cands = enumerate_szcor(10, 182)
     elapsed = time.perf_counter() - t0
-    rows = [(c.t, c.m, c.k, truncate2(e_value(c).e)) for c in cands]
+    rows = [(c.t, c.m, c.k, truncate2(e_value(c))) for c in cands]
     want = [(r.t, r.m, r.k, r.e_str) for r in TABLE_A]
     code = cli_main(["candidates", "--n", "10", "--m-max", "182"])
     out_lines = capsys.readouterr().out.strip().splitlines()[1:]
@@ -85,11 +89,11 @@ def test_criterion_1_table_a_reproduction(capsys):
 
 def test_criterion_2_exact_e_and_f_values():
     checks = [
-        (e_value(CandidateTriple(10, 3, 1, 0)).e, Q(1)),
-        (e_value(CandidateTriple(10, 6, 2, -1)).e, Q(361, 10)),
-        (e_value(CandidateTriple(10, 22, 7, 0)).e, Q(49, 6)),
-        (e_value(CandidateTriple(10, 177, 56, 0)).e, Q(313600, 3100)),
-        (e_value(CandidateTriple(10, 177, 56, 0)).f, Q(313600, 310)),
+        (e_value(CandidateTriple(10, 3, 1, 0)), Q(1)),
+        (e_value(CandidateTriple(10, 6, 2, -1)), Q(361, 10)),
+        (e_value(CandidateTriple(10, 22, 7, 0)), Q(49, 6)),
+        (e_value(CandidateTriple(10, 177, 56, 0)), Q(313600, 3100)),
+        (10 * e_value(CandidateTriple(10, 177, 56, 0)), Q(313600, 310)),
     ]
     ok = all(got == want for got, want in checks)
     printed = [truncate2(got) for got, _ in checks[:4]]
@@ -207,7 +211,7 @@ def test_criterion_6_property_suites():
         mults = (m + 1,) * k + (m,) * (n - k) if k >= 0 else (m,) * (n - 1) + (m + k,)
         total = m * n + k
         t = rnd.choice([1, (m * r + k + g - 1) // d, isqrt(m * m * n), total // d + 1])
-        tr = d_sequence(DivisorClass(t, mults), cfg)
+        tr = d_sequence(t, mults, cfg)
         assert tr.omega_prime == ceil_frac(total, r), (n, m, k, t)
         for step in tr.steps[: tr.omega_prime]:
             assert step.dot_c <= d * t - (m * r + k), (n, m, k, t, step.index)

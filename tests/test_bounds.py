@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 import seshadri.bounds as bounds
-from conftest import ceil_frac, compute_bound_literal
+from conftest import (
+    ceil_frac,
+    ceil_r_config,
+    compute_bound_literal,
+    theoremone_weak_c,
+    theoremone_weak_d,
+)
 from seshadri.bounds import (
     _worker_count,
     all_formula_bounds,
@@ -17,8 +23,6 @@ from seshadri.bounds import (
     formula_theoremone,
     lemcc_hypothesis,
     mu_n,
-    theoremone_weak_c,
-    theoremone_weak_d,
 )
 from seshadri.candidates import e_value, enumerate_szcor
 from seshadri.effectivity import SpecializationConfig
@@ -89,20 +93,31 @@ class TestComputeBound:
             assert rep.coverage.m_checked_k0 >= ceil_frac(mu.numerator, mu.denominator) - 1
             knz_need = ceil_frac(mu.numerator, mu.denominator * (n - 1)) - 1
             assert rep.coverage.m_checked_knz >= knz_need
-            assert mu == e_value(rep.blocker).e
+            assert mu == e_value(rep.blocker)
             excluded = {(c.t, c.m, c.k) for c, _ in rep.exclusions_used}
             for c in enumerate_szcor(n, rep.coverage.m_checked_k0):
-                ev = e_value(c)
-                if ev.e < mu:
+                if e_value(c) < mu:
                     assert (c.t, c.m, c.k) in excluded, (n, c)
                     assert is_excluded(c, rep.cfg, db).excluded, (n, c)
 
     def test_database_monotonicity(self):
-        # enabling more exclusions never decreases the certified f
+        # switching a source on never decreases the certified f: Miranda off
+        # <= default <= Dumnicki on, CCMO off <= default, unique-cubic off
+        # <= default
         base = default_db()
+        weaker = [base.with_sources(disable=(s,)) for s in ("Miranda", "CCMO", "unique-cubic")]
         richer = base.with_sources(enable=("Dumnicki",))
-        for n in (10, 14, 19, 23, 30):
-            assert compute_bound(n, db=richer).f >= compute_bound(n, db=base).f
+        for n in nonsquares(10, 99):
+            f = compute_bound(n, db=base).f
+            assert compute_bound(n, db=richer).f >= f, n
+            for db in weaker:
+                assert compute_bound(n, db=db).f <= f, (n, sorted(db.enabled_sources))
+
+    def test_f_never_drops_as_the_m_cap_grows(self):
+        caps = (1, 2, 3, 5, 8, 16, 17, 31, 40, 64, 100, 200, 5000)
+        for n in nonsquares(10, 99):
+            fs = [compute_bound(n, m_budget_cap=cap).f for cap in caps]
+            assert fs == sorted(fs), (n, fs)
 
     def test_parallel_map_matches_serial(self):
         ns = [10, 11, 12, 13, 14]
@@ -126,7 +141,7 @@ class TestRoundDriverOracle:
 
     def test_nondefault_configs(self):
         cfgs = [SpecializationConfig(n=41, d=5, r=32)]
-        cfgs += [SpecializationConfig.with_ceil_r(n) for n in nonsquares(10, 40)]
+        cfgs += [ceil_r_config(n) for n in nonsquares(10, 40)]
         for cfg in cfgs:
             assert compute_bound(cfg.n, cfg=cfg) == compute_bound_literal(cfg.n, cfg=cfg), cfg
 

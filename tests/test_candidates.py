@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_candidates,
+    candidate_mults,
     enumerate_szcor_literal,
     k_range_literal,
     passes_testlem,
@@ -132,27 +133,26 @@ class TestEnumeration:
         # at delta = 1/(2e - 2/n), strictly inside the abnormality range
         for n in (10, 11, 13, 17, 20):
             for c in enumerate_szcor(n, 40):
-                e = e_value(c).e
+                e = e_value(c)
                 delta = 1 / (2 * e - Q(2, n))
-                assert passes_testlem(c.mults(), c.t, delta), (n, c)
+                assert passes_testlem(candidate_mults(c), c.t, delta), (n, c)
 
 
 class TestEValue:
     def test_unit_level(self):
-        assert e_value(CandidateTriple(10, 3, 1, 0)).e == 1
+        assert e_value(CandidateTriple(10, 3, 1, 0)) == 1
 
     def test_exact_values(self):
-        assert e_value(CandidateTriple(10, 6, 2, -1)).e == Q(361, 10)
-        assert e_value(CandidateTriple(10, 22, 7, 0)).e == Q(49, 6)
-        ev = e_value(CandidateTriple(10, 177, 56, 0))
-        assert ev.e == Q(313600, 3100)
-        assert ev.f == Q(313600, 310)
+        assert e_value(CandidateTriple(10, 6, 2, -1)) == Q(361, 10)
+        assert e_value(CandidateTriple(10, 22, 7, 0)) == Q(49, 6)
+        c = CandidateTriple(10, 177, 56, 0)
+        assert e_value(c) == Q(313600, 3100)
+        assert c.n * e_value(c) == Q(313600, 310)
 
     def test_positive_on_all_enumerated(self):
         for n in (10, 14, 18):
             for c in enumerate_szcor(n, 50):
-                ev = e_value(c)
-                assert ev.e > 0 and ev.f == n * ev.e
+                assert e_value(c) > 0
 
     def test_rejects_class_on_nef_side(self):
         # 170*sqrt(19) exceeds 39*19, so this class is not abnormal

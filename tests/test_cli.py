@@ -75,6 +75,8 @@ class TestCandidatesCommand:
         data = json.loads(out)
         row = [c for c in data["candidates"] if c["t"] == 106][0]
         assert Q(int(row["e"]["num"]), int(row["e"]["den"])) == Q(123904, 11 * 308)
+        # f = n*e, in lowest terms
+        assert row["f"] == {"num": "2816", "den": "7"}
 
 
 class TestAlphaCommand:
@@ -515,9 +517,9 @@ class TestReferenceTables:
         assert [row.n for row in TABLE_B] == want
 
     def test_exception_rows_are_tagged(self):
-        from seshadri.tables import EXCEPTION_NS, REFERENCE_F
+        from seshadri.tables import REFERENCE_F
 
-        assert EXCEPTION_NS == {17, 19, 22, 26, 37, 41, 50, 65, 82}
+        assert set(REFERENCE_F) == {17, 19, 22, 26, 37, 41, 50, 65, 82}
         assert REFERENCE_F[41] == (1025, "Harbourne")
         assert REFERENCE_F[19][1] == "Biran"
 

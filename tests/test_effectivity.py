@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     alpha_lower_bound_literal,
     ceil_frac,
+    ceil_r_config,
     criterion_literal,
     head_sums_list,
     interior_lows_list,
@@ -38,7 +39,7 @@ from seshadri.exclusions import (
     default_db,
     is_excluded,
 )
-from seshadri.lattice import DivisorClass, DomainError, InvalidInput, is_square
+from seshadri.lattice import DomainError, InvalidInput, is_square
 from seshadri.tables import TABLE_B
 
 
@@ -54,7 +55,7 @@ class TestConfig:
         assert [SpecializationConfig.default(n).g for n in (10, 14, 98)] == [1, 1, 28]
 
     def test_ceil_override(self):
-        cfg = SpecializationConfig.with_ceil_r(14)
+        cfg = ceil_r_config(14)
         assert cfg.r == 12
 
     def test_r_cannot_exceed_n(self):
@@ -79,16 +80,16 @@ class TestUnload:
 class TestDSequence:
     def test_uniform_cubic_trace(self):
         cfg = SpecializationConfig.default(10)
-        tr = d_sequence(DivisorClass(3, (1,) * 10), cfg)
+        tr = d_sequence(3, (1,) * 10, cfg)
         assert tr.j == 1 and tr.omega_prime == 2 and len(tr.steps) == 3
         assert tr.steps[0].t == 3 and tr.steps[0].dot_c == 0
         assert tr.steps[1].t == 0 and tr.steps[1].dot_c == -1
-        assert tr.steps[1].cls.mults == (1,) + (0,) * 9
-        assert tr.steps[2].t == -3 and tr.steps[2].cls.mults == (0,) * 10
+        assert tr.steps[1].mults == (1,) + (0,) * 9
+        assert tr.steps[2].t == -3 and tr.steps[2].mults == (0,) * 10
 
     def test_stops_immediately_below_curve_degree(self):
         cfg = SpecializationConfig.default(10)
-        tr = d_sequence(DivisorClass(2, (1,) * 10), cfg)
+        tr = d_sequence(2, (1,) * 10, cfg)
         assert tr.j == 0 and tr.omega_prime == 2 and len(tr.steps) == 3
 
     def test_uniform_steps_match_closed_shape(self):
@@ -96,46 +97,49 @@ class TestDSequence:
         # with i*(n - r) = q*n + rho
         for n, m, t in ((10, 7, 21), (13, 9, 30), (18, 11, 44)):
             cfg = SpecializationConfig.default(n)
-            tr = d_sequence(DivisorClass(t, (m,) * n), cfg)
+            tr = d_sequence(t, (m,) * n, cfg)
             for step in tr.steps[: tr.omega_prime]:
                 i = step.index
                 q, rho = divmod(i * (n - cfg.r), n)
                 base = m - i + q
                 want = tuple(base + 1 if j < rho else base for j in range(n))
-                assert step.cls.mults == want, (n, m, t, i)
+                assert step.mults == want, (n, m, t, i)
 
     @pytest.mark.parametrize("t0", [-7, -1, 0, 1, 2])
     def test_degree_below_d_records_to_omega(self, t0):
         cfg = SpecializationConfig.default(13)  # d = 3, r = 10
         mults = (4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 0, 0)
-        tr = d_sequence(DivisorClass(t0, mults), cfg)
+        tr = d_sequence(t0, mults, cfg)
         assert tr.j == 0
         assert tr.steps[-1].index == tr.omega_prime > 0
         b = list(mults)
         for i, step in enumerate(tr.steps):
             assert step.index == i and step.t == t0 - i * cfg.d
-            assert step.cls.mults == tuple(b)
+            assert step.mults == tuple(b)
             assert any(b) is (i < tr.omega_prime)
             step_normal_form_literal(b, cfg.r)
 
     def test_omega_before_j_records_to_j(self):
         cfg = SpecializationConfig.default(10)
-        tr = d_sequence(DivisorClass(30, (1,) * 10), cfg)
+        tr = d_sequence(30, (1,) * 10, cfg)
         assert tr.j == 10 and tr.omega_prime == 2 and len(tr.steps) == 11
-        assert all(step.cls.mults == (0,) * 10 for step in tr.steps[2:])
+        assert all(step.mults == (0,) * 10 for step in tr.steps[2:])
 
     def test_degree_steps_down_by_d(self):
         cfg = SpecializationConfig.default(11)
-        tr = d_sequence(DivisorClass(20, (5,) * 11), cfg)
+        tr = d_sequence(20, (5,) * 11, cfg)
         for a, b in zip(tr.steps, tr.steps[1:]):
             assert b.t == a.t - cfg.d
 
     def test_requires_normal_form(self):
         cfg = SpecializationConfig.default(10)
         with pytest.raises(InvalidInput):
-            d_sequence(DivisorClass(3, (1,) * 9 + (2,)), cfg)
+            d_sequence(3, (1,) * 9 + (2,), cfg)
         with pytest.raises(InvalidInput):
-            d_sequence(DivisorClass(3, (1,) * 9 + (-1,)), cfg)
+            d_sequence(3, (1,) * 9 + (-1,), cfg)
+        for wrong_length in ((), (1,) * 9, (1,) * 11):
+            with pytest.raises(InvalidInput):
+                d_sequence(3, wrong_length, cfg)
 
 
 def criterion(t, mults, cfg):
@@ -203,7 +207,7 @@ class TestAlphaBounds:
 
 
 def _configs(n):
-    return (SpecializationConfig.default(n), SpecializationConfig.with_ceil_r(n))
+    return (SpecializationConfig.default(n), ceil_r_config(n))
 
 
 def _full_r(n):
@@ -274,7 +278,7 @@ class TestAlphaMatchesListOracle:
         mults = tuple(sorted((raw * n)[:n], reverse=True))
         if mults[0] == 0:
             mults = (1,) + mults[1:]
-        cfg = {"floor": SpecializationConfig.default, "ceil": SpecializationConfig.with_ceil_r,
+        cfg = {"floor": SpecializationConfig.default, "ceil": ceil_r_config,
                "full": _full_r}[which](n)
         assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg)
 
@@ -291,10 +295,10 @@ class TestAlphaMatchesListOracle:
             n = rnd.randint(10, 60)
             cfg = rnd.choice(_configs(n) + (_full_r(n),))
             mults = sorted((rnd.randint(0, 9) for _ in range(n)), reverse=True)
-            tr = d_sequence(DivisorClass(rnd.randint(0, 60), tuple(mults)), cfg)
+            tr = d_sequence(rnd.randint(0, 60), tuple(mults), cfg)
             b = list(mults)
             for step in tr.steps:
-                assert step.cls.mults == tuple(b)
+                assert step.mults == tuple(b)
                 assert step.dot_c == cfg.d * step.t - sum(b[: cfg.r])
                 step_normal_form_literal(b, cfg.r)
 
@@ -399,7 +403,7 @@ class TestHeadSumsClosedForm:
     )
     def test_fuzz(self, n, raw, which, count):
         mults = tuple(sorted((raw * n)[:n], reverse=True))
-        cfg = {"floor": SpecializationConfig.default, "ceil": SpecializationConfig.with_ceil_r,
+        cfg = {"floor": SpecializationConfig.default, "ceil": ceil_r_config,
                "full": _full_r}[which](n)
         assert _sums_of(mults, cfg, count) == _walk_sums(mults, cfg.r, count)
 
@@ -508,7 +512,7 @@ class TestBoundedWalk:
                 cfg = SpecializationConfig(d * d, d, d * d)
             else:
                 n = rnd.choice(nonsquare_range(10, 300))
-                cfg = SpecializationConfig.with_ceil_r(n) if which == "ceil" else _full_r(n)
+                cfg = ceil_r_config(n) if which == "ceil" else _full_r(n)
             assert _cut_k(cfg) is None
             n = cfg.n
             m = rnd.randint(1, 60)
@@ -597,7 +601,7 @@ class TestTraceInvariants:
                 mults = (m,) * (n - 1) + (m + k,)
             total = m * n + k
             t = rnd.choice([1, (m * r + k + g - 1) // d, isqrt(m * m * n), total // d + 1])
-            tr = d_sequence(DivisorClass(t, mults), cfg)
+            tr = d_sequence(t, mults, cfg)
             assert tr.omega_prime == ceil_frac(total, r), (n, m, k, t)
             for step in tr.steps[: tr.omega_prime]:
                 assert step.dot_c <= d * t - (m * r + k), (n, m, k, t, step)

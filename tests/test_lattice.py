@@ -1,4 +1,4 @@
-"""Divisor classes and exact surd-sign decisions."""
+"""Exact surd-sign decisions."""
 from __future__ import annotations
 
 import random
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seshadri.lattice import (
-    DivisorClass,
     DomainError,
     InvalidInput,
     QuadraticExpr,
@@ -19,12 +18,6 @@ from seshadri.lattice import (
 )
 
 Q = Fraction
-
-
-class TestDivisorClass:
-    def test_empty_class_rejected(self):
-        with pytest.raises(InvalidInput):
-            DivisorClass(1, ())
 
 
 class TestSignOf:
