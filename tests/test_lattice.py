@@ -1,4 +1,4 @@
-"""Exact surd-sign decisions."""
+"""Divisor classes as plain data, and exact surd-sign decisions."""
 from __future__ import annotations
 
 import random
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seshadri.effectivity import SpecializationConfig, alpha_lower_bound, d_sequence
 from seshadri.lattice import (
     DomainError,
     InvalidInput,
@@ -18,6 +19,18 @@ from seshadri.lattice import (
 )
 
 Q = Fraction
+
+
+class TestDivisorClass:
+    """t*L - m_1*E_1 - ... - m_n*E_n enters as (degree, mults); a class on
+    no points is rejected wherever it enters."""
+
+    def test_empty_class_rejected(self):
+        cfg = SpecializationConfig.default(10)
+        with pytest.raises(InvalidInput):
+            d_sequence(1, (), cfg)
+        with pytest.raises(InvalidInput):
+            alpha_lower_bound((), cfg)
 
 
 class TestSignOf:
