@@ -14,12 +14,11 @@ consequences f = 21(n-2), 42(n-2), (n^2 - 5n*sqrt(n))/2 and f = 21n.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import ceil, isqrt
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .candidates import CandidateTriple, e_value, enumerate_szcor
 from .effectivity import SpecializationConfig
@@ -42,16 +41,14 @@ _Key = tuple[Fraction, tuple[int, ...]]
 DEFAULT_M_BUDGET_CAP = 5000
 
 
-@dataclass(frozen=True)
-class Coverage:
+class Coverage(NamedTuple):
     """How far the candidate enumeration was pushed, per k-regime."""
 
     m_checked_k0: int
     m_checked_knz: int
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Certified bound for one n, with its exclusion certificate."""
 
     n: int
@@ -177,8 +174,7 @@ def bounds_for_ns(
         return dict(zip(ns, pool.map(work, ns)))
 
 
-@dataclass(frozen=True)
-class FormulaBound:
+class FormulaBound(NamedTuple):
     """One evaluable closed-form bound: its f(n) value when applicable."""
 
     name: str
@@ -303,8 +299,7 @@ def lemcc_hypothesis(n: int, mu: Rational) -> bool:
     return sign_of(diff) >= 0
 
 
-@dataclass(frozen=True)
-class BestKnown:
+class BestKnown(NamedTuple):
     f_best: BoundValue
     source: str
 

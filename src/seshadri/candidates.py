@@ -42,27 +42,31 @@ e over the candidates that survive exclusion fixes the certified bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .lattice import DomainError, InvalidInput, ceil_sqrt
 
 
-@dataclass(frozen=True)
-class CandidateTriple:
-    """A prospective abnormal class C(t, m, k) for n general points."""
-
+class _CandidateTriple(NamedTuple):
     n: int
     t: int
     m: int
     k: int
 
-    def __post_init__(self) -> None:
-        if self.n < 10:
-            raise DomainError(f"candidate analysis requires n >= 10, got {self.n}")
-        if self.t < 1 or self.m < 1:
-            raise InvalidInput(f"t and m must be positive, got t={self.t}, m={self.m}")
+
+class CandidateTriple(_CandidateTriple):
+    """A prospective abnormal class C(t, m, k) for n general points."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, t: int, m: int, k: int) -> "CandidateTriple":
+        if n < 10:
+            raise DomainError(f"candidate analysis requires n >= 10, got {n}")
+        if t < 1 or m < 1:
+            raise InvalidInput(f"t and m must be positive, got t={t}, m={m}")
+        return super().__new__(cls, n, t, m, k)
 
     @property
     def mult_sum(self) -> int:

@@ -221,7 +221,7 @@ def _cmd_alpha(args) -> int:
         mults = semiuniformize(args.n, args.m, args.k)
         if cfg.is_default():
             try:
-                closed = alpha_lb_closed(args.n, args.m, args.k)
+                closed = alpha_lb_closed(args.n, args.m, args.k, cfg)
             except DomainError:
                 closed = None
     else:

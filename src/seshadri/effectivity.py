@@ -60,14 +60,44 @@ criterion reads later S_i from the closed form and later prefix minima as
 the last stored one, lowered to d^2*z once i >= z.  When n*d^2 <= r^2
 (r = ceil(d*sqrt(n)) for nonsquare n, or r = n) there is no K, and the
 store runs to z - 1.
+
+A uniform vector needs no walk at all under the default configuration
+(d = floor(sqrt(n)) and r = floor(d*sqrt(n)), so d^2 <= r and r^2 <= n*d^2).
+The vector (m^[n]), m >= 1, is balanced at step 0: b = 0 and T_0 = m*n.
+Write m*n = u*r + rho with 0 < rho <= r, A = floor((m*r + g - 1)/d) and
+B = u*d + s, with s the largest integer below d such that
+(s+1)(s+2) <= 2*rho.  Then the criterion holds exactly for
+0 <= t_0 <= min(A, B), so alpha_lower_bound((m,)*n, cfg) = 1 + min(A, B),
+which is alpha_lb_closed(n, m, 0):
+
+* Interior condition.  a_0 = S_0 = r*m.  For 0 < i < z the identity above
+  with b = 0 gives n*a_i = n*r*m + i*(n*d^2 - r^2) + psi(x) >= n*a_0, since
+  n*d^2 >= r^2 and psi >= 0; for i >= z = ceil(m*n/r), a_i = d^2*i >=
+  d^2*m*n/r >= r*m.  So every prefix minimum is r*m, and for t_0 >= d the
+  condition d*t_0 <= g - 1 + r*m reads t_0 <= A.  It is empty for t_0 < d,
+  and those t_0 are at most A anyway: r*m >= d^2 and g >= 0 give
+  A >= floor((d^2 - 1)/d) = d - 1.
+* Final condition.  With q = t_0 // d, T_q = max(m*n - r*q, 0).  For q < u,
+  T_q > r, so the r largest entries are all at least 1, and
+  S_q >= r >= d^2 >= d(d+1)/2: every remainder t_0 - q*d <= d - 1 passes.
+  For q = u, T_u = rho <= r <= n and the vector is 1^[rho], 0^[n-rho], so
+  S_u = rho and exactly the remainders 0..s pass.  For q > u, S_q = 0 and
+  none passes.  So the final condition holds exactly for 0 <= t_0 <= B.
+* Window.  A <= m*sqrt(n) + (g - 1)/d < m*sqrt(n) + d, so min(A, B) lies in
+  the scanned window [0, ceil(m*sqrt(n)) + d], and the scan from the top
+  stops there.
+
+So exclusions.is_excluded decides a k = 0 class under the default
+configuration by alpha_lb_closed, in O(1), with the walk's verdict.  The
+walk stays for k != 0, where the closed form is weaker, and for every other
+configuration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, groupby
 from math import isqrt
 from operator import add, lt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .lattice import DomainError, InvalidInput, ceil_sqrt
 
@@ -76,8 +106,13 @@ class UnloadingDiverged(RuntimeError):
     """Internal diagnostic: the specialization walk exceeded its step cap."""
 
 
-@dataclass(frozen=True)
-class SpecializationConfig:
+class _SpecializationConfig(NamedTuple):
+    n: int
+    d: int
+    r: int
+
+
+class SpecializationConfig(_SpecializationConfig):
     """Parameters (n, d, r) of the specialization curve, and its genus g.
 
     Defaults are d = floor(sqrt(n)) and r = floor(d*sqrt(n)).  Any d >= 1
@@ -86,17 +121,17 @@ class SpecializationConfig:
     hypotheses of the others are open (ROADMAP item 5).
     """
 
-    n: int
-    d: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 10:
-            raise DomainError(f"specialization requires n >= 10, got {self.n}")
-        if self.d < 1 or self.r < 1:
+    def __new__(cls, n: int, d: int, r: int) -> "SpecializationConfig":
+        self = super().__new__(cls, n, d, r)
+        if n < 10:
+            raise DomainError(f"specialization requires n >= 10, got {n}")
+        if d < 1 or r < 1:
             raise InvalidInput(f"bad specialization parameters {self}")
-        if self.r > self.n:
-            raise InvalidInput(f"r = {self.r} exceeds n = {self.n}")
+        if r > n:
+            raise InvalidInput(f"r = {r} exceeds n = {n}")
+        return self
 
     @property
     def g(self) -> int:
@@ -109,7 +144,8 @@ class SpecializationConfig:
         return cls(n=n, d=d, r=isqrt(d * d * n))
 
     def is_default(self) -> bool:
-        return self == SpecializationConfig.default(self.n)
+        d = isqrt(self.n)
+        return self.d == d and self.r == isqrt(d * d * self.n)
 
 
 Runs = list[tuple[int, int]]
@@ -181,8 +217,7 @@ def _walk(mults: Sequence[int], r: int) -> Iterator[Runs]:
         runs = _step_runs(runs, r)
 
 
-@dataclass(frozen=True)
-class _HeadSums:
+class _HeadSums(NamedTuple):
     """S_i and the prefix minima min_{j <= i} (d^2*j + S_j) of one walk.
 
     Entries up to index len(sums) - 1 are stored.  Later ones follow the
@@ -286,8 +321,7 @@ def _passes(t0: int, cfg: SpecializationConfig, walk: _HeadSums) -> bool:
     return (tj + 1) * (tj + 2) <= 2 * walk.at(q)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """Step i of the walk: D_i = t*L - sum(mults[j] * E_j), and D_i . C."""
 
     index: int
@@ -296,8 +330,7 @@ class TraceStep:
     dot_c: int
 
 
-@dataclass(frozen=True)
-class UnloadingTrace:
+class UnloadingTrace(NamedTuple):
     """Recorded walk D_0, D_1, ... with t_i = D_i . L and D_i . C.
 
     j is the first index with t_j < d, and omega_prime the least index at
@@ -393,27 +426,33 @@ def semiuniformize(n: int, m: int, k: int) -> tuple[int, ...]:
     return (m + k,) + (m,) * (n - 1)
 
 
-def alpha_lb_closed(n: int, m: int, k: int) -> int:
+def alpha_lb_closed(n: int, m: int, k: int, cfg: Optional[SpecializationConfig] = None) -> int:
     """Closed-form bound 1 + min(floor((mr+k+g-1)/d), s + u*d) for alpha.
 
     Uses the default specialization of n, the only one the form is proved
-    for, and requires k^2 <= m and m < n when k != 0 (the uniform k = 0 case
-    is valid for every m >= 1).  u and rho split the total multiplicity as
-    m*n + k = u*r + rho with 0 < rho <= r, and s is the largest integer
-    with (s+1)(s+2) <= 2*rho and 0 <= s < d.  When k < 0 and Delta = n - d^2
-    is even and positive, mr + g - 1 replaces mr + k + g - 1.
+    for: cfg, when given, must be it (is_excluded passes the one it holds),
+    and is built once otherwise.  Requires k^2 <= m and m < n when k != 0
+    (the uniform k = 0 case is valid for every m >= 1).  u and rho split the
+    total multiplicity as m*n + k = u*r + rho with 0 < rho <= r, and s is
+    the largest integer with (s+1)(s+2) <= 2*rho and 0 <= s < d, that is
+    min(d - 1, floor((sqrt(8*rho + 1) - 3) / 2)).  When k < 0 and
+    Delta = n - d^2 is even and positive, mr + g - 1 replaces mr + k + g - 1.
+    For k = 0 the value equals alpha_lower_bound((m,)*n, cfg) (see the
+    module docstring).
     """
-    cfg = SpecializationConfig.default(n)
+    if cfg is None:
+        cfg = SpecializationConfig.default(n)
+    elif cfg.n != n:
+        raise InvalidInput(f"specialization is for n = {cfg.n}, not n = {n}")
+    elif not cfg.is_default():
+        raise DomainError(f"closed form is proved for the default specialization only, got {cfg}")
     if m < 1 or k * k > m or (k != 0 and m >= n):
         raise DomainError(f"closed form needs k^2 <= m (and m < n unless k = 0), got m={m}, k={k}")
     d, r, g = cfg.d, cfg.r, cfg.g
-    total = m * n + k
-    u, rho = divmod(total, r)
+    u, rho = divmod(m * n + k, r)
     if rho == 0:
         u, rho = u - 1, r
-    s = 0
-    while s + 1 < d and (s + 2) * (s + 3) <= 2 * rho:
-        s += 1
+    s = min(d - 1, (isqrt(8 * rho + 1) - 3) // 2)
     delta = n - d * d
     numer = m * r + g - 1 if (k < 0 and delta > 0 and delta % 2 == 0) else m * r + k + g - 1
     return 1 + min(numer // d, s + u * d)

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .candidates import CandidateTriple
-from .effectivity import SpecializationConfig, alpha_lower_bound, semiuniformize
+from .effectivity import SpecializationConfig, alpha_lb_closed, alpha_lower_bound, semiuniformize
 from .lattice import InvalidInput
 
 
-@dataclass(frozen=True)
-class UniformBound:
+class UniformBound(NamedTuple):
     """For n >= n_min, no abnormal class with k = 0 and m <= m_max exists."""
 
     n_min: int
@@ -45,8 +43,7 @@ class UniformBound:
         return c.k == 0 and c.n >= self.n_min and c.m <= self.m_max
 
 
-@dataclass(frozen=True)
-class ExplicitClass:
+class ExplicitClass(NamedTuple):
     """The specific class C(t, m, k) for n points is not effective."""
 
     n: int
@@ -64,17 +61,21 @@ class ExplicitClass:
 Entry = Union[UniformBound, ExplicitClass]
 
 
-@dataclass(frozen=True)
-class ExclusionDb:
-    """Immutable collection of exclusion entries with a source on/off switch."""
-
+class _ExclusionDb(NamedTuple):
     entries: tuple[Entry, ...]
     enabled_sources: frozenset[str]
 
-    def __post_init__(self) -> None:
-        for e in self.entries:
+
+class ExclusionDb(_ExclusionDb):
+    """Immutable collection of exclusion entries with a source on/off switch."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries: tuple[Entry, ...], enabled_sources: frozenset[str]) -> "ExclusionDb":
+        for e in entries:
             if not e.source:
                 raise InvalidInput("every exclusion entry needs a nonempty source")
+        return super().__new__(cls, entries, enabled_sources)
 
     def with_sources(self, enable: tuple[str, ...] = (), disable: tuple[str, ...] = ()) -> "ExclusionDb":
         """Copy with these sources switched on and then these switched off.
@@ -206,8 +207,7 @@ def default_db() -> ExclusionDb:
     return ExclusionDb(entries=entries, enabled_sources=frozenset({"CCMO", "unique-cubic", "Miranda"}))
 
 
-@dataclass(frozen=True)
-class ExclusionResult:
+class ExclusionResult(NamedTuple):
     excluded: bool
     reason: Optional[str] = None
 
@@ -221,12 +221,17 @@ def is_excluded(
 
     Excluded when a database entry applies, or when the candidate's degree
     falls below the certified lower bound for the degree of any curve with
-    its multiplicities.  Never claims effectiveness.
+    its multiplicities.  Never claims effectiveness.  A uniform (k = 0)
+    class under the default configuration gets that bound in closed form,
+    equal to the walk's (see the effectivity module docstring).
     """
     source = db.ruling(c)
     if source is not None:
         return ExclusionResult(True, source)
-    bound = alpha_lower_bound(semiuniformize(c.n, c.m, c.k), cfg)
+    if c.k == 0 and cfg.is_default():
+        bound = alpha_lb_closed(c.n, c.m, 0, cfg)
+    else:
+        bound = alpha_lower_bound(semiuniformize(c.n, c.m, c.k), cfg)
     if c.t < bound:
         return ExclusionResult(True, f"specialization-criterion(d={cfg.d},r={cfg.r})")
     return ExclusionResult(False, None)

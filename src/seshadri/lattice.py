@@ -15,10 +15,9 @@ are settled by comparing squares of integers or rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Union
+from typing import NamedTuple, Union
 
 Q = Fraction
 Rational = Union[int, Fraction]
@@ -55,25 +54,28 @@ def _sign(x: Rational) -> int:
     return ZERO
 
 
-@dataclass(frozen=True)
-class QuadraticExpr:
-    """The real number a + b*sqrt(q), with a, b, q rational and q >= 0.
-
-    The sign is decidable from (a, b, q) alone by comparing a^2 with b^2*q,
-    so no square root is ever extracted.  q is not normalized to squarefree
-    form; values like n - 1/mu are used as-is.
-    """
-
+class _QuadraticExpr(NamedTuple):
     a: Fraction
     b: Fraction
     q: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "q", Fraction(self.q))
+
+class QuadraticExpr(_QuadraticExpr):
+    """The real number a + b*sqrt(q), with a, b, q rational and q >= 0.
+
+    The sign is decidable from (a, b, q) alone by comparing a^2 with b^2*q,
+    so no square root is ever extracted.  q is not normalized to squarefree
+    form; values like n - 1/mu are used as-is.  The parts are stored as
+    Fractions whatever rationals are given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: Rational, b: Rational, q: Rational) -> "QuadraticExpr":
+        self = super().__new__(cls, Fraction(a), Fraction(b), Fraction(q))
         if self.q < 0:
             raise DomainError(f"radicand must be >= 0, got {self.q}")
+        return self
 
     def __float__(self) -> float:
         # Display only; never used in a decision.

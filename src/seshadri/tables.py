@@ -21,21 +21,18 @@ and reports the two discrepancies instead of hiding them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class TableARow:
+class TableARow(NamedTuple):
     t: int
     m: int
     k: int
     e_str: str
 
 
-@dataclass(frozen=True)
-class TableBRow:
+class TableBRow(NamedTuple):
     n: int
     f_str: str
     t: int

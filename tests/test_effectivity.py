@@ -5,9 +5,11 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seshadri.bounds as bounds
+import seshadri.exclusions as exclusions
 from conftest import (
     alpha_lower_bound_literal,
     ceil_frac,
@@ -18,6 +20,8 @@ from conftest import (
     step_normal_form_literal,
     unload_literal,
 )
+from seshadri import cli
+from seshadri.bounds import compute_bound
 from seshadri.candidates import CandidateTriple
 from seshadri.effectivity import (
     SpecializationConfig,
@@ -189,6 +193,7 @@ class TestAlphaBounds:
         assert alpha_lb_closed(10, 56, 0) == 169
         assert alpha_lb_closed(10, 25, 0) == 76
         assert alpha_lb_closed(10, 2, -1) == 6
+        assert alpha_lb_closed(10, 56, 0, SpecializationConfig.default(10)) == 169
 
     def test_closed_form_domain(self):
         with pytest.raises(DomainError):
@@ -197,6 +202,10 @@ class TestAlphaBounds:
             alpha_lb_closed(10, 12, 2)  # k != 0 with m >= n
         with pytest.raises(DomainError):
             alpha_lb_closed(9, 1, 0)  # no default specialization below n = 10
+        with pytest.raises(DomainError):
+            alpha_lb_closed(10, 56, 0, ceil_r_config(10))  # not the default specialization
+        with pytest.raises(InvalidInput):
+            alpha_lb_closed(11, 56, 0, SpecializationConfig.default(10))  # another n's
 
     def test_even_gap_variant_selected(self):
         # n = 18 has d = 4 and even positive n - d^2, so the k < 0 bound drops
@@ -618,6 +627,104 @@ class TestTraceInvariants:
             assert alpha_lower_bound(semiuniformize(n, m, k), cfg) >= alpha_lb_closed(n, m, k)
             checked += 1
         assert checked >= 1000
+
+
+class TestUniformClosedForm:
+    """alpha_lb_closed(n, m, 0) is the walk's bound for the uniform vector
+    under the default configuration (proof in the effectivity docstring)."""
+
+    def test_matches_the_walk_on_a_grid(self):
+        for n in range(10, 200):
+            cfg = SpecializationConfig.default(n)
+            for m in range(1, 200):
+                assert alpha_lb_closed(n, m, 0, cfg) == alpha_lower_bound((m,) * n, cfg), (n, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(10, 10**4), st.integers(1, 2 * 10**5))
+    @example(10**4, 2 * 10**5)  # square n: r = n, and the walk has no cut
+    @example(9999, 199999)
+    @example(10, 1)
+    def test_matches_the_walk(self, n, m):
+        cfg = SpecializationConfig.default(n)
+        assert alpha_lb_closed(n, m, 0) == alpha_lower_bound((m,) * n, cfg)
+
+    def test_matches_the_s_loop_it_replaced(self):
+        # reference: the closed form with s found by stepping up from 0
+        def closed_with_loop(n, m, k):
+            cfg = SpecializationConfig.default(n)
+            d, r, g = cfg.d, cfg.r, cfg.g
+            u, rho = divmod(m * n + k, r)
+            if rho == 0:
+                u, rho = u - 1, r
+            s = 0
+            while s + 1 < d and (s + 2) * (s + 3) <= 2 * rho:
+                s += 1
+            delta = n - d * d
+            even_gap = k < 0 and delta > 0 and delta % 2 == 0
+            numer = m * r + g - 1 if even_gap else m * r + k + g - 1
+            return 1 + min(numer // d, s + u * d)
+
+        for n in range(10, 70):
+            for m in range(1, 3 * n):
+                ks = range(-isqrt(m), isqrt(m) + 1) if m < n else (0,)
+                for k in ks:
+                    assert alpha_lb_closed(n, m, k) == closed_with_loop(n, m, k), (n, m, k)
+
+
+def _refuse_walk(mults, cfg):
+    raise AssertionError(f"walk called for {mults[:3]}... under {cfg}")
+
+
+class TestClosedFormRouting:
+    """is_excluded decides k = 0 under the default configuration in closed
+    form, and sends everything else to the walk."""
+
+    def test_uniform_default_class_never_walks(self, monkeypatch):
+        monkeypatch.setattr(exclusions, "alpha_lower_bound", _refuse_walk)
+        empty = ExclusionDb(entries=(), enabled_sources=frozenset())
+        cfg = SpecializationConfig.default(10)
+        res = is_excluded(CandidateTriple(10, 3, 1, 0), cfg, empty)
+        assert res == (True, "specialization-criterion(d=3,r=9)")
+        assert is_excluded(CandidateTriple(10, 177, 56, 0), cfg, empty).excluded is False
+
+    def test_the_driver_walks_exactly_its_nonzero_k_decisions(self, monkeypatch):
+        walks = []
+        to_walk = []
+        real_walk, real_decide = exclusions.alpha_lower_bound, bounds.is_excluded
+
+        def walk(mults, cfg):
+            walks.append(mults)
+            return real_walk(mults, cfg)
+
+        def decide(c, cfg, db):
+            if db.ruling(c) is None:
+                to_walk.append(c.k != 0)
+            return real_decide(c, cfg, db)
+
+        monkeypatch.setattr(exclusions, "alpha_lower_bound", walk)
+        monkeypatch.setattr(bounds, "is_excluded", decide)
+        for n in (10, 11, 12, 47, 98, 1000):
+            compute_bound(n)
+        assert 0 < len(walks) == sum(to_walk) < len(to_walk)
+
+    def test_nonzero_k_reaches_the_walk(self, monkeypatch):
+        monkeypatch.setattr(exclusions, "alpha_lower_bound", _refuse_walk)
+        empty = ExclusionDb(entries=(), enabled_sources=frozenset())
+        with pytest.raises(AssertionError, match="walk called"):
+            is_excluded(CandidateTriple(14, 4, 1, 1), SpecializationConfig.default(14), empty)
+
+    def test_nondefault_config_reaches_the_walk(self, monkeypatch, capsys):
+        walked = []
+        real = exclusions.alpha_lower_bound
+
+        def spy(mults, cfg):
+            walked.append((len(set(mults)), cfg))
+            return real(mults, cfg)
+
+        monkeypatch.setattr(exclusions, "alpha_lower_bound", spy)
+        assert cli.main(["bound", "--n", "41", "--d", "5", "--r", "32", "--format", "json"]) == 0
+        assert (1, SpecializationConfig(41, 5, 32)) in walked
+        assert '"blocker"' in capsys.readouterr().out
 
 
 class TestExclusionDb:
