@@ -68,6 +68,9 @@ class CandidateTriple(_CandidateTriple):
             raise InvalidInput(f"t and m must be positive, got t={t}, m={m}")
         return super().__new__(cls, n, t, m, k)
 
+    # _replace builds through _make, so both validate as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     @property
     def mult_sum(self) -> int:
         return self.m * self.n + self.k

@@ -97,7 +97,7 @@ from __future__ import annotations
 from itertools import accumulate, groupby
 from math import isqrt
 from operator import add, lt
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .lattice import DomainError, InvalidInput, ceil_sqrt
 
@@ -132,6 +132,9 @@ class SpecializationConfig(_SpecializationConfig):
         if r > n:
             raise InvalidInput(f"r = {r} exceeds n = {n}")
         return self
+
+    # _replace builds through _make, so both validate as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def g(self) -> int:
@@ -426,13 +429,14 @@ def semiuniformize(n: int, m: int, k: int) -> tuple[int, ...]:
     return (m + k,) + (m,) * (n - 1)
 
 
-def alpha_lb_closed(n: int, m: int, k: int, cfg: Optional[SpecializationConfig] = None) -> int:
+def alpha_lb_closed(n: int, m: int, k: int, cfg: SpecializationConfig) -> int:
     """Closed-form bound 1 + min(floor((mr+k+g-1)/d), s + u*d) for alpha.
 
-    Uses the default specialization of n, the only one the form is proved
-    for: cfg, when given, must be it (is_excluded passes the one it holds),
-    and is built once otherwise.  Requires k^2 <= m and m < n when k != 0
-    (the uniform k = 0 case is valid for every m >= 1).  u and rho split the
+    cfg must be the default specialization of n, the only one the form is
+    proved for; the callers check cfg.is_default(), since is_excluded needs
+    that test anyway to choose between this and the walk.  Requires
+    k^2 <= m and m < n when k != 0 (the uniform k = 0 case is valid for
+    every m >= 1).  u and rho split the
     total multiplicity as m*n + k = u*r + rho with 0 < rho <= r, and s is
     the largest integer with (s+1)(s+2) <= 2*rho and 0 <= s < d, that is
     min(d - 1, floor((sqrt(8*rho + 1) - 3) / 2)).  When k < 0 and
@@ -440,12 +444,6 @@ def alpha_lb_closed(n: int, m: int, k: int, cfg: Optional[SpecializationConfig] 
     For k = 0 the value equals alpha_lower_bound((m,)*n, cfg) (see the
     module docstring).
     """
-    if cfg is None:
-        cfg = SpecializationConfig.default(n)
-    elif cfg.n != n:
-        raise InvalidInput(f"specialization is for n = {cfg.n}, not n = {n}")
-    elif not cfg.is_default():
-        raise DomainError(f"closed form is proved for the default specialization only, got {cfg}")
     if m < 1 or k * k > m or (k != 0 and m >= n):
         raise DomainError(f"closed form needs k^2 <= m (and m < n unless k = 0), got m={m}, k={k}")
     d, r, g = cfg.d, cfg.r, cfg.g

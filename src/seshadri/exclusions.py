@@ -77,6 +77,9 @@ class ExclusionDb(_ExclusionDb):
                 raise InvalidInput("every exclusion entry needs a nonempty source")
         return super().__new__(cls, entries, enabled_sources)
 
+    # _replace builds through _make, so both validate as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def with_sources(self, enable: tuple[str, ...] = (), disable: tuple[str, ...] = ()) -> "ExclusionDb":
         """Copy with these sources switched on and then these switched off.
 

@@ -77,6 +77,9 @@ class QuadraticExpr(_QuadraticExpr):
             raise DomainError(f"radicand must be >= 0, got {self.q}")
         return self
 
+    # _replace builds through _make, so both validate as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
     def __float__(self) -> float:
         # Display only; never used in a decision.
         return float(self.a) + float(self.b) * float(self.q) ** 0.5

@@ -173,9 +173,9 @@ def test_criterion_5_degree_bound_goldens():
     cfg = SpecializationConfig.default(10)
     ok = (
         alpha_lower_bound((1,) * 10, cfg) == 4
-        and alpha_lb_closed(10, 56, 0) == 169
-        and alpha_lb_closed(10, 25, 0) == 76
-        and alpha_lb_closed(10, 2, -1) == 6
+        and alpha_lb_closed(10, 56, 0, cfg) == 169
+        and alpha_lb_closed(10, 25, 0, cfg) == 76
+        and alpha_lb_closed(10, 2, -1, cfg) == 6
     )
     report("criterion 5: degree-bound engine golden values", ok,
            "alpha(1^10)=4, closed(56,0)=169, closed(25,0)=76, closed(2,-1)=6")
@@ -219,7 +219,7 @@ def test_criterion_6_property_suites():
                 assert step.dot_c <= d * t - m * r, (n, m, k, t, step.index)
         # dominance of the generic engine over the closed form
         if k * k <= m and (k == 0 or m < n):
-            assert alpha_lower_bound(semiuniformize(n, m, k), cfg) >= alpha_lb_closed(n, m, k)
+            assert alpha_lower_bound(semiuniformize(n, m, k), cfg) >= alpha_lb_closed(n, m, k, cfg)
         cases += 1
     details.append("traces x1000")
 

@@ -57,6 +57,31 @@ def test_validation_keeps_its_exception_and_message(make, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: CandidateTriple(10, 3, 1, 0)._replace(t=0), InvalidInput,
+     "t and m must be positive, got t=0, m=1"),
+    (lambda: CandidateTriple._make((9, 3, 1, 0)), DomainError,
+     "candidate analysis requires n >= 10, got 9"),
+    (lambda: SpecializationConfig.default(10)._replace(r=11), InvalidInput, "r = 11 exceeds n = 10"),
+    (lambda: QuadraticExpr(1, 2, 3)._replace(q=-1), DomainError, "radicand must be >= 0, got -1"),
+    (lambda: QuadraticExpr._make((1, 2, -1)), DomainError, "radicand must be >= 0, got -1"),
+    (lambda: default_db()._replace(entries=(ExplicitClass(10, 3, 1, 0, ""),)), InvalidInput,
+     "every exclusion entry needs a nonempty source"),
+])
+def test_replace_and_make_validate_like_the_constructor(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_replace_keeps_the_type_and_coercion():
+    c = CandidateTriple(10, 3, 1, 0)._replace(t=5)
+    assert type(c) is CandidateTriple and c == CandidateTriple(10, 5, 1, 0)
+    x = QuadraticExpr(1, 2, 3)._replace(b=Fraction(1, 2))
+    assert type(x) is QuadraticExpr and all(type(part) is Fraction for part in x)
+
+
 def test_quadratic_parts_are_fractions():
     x = QuadraticExpr(1, Fraction(1, 2), 3)
     assert x == (Fraction(1), Fraction(1, 2), Fraction(3))
