@@ -137,10 +137,20 @@ class _Cache:
     That is, no blocker means budget-limited with mu = cap + 1; a
     budget-limited report has both coverage fields at the cap and
     mu <= cap + 1; any other report has a blocker and mu at most both
-    coverage fields.  flush replaces the file atomically.  Keys carry the
-    package version, so a report cached by another release is recomputed,
-    not served.
+    coverage fields.  Keys carry the package version, so a report cached by
+    another release is recomputed, not served.
+
+    key hashes a database (see ExclusionDb.digest) only when it is not the
+    one of the previous key.  A command keys every report with one
+    database, so it hashes once; a cache with no path neither keys nor
+    stores anything, so it never hashes.  flush replaces the file
+    atomically with sorted compact JSON, written by json.dumps's C encoder.
+    Any layout of the same object reads back, so a file written with
+    indentation by an earlier release is still served.
     """
+
+    # (db, db.digest()) of the last key made; the database is immutable
+    _last_digest: tuple = (None, "")
 
     def __init__(self, path: Optional[str]):
         self.path = path
@@ -158,11 +168,17 @@ class _Cache:
 
     @staticmethod
     def key(n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> str:
-        return f"n={n}|d={cfg.d}|r={cfg.r}|db={db.digest()}|cap={cap}|v={__version__}"
+        last, digest = _Cache._last_digest
+        if db is not last:
+            digest = db.digest()
+            _Cache._last_digest = (db, digest)
+        return f"n={n}|d={cfg.d}|r={cfg.r}|db={digest}|cap={cap}|v={__version__}"
 
     def get(self, n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> Optional[BoundReport]:
         """The report cached for (n, cfg, db, cap), or None when there is
         none or it is malformed."""
+        if not self.data:
+            return None
         key = self.key(n, cfg, db, cap)
         if key not in self.data:
             return None
@@ -190,16 +206,18 @@ class _Cache:
     def put(self, db: ExclusionDb, rep: BoundReport) -> None:
         """Cache rep, computed with db, under the key of its own n,
         configuration and m cap."""
+        if not self.path:
+            return
         self.data[self.key(rep.n, rep.cfg, db, rep.m_budget_cap)] = report_to_json_dict(rep)
         self.dirty = True
 
     def flush(self) -> None:
         if self.path and self.dirty:
+            text = json.dumps(self.data, sort_keys=True, separators=(",", ":")) + "\n"
             tmp = f"{self.path}.{os.getpid()}.tmp"
             try:
                 with open(tmp, "w", encoding="utf-8") as fh:
-                    json.dump(self.data, fh, sort_keys=True, indent=1)
-                    fh.write("\n")
+                    fh.write(text)
                 os.replace(tmp, self.path)
             finally:
                 if os.path.exists(tmp):

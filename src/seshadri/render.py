@@ -8,7 +8,6 @@ truncated display form.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 from fractions import Fraction
@@ -155,6 +154,18 @@ def report_from_json_dict(d: dict) -> BoundReport:
     )
 
 
+def _csv_text(header: Sequence[str], rows) -> str:
+    """header and rows as CSV lines ending in "\\n".  csv is imported here,
+    so only a CSV command loads it."""
+    import csv
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def dumps(obj: dict) -> str:
     """Canonical JSON: sorted keys, stable separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
@@ -168,14 +179,11 @@ def render_candidates(cands: Sequence[CandidateTriple], fmt: str) -> str:
             lines.append(f"{c.t:>6} {c.m:>5} {c.k:>4}  {truncate2(e):>10}")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "m", "k", "e_num", "e_den", "e_trunc", "f_num", "f_den"])
-        for c, e in rows:
-            f = c.n * e
-            w.writerow([c.t, c.m, c.k, e.numerator, e.denominator,
-                        truncate2(e), f.numerator, f.denominator])
-        return buf.getvalue()
+        return _csv_text(
+            ["t", "m", "k", "e_num", "e_den", "e_trunc", "f_num", "f_den"],
+            ([c.t, c.m, c.k, e.numerator, e.denominator, truncate2(e), f.numerator, f.denominator]
+             for c, e, f in ((c, e, c.n * e) for c, e in rows)),
+        )
     if fmt == "json":
         return dumps({
             "candidates": [
@@ -207,21 +215,20 @@ def render_report(rep: BoundReport, fmt: str) -> str:
                 lines.append(f"  {c.label():>16}  e = {truncate2(e_value(c)):>9}  [{reason}]")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "f_num", "f_den", "f_trunc", "mu_num", "mu_den",
-                    "blocker_t", "blocker_m", "blocker_k",
-                    "m_checked_k0", "m_checked_knz", "budget_limited", "exclusions"])
         b = rep.blocker
-        w.writerow([
-            rep.n, rep.f.numerator, rep.f.denominator, truncate2(rep.f),
-            rep.mu.numerator, rep.mu.denominator,
-            b.t if b else "", b.m if b else "", b.k if b else "",
-            rep.coverage.m_checked_k0, rep.coverage.m_checked_knz,
-            int(rep.budget_limited),
-            ";".join(f"{c.label()}:{reason}" for c, reason in rep.exclusions_used),
-        ])
-        return buf.getvalue()
+        return _csv_text(
+            ["n", "f_num", "f_den", "f_trunc", "mu_num", "mu_den",
+             "blocker_t", "blocker_m", "blocker_k",
+             "m_checked_k0", "m_checked_knz", "budget_limited", "exclusions"],
+            [[
+                rep.n, rep.f.numerator, rep.f.denominator, truncate2(rep.f),
+                rep.mu.numerator, rep.mu.denominator,
+                b.t if b else "", b.m if b else "", b.k if b else "",
+                rep.coverage.m_checked_k0, rep.coverage.m_checked_knz,
+                int(rep.budget_limited),
+                ";".join(f"{c.label()}:{reason}" for c, reason in rep.exclusions_used),
+            ]],
+        )
     if fmt == "json":
         return dumps(report_to_json_dict(rep))
     raise ValueError(f"unknown format {fmt!r}")
@@ -239,18 +246,15 @@ def render_formulas(per_n: Sequence[tuple[int, Sequence[FormulaBound]]], fmt: st
                 lines.append(f"  {fb.name:<16} f = {truncate2_value(fb.value):>10}   [{fb.source}]")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["n", "name", "applicable", "f_trunc", "f_json", "source"])
-        for n, bounds in per_n:
-            for fb in bounds:
-                w.writerow([
-                    n, fb.name, int(fb.applicable),
-                    truncate2_value(fb.value) if fb.value is not None else "",
-                    json.dumps(value_to_json(fb.value), sort_keys=True) if fb.value is not None else "",
-                    fb.source,
-                ])
-        return buf.getvalue()
+        return _csv_text(
+            ["n", "name", "applicable", "f_trunc", "f_json", "source"],
+            ([
+                n, fb.name, int(fb.applicable),
+                truncate2_value(fb.value) if fb.value is not None else "",
+                json.dumps(value_to_json(fb.value), sort_keys=True) if fb.value is not None else "",
+                fb.source,
+            ] for n, bounds in per_n for fb in bounds),
+        )
     if fmt == "json":
         return dumps({
             "formulas": [

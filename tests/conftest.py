@@ -1,14 +1,18 @@
 """Shared reference implementations and helpers for the test suite."""
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
 from operator import add
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import pytest
 
+import seshadri
 from seshadri.bounds import DEFAULT_M_BUDGET_CAP, BoundReport, Coverage
 from seshadri.candidates import (
     CandidateTriple,
@@ -326,3 +330,13 @@ def rng():
     import random
 
     return random.Random(0x5E5)
+
+
+def fresh_python(code: str) -> str:
+    """stdout of code run in a new interpreter that imports the package
+    under test; a nonzero exit raises.  -S -E: no site hooks or
+    environment, so only the package's own imports count."""
+    root = str(Path(seshadri.__file__).resolve().parent.parent)
+    code = f"import sys\nsys.path.insert(0, {root!r})\n" + code
+    return subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True).stdout

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import seshadri.exclusions as exclusions
+from conftest import fresh_python
 from seshadri import cli
 from seshadri.bounds import DEFAULT_M_BUDGET_CAP, compute_bound
 from seshadri.candidates import CandidateTriple
@@ -24,6 +28,7 @@ from seshadri.render import (
 from seshadri.lattice import QuadraticExpr
 
 Q = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +82,28 @@ class TestCandidatesCommand:
         assert Q(int(row["e"]["num"]), int(row["e"]["den"])) == Q(123904, 11 * 308)
         # f = n*e, in lowest terms
         assert row["f"] == {"num": "2816", "den": "7"}
+
+
+class TestCsvOutput:
+    # pinned as printed before csv left the import path
+    @pytest.mark.parametrize("argv, golden", [
+        (["bound", "--n", "12", "--format", "csv"], "bound-12.csv"),
+        (["formulas", "--n", "10..12", "--format", "csv"], "formulas-10..12.csv"),
+    ])
+    def test_pinned(self, capsys, argv, golden):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_fresh_interpreter(self):
+        # csv is imported on first use, so a process that has not loaded it
+        # still prints CSV
+        out = fresh_python(
+            "import seshadri.cli\n"
+            "assert 'csv' not in sys.modules\n"
+            "sys.exit(seshadri.cli.main(['bound', '--n', '12', '--format', 'csv']))\n"
+        )
+        assert out == (GOLDEN / "bound-12.csv").read_text(encoding="utf-8")
 
 
 class TestAlphaCommand:
@@ -297,15 +324,81 @@ class TestCacheRobustness:
         c = _Cache(str(cache))
         c.put(default_db(), compute_bound(11))
 
-        def broken_dump(obj, fh, **kwargs):
-            fh.write('{"partial')
+        def disk_full(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", broken_dump)
-        with pytest.raises(OSError):
-            c.flush()
-        assert cache.read_text() == '{"old": 1}\n'
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+        # encoding fails before the temporary file is written, the rename
+        # after it
+        for module, name in ((json, "dumps"), (os, "replace")):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, disk_full)
+                with pytest.raises(OSError):
+                    c.flush()
+            assert cache.read_text() == '{"old": 1}\n'
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
+    def test_file_is_sorted_compact_json(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+        text = cache.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--table", "B"),
+        ("bound", "--n", "12", "--format", "json"),
+    ], ids=["verify-B", "bound-12"])
+    def test_indented_file_of_an_earlier_release_is_served(self, capsys, tmp_path, monkeypatch, argv):
+        cache = tmp_path / "cache.json"
+        code, cold, err = run_cli(capsys, "--cache", str(cache), *argv)
+        assert (code, err) == (0, "")
+        data = json.loads(cache.read_text(encoding="utf-8"))
+        with open(cache, "w", encoding="utf-8") as fh:
+            # the layout that releases before the compact one wrote
+            json.dump(data, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        indented = cache.read_bytes()
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a report was recomputed on a warm cache")
+
+        monkeypatch.setattr(cli, "bounds_for_ns", no_compute)
+        monkeypatch.setattr(cli, "compute_bound", no_compute)
+        assert run_cli(capsys, "--cache", str(cache), *argv) == (0, cold, "")
+        assert cache.read_bytes() == indented
+
+
+class TestCacheHashing:
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = []
+        sha256_hex = exclusions._sha256_hex
+
+        def counted(data):
+            calls.append(data)
+            return sha256_hex(data)
+
+        monkeypatch.setattr(exclusions, "_sha256_hex", counted)
+        return calls
+
+    def test_once_per_cached_command(self, capsys, tmp_path, hashes):
+        cache = tmp_path / "cache.json"
+        for run in ("cold", "warm"):
+            hashes.clear()
+            code, _, err = run_cli(capsys, "--cache", str(cache), "verify", "--table", "B")
+            assert (code, err) == (0, "")
+            assert len(hashes) == 1, run
+
+    def test_never_without_a_cache(self, capsys, hashes):
+        code, _, _ = run_cli(capsys, "verify", "--table", "B")
+        assert code == 0 and hashes == []
+
+    def test_key_hashes_a_new_database(self, hashes):
+        cfg, cap = SpecializationConfig.default(12), DEFAULT_M_BUDGET_CAP
+        db, other = default_db(), default_db().with_sources(disable=("Miranda",))
+        keys = [_Cache.key(12, cfg, d, cap) for d in (db, db, other, db)]
+        assert len(hashes) == 3
+        assert keys[0] == keys[1] == keys[3] != keys[2]
+        assert keys[0].split("|")[3] == f"db={db.digest()}"
 
 
 class TestCacheVersion:

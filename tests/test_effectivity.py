@@ -1,6 +1,7 @@
 """Unloading engine, specialization traces, degree bounds, exclusions."""
 from __future__ import annotations
 
+import hashlib
 import random
 from math import isqrt
 
@@ -789,6 +790,20 @@ class TestExclusionDb:
         # the digest is part of every cache key: a new encoding of the same
         # entries must not move it
         assert default_db().with_sources(**change).digest() == digest
+
+    @given(st.binary(max_size=1100))
+    @example(b"")
+    @example(b"\x00" * 55)
+    @example(b"a" * 56)
+    @example(b"\xff" * 63)
+    @example(b"b" * 64)
+    @example(b"c" * 119)
+    @example(b"d" * 120)
+    @example(bytes(range(256)) * 3 + bytes(232))
+    def test_sha256_matches_hashlib(self, data):
+        # lengths 55, 56, 63, 64, 119 and 120 sit on either side of the
+        # padding's block boundaries; 1000 spans sixteen blocks
+        assert exclusions._sha256_hex(data) == hashlib.sha256(data).hexdigest()
 
     def test_empty_source_rejected(self):
         with pytest.raises(InvalidInput):

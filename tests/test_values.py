@@ -1,17 +1,15 @@
 """The package's value types: immutable named tuples that validate where
 they enter, print as Name(field=value), pickle for the process pool, and
-keep dataclasses and inspect off the import path."""
+keep dataclasses and inspect off the import path (and hashlib and csv with
+them)."""
 from __future__ import annotations
 
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import seshadri
+from conftest import fresh_python
 from seshadri.bounds import BestKnown, BoundReport, Coverage, FormulaBound, compute_bound
 from seshadri.candidates import CandidateTriple
 from seshadri.effectivity import (
@@ -151,15 +149,24 @@ def test_pickle_round_trips(value):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # -S -E: no site hooks or environment, so only the package's own
-    # imports count
-    root = str(Path(seshadri.__file__).resolve().parent.parent)
-    code = (
-        "import sys\n"
-        f"sys.path.insert(0, {root!r})\n"
+    # hashlib's _hashlib loads OpenSSL's libcrypto; csv is needed only for
+    # CSV output
+    out = fresh_python(
         "import seshadri.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', '_hashlib', 'hashlib', 'csv'} & set(sys.modules)))\n"
     )
-    out = subprocess.run([sys.executable, "-S", "-E", "-c", code],
-                         capture_output=True, text=True, timeout=60, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cached_verify_never_loads_hashlib(tmp_path):
+    # a cold run hashes the database to key what it writes, a warm one to
+    # key what it reads
+    out = fresh_python(
+        "import contextlib, io\n"
+        "import seshadri.cli\n"
+        "for run in ('cold', 'warm'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        code = seshadri.cli.main(['--cache', {str(tmp_path / 'c.json')!r}, 'verify', '--table', 'B'])\n"
+        "    print(run, code, '_hashlib' in sys.modules)\n"
+    )
+    assert out == "cold 0 False\nwarm 0 False\n"
