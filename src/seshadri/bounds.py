@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 from math import ceil, isqrt
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 from .candidates import CandidateTriple, e_value, enumerate_szcor
 from .effectivity import SpecializationConfig
@@ -28,12 +28,11 @@ from .lattice import (
     Q,
     QuadraticExpr,
     Rational,
+    Value,
     compare_values,
     is_square,
     sign_of,
 )
-
-BoundValue = Union[Fraction, QuadraticExpr]
 
 # A candidate's place in the walk: (e, sort_key), unique per candidate.
 _Key = tuple[Fraction, tuple[int, ...]]
@@ -93,6 +92,8 @@ def compute_bound(
         db = default_db()
     if cfg is None:
         cfg = SpecializationConfig.default(n)
+    elif cfg.n != n:
+        raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {n}")
 
     # best is the least survivor so far, with its key.  That key never goes
     # up, so each candidate keyed below the final one was decided in its own
@@ -175,12 +176,16 @@ def bounds_for_ns(
 
 
 class FormulaBound(NamedTuple):
-    """One evaluable closed-form bound: its f(n) value when applicable."""
+    """One evaluable closed-form bound: its f(n) value, None when the
+    formula does not apply."""
 
     name: str
-    applicable: bool
-    value: Optional[BoundValue]
+    value: Optional[Value]
     source: str
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
 
 def formula_theoremone(n: int) -> list[FormulaBound]:
@@ -197,35 +202,20 @@ def formula_theoremone(n: int) -> list[FormulaBound]:
         return []
     d = isqrt(n)
     delta = n - d * d
-    out = []
-    out.append(
-        FormulaBound("theoremone-a", delta == 1, Q((2 * n - 1) ** 2) if delta == 1 else None,
-                     "Delta=1 case (Biran)")
-    )
-    out.append(
-        FormulaBound("theoremone-b", delta == 2, Q(n * (n - 1)) if delta == 2 else None,
-                     "Delta=2 case")
-    )
-    c_ok = delta > 2 and delta % 2 == 1
-    out.append(
-        FormulaBound("theoremone-c", c_ok, Q(n * (d * (d - 3) + 1)) if c_ok else None,
-                     "odd Delta > 2 case")
-    )
-    d_ok = delta > 3 and delta % 2 == 0
-    out.append(
-        FormulaBound("theoremone-d", d_ok, Q(n * (d * (d - 3) + 2), 2) if d_ok else None,
-                     "even Delta > 3 case")
-    )
-    e_ok = delta % 2 == 1 and 2 * d - 1 > delta and (delta - 1) ** 4 >= 256 * n
-    out.append(
-        FormulaBound("theoremone-e", e_ok, Q(n * n) if e_ok else None,
-                     "large odd Delta case")
-    )
-    f_ok = delta == 2 * d - 1
+    odd = delta % 2 == 1
+    e_ok = odd and 2 * d - 1 > delta and (delta - 1) ** 4 >= 256 * n
     # n*(n*sqrt(n) - 5n + 5*sqrt(n) - 1)/2 = -n(5n+1)/2 + (n(n+5)/2) * sqrt(n)
-    f_val = QuadraticExpr(Q(-n * (5 * n + 1), 2), Q(n * (n + 5), 2), Q(n)) if f_ok else None
-    out.append(FormulaBound("theoremone-f", f_ok, f_val, "Delta=2d-1 case"))
-    return out
+    f_val = QuadraticExpr(Q(-n * (5 * n + 1), 2), Q(n * (n + 5), 2), Q(n)) if delta == 2 * d - 1 else None
+    return [
+        FormulaBound("theoremone-a", Q((2 * n - 1) ** 2) if delta == 1 else None, "Delta=1 case (Biran)"),
+        FormulaBound("theoremone-b", Q(n * (n - 1)) if delta == 2 else None, "Delta=2 case"),
+        FormulaBound("theoremone-c", Q(n * (d * (d - 3) + 1)) if delta > 2 and odd else None,
+                     "odd Delta > 2 case"),
+        FormulaBound("theoremone-d", Q(n * (d * (d - 3) + 2), 2) if delta > 3 and not odd else None,
+                     "even Delta > 3 case"),
+        FormulaBound("theoremone-e", Q(n * n) if e_ok else None, "large odd Delta case"),
+        FormulaBound("theoremone-f", f_val, "Delta=2d-1 case"),
+    ]
 
 
 def formula_correm_and_circ(n: int) -> list[FormulaBound]:
@@ -235,10 +225,10 @@ def formula_correm_and_circ(n: int) -> list[FormulaBound]:
         raise DomainError(f"formulas require n >= 10, got {n}")
     quad = QuadraticExpr(Q(n * n, 2), Q(-5 * n, 2), Q(n))
     return [
-        FormulaBound("correm-21", True, Q(21 * (n - 2)), "uniform m < 21 (CCMO)"),
-        FormulaBound("correm-42", True, Q(42 * (n - 2)), "uniform m <= 42 (Dumnicki)"),
-        FormulaBound("correm-quad", True, quad, "uniform quadratic case"),
-        FormulaBound("circ", True, Q(21 * n), "almost-uniform refinement of CCMO"),
+        FormulaBound("correm-21", Q(21 * (n - 2)), "uniform m < 21 (CCMO)"),
+        FormulaBound("correm-42", Q(42 * (n - 2)), "uniform m <= 42 (Dumnicki)"),
+        FormulaBound("correm-quad", quad, "uniform quadratic case"),
+        FormulaBound("circ", Q(21 * n), "almost-uniform refinement of CCMO"),
     ]
 
 
@@ -300,7 +290,7 @@ def lemcc_hypothesis(n: int, mu: Rational) -> bool:
 
 
 class BestKnown(NamedTuple):
-    f_best: BoundValue
+    f_best: Value
     source: str
 
 
@@ -310,7 +300,7 @@ def reference_entries(n: int) -> list[FormulaBound]:
 
     if n in REFERENCE_F:
         value, source = REFERENCE_F[n]
-        return [FormulaBound("reference-table", True, Q(value), source)]
+        return [FormulaBound("reference-table", Q(value), source)]
     return []
 
 
@@ -326,16 +316,13 @@ def all_formula_bounds(n: int, db: Optional[ExclusionDb] = None) -> list[Formula
     for fb in formula_theoremone(n) + formula_correm_and_circ(n):
         dep = FORMULA_SOURCE_DEPS.get(fb.name)
         if dep is not None and dep not in db.enabled_sources:
-            fb = FormulaBound(fb.name, False, None, fb.source)
+            fb = fb._replace(value=None)
         out.append(fb)
-    lemcc_ok = n >= 17 and not is_square(n)
-    if lemcc_ok:
+    lemcc = None
+    if n >= 17 and not is_square(n):
         m = mu_n(n)
-        applicable = lemcc_hypothesis(n, m)
-        out.append(FormulaBound("lemcc", applicable, Q(n * m) if applicable else None,
-                                "explicit uniform-degree certificate"))
-    else:
-        out.append(FormulaBound("lemcc", False, None, "explicit uniform-degree certificate"))
+        lemcc = Q(n * m) if lemcc_hypothesis(n, m) else None
+    out.append(FormulaBound("lemcc", lemcc, "explicit uniform-degree certificate"))
     out.extend(reference_entries(n))
     return out
 
@@ -345,10 +332,10 @@ def best_known(n: int, report: BoundReport, db: Optional[ExclusionDb] = None) ->
     embedded reference values; ties resolve toward the algorithmic result."""
     if n < 10:
         raise DomainError(f"requires n >= 10, got {n}")
-    best: BoundValue = report.f
+    best: Value = report.f
     source = "algorithm"
     for fb in all_formula_bounds(n, db=db):
-        if not fb.applicable or fb.value is None:
+        if fb.value is None:
             continue
         if compare_values(fb.value, best) > 0:
             best = fb.value

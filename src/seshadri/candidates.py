@@ -128,7 +128,13 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
     condition (b) bounds t, and each t in that window admits only
     k = floor((t^2 - m^2*n) / (2m)), which `szcor_conditions` then checks
     (see the module docstring).  O(sqrt(m/n) + 1) work per m >= n.
-    Deterministic.
+
+    The order needs no sort.  m increases and each m emits its k = 0 class
+    first.  Below m = n, k = (t^2 - m^2*n) / (2m) grows with t over
+    t = tm, tm + 1.  From m = n on, every t in the window has
+    t^2 >= m^2*n + 2m*k_min > m^2*(n - 2) >= 8m^2, so t > 2m and each step
+    t -> t + 1 adds 2t + 1 > 2m to t^2: k = floor((t^2 - m^2*n) / (2m))
+    strictly increases with t.
     """
     if n < 10:
         raise DomainError(f"enumeration requires n >= 10, got {n}")
@@ -167,7 +173,6 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
                 k = (t * t - base) // (2 * m)
                 if k != 0 and szcor_conditions(n, t, m, k):
                     out.append(CandidateTriple(n, t, m, k))
-    out.sort(key=CandidateTriple.sort_key)
     return out
 
 

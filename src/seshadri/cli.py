@@ -57,7 +57,6 @@ from .render import (
     report_from_json_dict,
     report_to_json_dict,
     truncate2,
-    truncate2_value,
 )
 from .tables import TABLE_A, TABLE_B, TABLE_B_BY_N, implied_f
 
@@ -362,7 +361,7 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
         if row is None:
             bk = best_known(n, rep, db)
             line = (f"{head} no table row, blocker {survivor}; "
-                    f"best known {truncate2_value(bk.f_best)} ({bk.source})")
+                    f"best known {truncate2(bk.f_best)} ({bk.source})")
         else:
             rows += 1
             target = implied_f(row)

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Union
 
 from .candidates import CandidateTriple
 from .effectivity import SpecializationConfig, alpha_lb_closed, alpha_lower_bound, semiuniformize
-from .lattice import InvalidInput
+from .lattice import DomainError, InvalidInput
 
 
 class UniformBound(NamedTuple):
@@ -91,13 +91,10 @@ class ExclusionDb(_ExclusionDb):
         sources = (self.enabled_sources | set(enable)) - set(disable)
         return ExclusionDb(self.entries, frozenset(sources))
 
-    def active_entries(self) -> tuple[Entry, ...]:
-        return tuple(e for e in self.entries if e.source in self.enabled_sources)
-
     def ruling(self, c: CandidateTriple) -> Optional[str]:
         """Source of the first enabled entry declaring c non-effective."""
-        for e in self.active_entries():
-            if e.applies(c):
+        for e in self.entries:
+            if e.source in self.enabled_sources and e.applies(c):
                 return e.source
         return None
 
@@ -271,8 +268,11 @@ def is_excluded(
     falls below the certified lower bound for the degree of any curve with
     its multiplicities.  Never claims effectiveness.  A uniform (k = 0)
     class under the default configuration gets that bound in closed form,
-    equal to the walk's (see the effectivity module docstring).
+    equal to the walk's (see the effectivity module docstring).  Raises
+    DomainError when cfg is the specialization of another n.
     """
+    if c.n != cfg.n:
+        raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {c.n}")
     source = db.ruling(c)
     if source is not None:
         return ExclusionResult(True, source)

@@ -10,8 +10,9 @@ Kept here, with the package's two error types:
 Divisor classes t*L - m_1*E_1 - ... - m_n*E_n are plain data where they are
 used: a degree and a multiplicity tuple.
 
-No floating point is used anywhere; decisions that look like "t < m*sqrt(n)"
-are settled by comparing squares of integers or rationals.
+No floating point is used anywhere, display included (render.truncate2
+floors a surd with isqrt); decisions that look like "t < m*sqrt(n)" are
+settled by comparing squares of integers or rationals.
 """
 from __future__ import annotations
 
@@ -80,9 +81,9 @@ class QuadraticExpr(_QuadraticExpr):
     # _replace builds through _make, so both validate as the constructor does.
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __float__(self) -> float:
-        # Display only; never used in a decision.
-        return float(self.a) + float(self.b) * float(self.q) ** 0.5
+
+# A closed-form value: a rational, or a surd in Q(sqrt(n)).
+Value = Union[Fraction, QuadraticExpr]
 
 
 def sign_of(x: QuadraticExpr) -> int:

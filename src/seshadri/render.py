@@ -11,49 +11,42 @@ from __future__ import annotations
 import io
 import json
 from fractions import Fraction
-from typing import Sequence, Union
+from math import isqrt, lcm
+from typing import Sequence
 
 from .bounds import BoundReport, Coverage, FormulaBound
 from .candidates import CandidateTriple, e_value
 from .effectivity import SpecializationConfig, UnloadingTrace
-from .lattice import QuadraticExpr, sign_of
-
-Value = Union[Fraction, QuadraticExpr]
+from .lattice import QuadraticExpr, Value
 
 
-def truncate2(x: Fraction) -> str:
-    """Decimal expansion of x truncated (toward zero) to two places,
-    trailing zeros trimmed: 313600/310 -> '1011.61', 361/10 -> '36.1'."""
-    if x < 0:
-        return "-" + truncate2(-x)
-    scaled = (x.numerator * 100) // x.denominator
+def truncate2(x: Value) -> str:
+    """Decimal expansion of a rational or surd x truncated (toward zero) to
+    two places, trailing zeros trimmed: 313600/310 -> '1011.61',
+    361/10 -> '36.1', -497 + 133*sqrt(14) -> '0.64'.
+
+    With q = v/w, sqrt(q) = sqrt(v*w)/w, so over a common denominator
+    100*x = (p + s*sqrt(v*w)) / den with integers p, s and den > 0.  The
+    floor of s*sqrt(v*w) is isqrt(s^2*v*w) when s >= 0 and minus the
+    ceiling of that root when s < 0, and flooring the numerator before the
+    division by den keeps the floor.  A negative floor means x < 0, and
+    then -x is floored the same way.
+    """
+    a, b, q = x if isinstance(x, QuadraticExpr) else (x, 0, 0)
+    den = lcm(a.denominator, b.denominator * q.denominator)
+    p = 100 * a.numerator * (den // a.denominator)
+    s = 100 * b.numerator * (den // (b.denominator * q.denominator))
+    m = s * s * q.numerator * q.denominator
+    root = isqrt(m)
+    up = root + (root * root != m)
+    scaled = (p + (root if s >= 0 else -up)) // den
+    sign = ""
+    if scaled < 0:
+        sign, scaled = "-", (-p + (root if s <= 0 else -up)) // den
     whole, frac = divmod(scaled, 100)
     if frac == 0:
-        return str(whole)
-    return f"{whole}.{frac:02d}".rstrip("0")
-
-
-def qx_floor_scaled(x: QuadraticExpr, scale: int = 1) -> int:
-    """Exact floor(scale * (a + b*sqrt(q))), using float only as a seed."""
-    v = QuadraticExpr(x.a * scale, x.b * scale, x.q)
-    z = int(float(v))
-    while sign_of(QuadraticExpr(v.a - z, v.b, v.q)) < 0:
-        z -= 1
-    while sign_of(QuadraticExpr(v.a - (z + 1), v.b, v.q)) >= 0:
-        z += 1
-    return z
-
-
-def truncate2_value(x: Value) -> str:
-    """Truncated display of a rational or surd value (toward zero)."""
-    if isinstance(x, Fraction):
-        return truncate2(x)
-    neg = sign_of(x) < 0
-    y = QuadraticExpr(-x.a, -x.b, x.q) if neg else x
-    scaled = qx_floor_scaled(y, 100)
-    whole, frac = divmod(scaled, 100)
-    s = str(whole) if frac == 0 else f"{whole}.{frac:02d}".rstrip("0")
-    return "-" + s if neg else s
+        return sign + str(whole)
+    return sign + f"{whole}.{frac:02d}".rstrip("0")
 
 
 def fraction_to_json(x: Fraction) -> dict:
@@ -239,18 +232,18 @@ def render_formulas(per_n: Sequence[tuple[int, Sequence[FormulaBound]]], fmt: st
         lines = []
         for n, bounds in per_n:
             lines.append(f"n = {n}:")
-            applicable = [fb for fb in bounds if fb.applicable and fb.value is not None]
+            applicable = [fb for fb in bounds if fb.applicable]
             if not applicable:
                 lines.append("  (no applicable formulas; n may be a square)")
             for fb in applicable:
-                lines.append(f"  {fb.name:<16} f = {truncate2_value(fb.value):>10}   [{fb.source}]")
+                lines.append(f"  {fb.name:<16} f = {truncate2(fb.value):>10}   [{fb.source}]")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         return _csv_text(
             ["n", "name", "applicable", "f_trunc", "f_json", "source"],
             ([
                 n, fb.name, int(fb.applicable),
-                truncate2_value(fb.value) if fb.value is not None else "",
+                truncate2(fb.value) if fb.value is not None else "",
                 json.dumps(value_to_json(fb.value), sort_keys=True) if fb.value is not None else "",
                 fb.source,
             ] for n, bounds in per_n for fb in bounds),
@@ -265,7 +258,7 @@ def render_formulas(per_n: Sequence[tuple[int, Sequence[FormulaBound]]], fmt: st
                             "name": fb.name,
                             "applicable": fb.applicable,
                             "value": value_to_json(fb.value) if fb.value is not None else None,
-                            "trunc": truncate2_value(fb.value) if fb.value is not None else None,
+                            "trunc": truncate2(fb.value) if fb.value is not None else None,
                             "source": fb.source,
                         }
                         for fb in bounds

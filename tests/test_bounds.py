@@ -69,6 +69,10 @@ class TestComputeBound:
         with pytest.raises(DomainError):
             compute_bound(9)
 
+    def test_config_for_another_n_rejected(self):
+        with pytest.raises(DomainError, match="configured for n = 40, not n = 41"):
+            compute_bound(41, cfg=SpecializationConfig.default(40))
+
     def test_budget_limited_report(self):
         rep = compute_bound(10, m_budget_cap=5)
         assert rep.budget_limited

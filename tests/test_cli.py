@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import seshadri.exclusions as exclusions
 from conftest import fresh_python
@@ -23,9 +25,8 @@ from seshadri.render import (
     report_from_json_dict,
     report_to_json_dict,
     truncate2,
-    truncate2_value,
 )
-from seshadri.lattice import QuadraticExpr
+from seshadri.lattice import QuadraticExpr, sign_of
 
 Q = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,10 +51,28 @@ class TestTruncation:
         assert truncate2(Q(519841, 10)) == "51984.1"
 
     def test_surd_values(self):
-        assert truncate2_value(QuadraticExpr(-497, 133, 14)) == "0.64"
-        assert truncate2_value(QuadraticExpr(0, 1, 2)) == "1.41"
-        assert truncate2_value(QuadraticExpr(0, -1, 2)) == "-1.41"
-        assert truncate2_value(QuadraticExpr(0, 1, 4)) == "2"
+        assert truncate2(QuadraticExpr(-497, 133, 14)) == "0.64"
+        assert truncate2(QuadraticExpr(0, 1, 2)) == "1.41"
+        assert truncate2(QuadraticExpr(0, -1, 2)) == "-1.41"
+        assert truncate2(QuadraticExpr(0, 1, 4)) == "2"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(), st.fractions(), st.fractions(min_value=0))
+    @example(Q(3), Q(-1), Q(4))  # b*sqrt(q) a negative integer: the root is its own ceiling
+    @example(Q(1, 200), Q(3, 400), Q(1))  # the fractional parts of a and b*sqrt(q) carry
+    @example(Q(1, 3), Q(2, 7), Q(5, 11))  # q not an integer
+    @example(Q(-29, 100), Q(0), Q(0))
+    @example(Q(1, 1000), Q(-1, 100), Q(4))
+    def test_is_the_exact_floor(self, a, b, q):
+        # |x| lies in [z/100, (z+1)/100) for the printed magnitude z/100
+        x = QuadraticExpr(a, b, q)
+        text = truncate2(a if b == 0 else x)
+        neg = text.startswith("-")
+        z = Q(text.lstrip("-")) * 100
+        assert z.denominator == 1 and neg == (sign_of(x) < 0)
+        mag = QuadraticExpr(-a, -b, q) if neg else x
+        assert sign_of(QuadraticExpr(mag.a - z / 100, mag.b, q)) >= 0
+        assert sign_of(QuadraticExpr(mag.a - (z + 1) / 100, mag.b, q)) < 0
 
 
 class TestCandidatesCommand:
@@ -104,6 +123,21 @@ class TestCsvOutput:
             "sys.exit(seshadri.cli.main(['bound', '--n', '12', '--format', 'csv']))\n"
         )
         assert out == (GOLDEN / "bound-12.csv").read_text(encoding="utf-8")
+
+
+class TestDisplayGoldens:
+    # pinned as printed before the surd and rational truncations merged: the
+    # formulas send every applicable surd through truncate2, and the sweep
+    # lines print best_known values
+    @pytest.mark.parametrize("argv, golden", [
+        (["formulas", "--n", "10..99"], "formulas-10..99.txt"),
+        (["formulas", "--n", "10..30", "--format", "json"], "formulas-10..30.json"),
+        (["sweep", "--n", "100..110"], "sweep-100..110.txt"),
+    ])
+    def test_pinned(self, capsys, argv, golden):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 class TestAlphaCommand:
@@ -466,7 +500,8 @@ class TestExclusionDbInput:
         from seshadri.exclusions import ExclusionDb
 
         db = ExclusionDb.from_json_dict({"entries": [_DB_ENTRY], "enabled_sources": []})
-        assert db.active_entries() == ()
+        assert db.ruling(CandidateTriple(10, 22, 7, 0)) is None
+        assert db.with_sources(enable=("CCMO",)).ruling(CandidateTriple(10, 22, 7, 0)) == "CCMO"
 
     def test_default_db_round_trips(self):
         from seshadri.exclusions import ExclusionDb, default_db

@@ -739,6 +739,14 @@ class TestExclusionDb:
         cfg = SpecializationConfig.default(10)
         assert is_excluded(CandidateTriple(10, 177, 56, 0), cfg, db).excluded is False
 
+    def test_config_for_another_n_rejected(self):
+        # k = 0 under a default configuration takes the closed form, which
+        # would otherwise mix c.n with the other n's d and r
+        cfg = SpecializationConfig.default(40)
+        for c in (CandidateTriple(41, 6, 1, 0), CandidateTriple(41, 22, 7, 0)):
+            with pytest.raises(DomainError, match="configured for n = 40, not n = 41"):
+                is_excluded(c, cfg, default_db())
+
     def test_engine_cannot_rule_out_the_miranda_class(self):
         db = ExclusionDb(entries=(), enabled_sources=frozenset())
         cfg = SpecializationConfig.default(10)

@@ -100,7 +100,7 @@ def _one_of_each():
         QuadraticExpr(1, 2, 3),
         rep.coverage,
         rep,
-        FormulaBound("x", True, Fraction(1), "y"),
+        FormulaBound("x", Fraction(1), "y"),
         BestKnown(Fraction(1), "algorithm"),
         UniformBound(10, 20, "CCMO"),
         ExplicitClass(10, 3, 1, 0, "unique-cubic"),
