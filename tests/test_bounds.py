@@ -1,7 +1,9 @@
 """Bound driver, closed-form evaluators, and best-known aggregation."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,9 +30,11 @@ from seshadri.candidates import e_value, enumerate_szcor
 from seshadri.effectivity import SpecializationConfig
 from seshadri.exclusions import default_db, is_excluded
 from seshadri.lattice import DomainError, QuadraticExpr, is_square, sign_of
+from seshadri.render import value_to_json
 from seshadri.tables import TABLE_B
 
 Q = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def nonsquares(lo, hi):
@@ -313,6 +317,17 @@ class TestBestKnown:
         enabled = default_db().with_sources(enable=("Dumnicki",))
         assert best_known(41, rep).f_best == 1025
         assert best_known(41, rep, enabled).f_best == 42 * 39
+
+    def test_golden_10_to_399(self):
+        # pinned before the formula families merged into all_formula_bounds
+        # and the redundant reference imports were dropped
+        want = json.loads((GOLDEN / "best-known-10..399.json").read_text(encoding="utf-8"))
+        db = default_db()
+        got = {}
+        for n in nonsquares(10, 399):
+            bk = best_known(n, compute_bound(n, db=db), db)
+            got[str(n)] = {"f": value_to_json(bk.f_best), "source": bk.source}
+        assert got == want
 
     def test_all_formula_bounds_names(self):
         names = {fb.name for fb in all_formula_bounds(17)}
