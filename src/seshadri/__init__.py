@@ -15,8 +15,6 @@ from .bounds import (
     best_known,
     bounds_for_ns,
     compute_bound,
-    formula_correm_and_circ,
-    formula_theoremone,
     lemcc_hypothesis,
     mu_n,
 )
@@ -66,8 +64,6 @@ __all__ = [
     "default_db",
     "e_value",
     "enumerate_szcor",
-    "formula_correm_and_circ",
-    "formula_theoremone",
     "is_excluded",
     "lemcc_hypothesis",
     "mu_n",

@@ -188,59 +188,6 @@ class FormulaBound(NamedTuple):
         return self.value is not None
 
 
-def formula_theoremone(n: int) -> list[FormulaBound]:
-    """The six-case Delta = n - d^2 analysis; several cases may apply at once.
-
-    Values: (a) (2n-1)^2, (b) n(n-1), (c) n(d(d-3)+1), (d) n(d(d-3)+2)/2,
-    (e) n^2 gated by Delta odd with 2d-1 > Delta >= 4*n^(1/4)+1 (decided
-    exactly as (Delta-1)^4 >= 256n), (f) n(n*sqrt(n) - 5n + 5*sqrt(n) - 1)/2.
-    Square n admits no abnormal curve, so the list is empty.
-    """
-    if n < 10:
-        raise DomainError(f"formulas require n >= 10, got {n}")
-    if is_square(n):
-        return []
-    d = isqrt(n)
-    delta = n - d * d
-    odd = delta % 2 == 1
-    e_ok = odd and 2 * d - 1 > delta and (delta - 1) ** 4 >= 256 * n
-    # n*(n*sqrt(n) - 5n + 5*sqrt(n) - 1)/2 = -n(5n+1)/2 + (n(n+5)/2) * sqrt(n)
-    f_val = QuadraticExpr(Q(-n * (5 * n + 1), 2), Q(n * (n + 5), 2), Q(n)) if delta == 2 * d - 1 else None
-    return [
-        FormulaBound("theoremone-a", Q((2 * n - 1) ** 2) if delta == 1 else None, "Delta=1 case (Biran)"),
-        FormulaBound("theoremone-b", Q(n * (n - 1)) if delta == 2 else None, "Delta=2 case"),
-        FormulaBound("theoremone-c", Q(n * (d * (d - 3) + 1)) if delta > 2 and odd else None,
-                     "odd Delta > 2 case"),
-        FormulaBound("theoremone-d", Q(n * (d * (d - 3) + 2), 2) if delta > 3 and not odd else None,
-                     "even Delta > 3 case"),
-        FormulaBound("theoremone-e", Q(n * n) if e_ok else None, "large odd Delta case"),
-        FormulaBound("theoremone-f", f_val, "Delta=2d-1 case"),
-    ]
-
-
-def formula_correm_and_circ(n: int) -> list[FormulaBound]:
-    """Uniform-multiplicity consequences: f = 21(n-2), 42(n-2),
-    (n^2 - 5n*sqrt(n))/2, and f = 21n (the almost-uniform refinement)."""
-    if n < 10:
-        raise DomainError(f"formulas require n >= 10, got {n}")
-    quad = QuadraticExpr(Q(n * n, 2), Q(-5 * n, 2), Q(n))
-    return [
-        FormulaBound("correm-21", Q(21 * (n - 2)), "uniform m < 21 (CCMO)"),
-        FormulaBound("correm-42", Q(42 * (n - 2)), "uniform m <= 42 (Dumnicki)"),
-        FormulaBound("correm-quad", quad, "uniform quadratic case"),
-        FormulaBound("circ", Q(21 * n), "almost-uniform refinement of CCMO"),
-    ]
-
-
-# Formulas whose premise is an imported uniform bound follow that source's
-# on/off switch in the database; everything else is unconditional.
-FORMULA_SOURCE_DEPS: dict[str, str] = {
-    "correm-21": "CCMO",
-    "correm-42": "Dumnicki",
-    "circ": "CCMO",
-}
-
-
 def mu_n(n: int) -> int:
     """The explicit mu certified by the uniform-degree hypothesis, n >= 17.
 
@@ -294,36 +241,69 @@ class BestKnown(NamedTuple):
     source: str
 
 
-def reference_entries(n: int) -> list[FormulaBound]:
-    """Embedded best-known f(n) values imported from the literature."""
-    from .tables import REFERENCE_F
-
-    if n in REFERENCE_F:
-        value, source = REFERENCE_F[n]
-        return [FormulaBound("reference-table", Q(value), source)]
-    return []
+def _at_least_one(v: QuadraticExpr) -> Optional[QuadraticExpr]:
+    """v when v >= 1, else None: f <= 0 would claim eps(n) > 1/sqrt(n), and
+    0 < f < 1 makes sqrt(1 - 1/f) imaginary."""
+    return v if sign_of(QuadraticExpr(v.a - 1, v.b, v.q)) >= 0 else None
 
 
 def all_formula_bounds(n: int, db: Optional[ExclusionDb] = None) -> list[FormulaBound]:
     """Every evaluable closed-form bound for n, applicable or not.
 
-    A formula that rests on an imported uniform bound is marked inapplicable
-    when its source is disabled in the database in force.
+    The six cases on Delta = n - d^2, d = floor(sqrt(n)), of which several may
+    apply: (a) (2n-1)^2, (b) n(n-1), (c) n(d(d-3)+1), (d) n(d(d-3)+2)/2,
+    (e) n^2 for odd Delta with 2d-1 > Delta >= 4*n^(1/4)+1 (decided exactly as
+    (Delta-1)^4 >= 256n), (f) n(n*sqrt(n) - 5n + 5*sqrt(n) - 1)/2; none for a
+    square n, which admits no abnormal curve.  Then the uniform-multiplicity
+    consequences 21(n-2), 42(n-2), (n^2 - 5n*sqrt(n))/2 and 21n, each resting
+    on CCMO or Dumnicki only while that source is enabled in db; the explicit
+    certificate n*mu_n(n); and the imported reference value, if any.  A value
+    below 1 bounds nothing and is inapplicable; only the two surds fall there
+    (correm-quad up to n = 25, theoremone-f at n = 14).
     """
+    if n < 10:
+        raise DomainError(f"formulas require n >= 10, got {n}")
     if db is None:
         db = default_db()
+    from .tables import REFERENCE_F
+
+    ccmo = "CCMO" in db.enabled_sources
+    square = is_square(n)
     out = []
-    for fb in formula_theoremone(n) + formula_correm_and_circ(n):
-        dep = FORMULA_SOURCE_DEPS.get(fb.name)
-        if dep is not None and dep not in db.enabled_sources:
-            fb = fb._replace(value=None)
-        out.append(fb)
+    if not square:
+        d = isqrt(n)
+        delta = n - d * d
+        odd = delta % 2 == 1
+        e_ok = odd and 2 * d - 1 > delta and (delta - 1) ** 4 >= 256 * n
+        # n*(n*sqrt(n) - 5n + 5*sqrt(n) - 1)/2 = -n(5n+1)/2 + (n(n+5)/2) * sqrt(n)
+        f_val = (_at_least_one(QuadraticExpr(Q(-n * (5 * n + 1), 2), Q(n * (n + 5), 2), Q(n)))
+                 if delta == 2 * d - 1 else None)
+        out += [
+            FormulaBound("theoremone-a", Q((2 * n - 1) ** 2) if delta == 1 else None, "Delta=1 case (Biran)"),
+            FormulaBound("theoremone-b", Q(n * (n - 1)) if delta == 2 else None, "Delta=2 case"),
+            FormulaBound("theoremone-c", Q(n * (d * (d - 3) + 1)) if delta > 2 and odd else None,
+                         "odd Delta > 2 case"),
+            FormulaBound("theoremone-d", Q(n * (d * (d - 3) + 2), 2) if delta > 3 and not odd else None,
+                         "even Delta > 3 case"),
+            FormulaBound("theoremone-e", Q(n * n) if e_ok else None, "large odd Delta case"),
+            FormulaBound("theoremone-f", f_val, "Delta=2d-1 case"),
+        ]
+    out += [
+        FormulaBound("correm-21", Q(21 * (n - 2)) if ccmo else None, "uniform m < 21 (CCMO)"),
+        FormulaBound("correm-42", Q(42 * (n - 2)) if "Dumnicki" in db.enabled_sources else None,
+                     "uniform m <= 42 (Dumnicki)"),
+        FormulaBound("correm-quad", _at_least_one(QuadraticExpr(Q(n * n, 2), Q(-5 * n, 2), Q(n))),
+                     "uniform quadratic case"),
+        FormulaBound("circ", Q(21 * n) if ccmo else None, "almost-uniform refinement of CCMO"),
+    ]
     lemcc = None
-    if n >= 17 and not is_square(n):
+    if n >= 17 and not square:
         m = mu_n(n)
         lemcc = Q(n * m) if lemcc_hypothesis(n, m) else None
     out.append(FormulaBound("lemcc", lemcc, "explicit uniform-degree certificate"))
-    out.extend(reference_entries(n))
+    if n in REFERENCE_F:
+        value, source = REFERENCE_F[n]
+        out.append(FormulaBound("reference-table", Q(value), source))
     return out
 
 

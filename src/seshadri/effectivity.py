@@ -87,6 +87,18 @@ which is alpha_lb_closed(n, m, 0):
   the scanned window [0, ceil(m*sqrt(n)) + d], and the scan from the top
   stops there.
 
+Where the blockers sit.  Take a k = 0 class C(t, m), so t < m*sqrt(n),
+under a configuration with d^2 <= r and r^2 <= n*d^2 (the default is one).
+Then t > A exactly when d*t - r*m >= g: t > floor((m*r + g - 1)/d) means
+d*t > m*r + g - 1, and both sides are integers.  A class the criterion
+cannot exclude has t > min(A, B).  If the interior condition fails
+(t > A), then g <= d*t - r*m < m*(d*sqrt(n) - r), where d*sqrt(n) - r > 0
+for nonsquare n, so m > m_0 = g/(d*sqrt(n) - r).  The final condition could
+bind instead: m*n = u*r + rho with rho <= r gives u*d >= (m*n/r - 1)*d >=
+m*sqrt(n) - d > t - d, so a class with B < t <= A exceeds B by less than d,
+and m > m_0 does not follow for it.  So B stays in the closed form until a
+proof shows that it never binds.
+
 So exclusions.is_excluded decides a k = 0 class under the default
 configuration by alpha_lb_closed, in O(1), with the walk's verdict.  The
 walk stays for k != 0, where the closed form is weaker, and for every other
@@ -118,7 +130,7 @@ class SpecializationConfig(_SpecializationConfig):
     Defaults are d = floor(sqrt(n)) and r = floor(d*sqrt(n)).  Any d >= 1
     and 1 <= r <= n are accepted (the CLI's --d and --r), but only the
     default configuration is proved to give one-sided exclusions; the
-    hypotheses of the others are open (ROADMAP item 5).
+    hypotheses of the others are open (ROADMAP item 7).
     """
 
     __slots__ = ()

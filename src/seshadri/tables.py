@@ -4,11 +4,14 @@ TABLE_A: the 32 test classes C(t, m, k) for n = 10 with m <= 182, with their
 e values as printed (truncated to two decimals, trailing zeros trimmed).
 
 TABLE_B: best known f(n) for every nonsquare 10 <= n <= 99, with the class
-C(t, m) that would have to be ruled out to do better.  Rows for
-n in {17, 19, 22, 26, 37, 50, 65, 82} (Biran) and n = 41 (Harbourne) import
-values this package's own machinery cannot reach; they are tagged with
-their source.  The n = 19 row is printed "C(170.39)" in the source table and
-is normalized here to (170, 39) with the original spelling preserved.
+C(t, m) that would have to be ruled out to do better.  The rows whose value
+comes from the literature are tagged with their source: n in {17, 19, 22,
+26, 37, 50, 65, 82} (Biran) and n = 41 (Harbourne).  The package derives
+seven of them itself: the six n = d^2 + 1 give (2n - 1)^2 through the
+Delta = 1 formula, and compute_bound(41) gives f = 1025 exactly.  Only
+n = 19 and n = 22 need an imported value (REFERENCE_F).  The n = 19 row is
+printed "C(170.39)" in the source table and is normalized here to
+(170, 39) with the original spelling preserved.
 
 Each printed f is a lossy decimal; the exact value is recoverable from the
 row's own class C(t, m): f = (mn)^2 / ((mn)^2 - n t^2) when the class is on
@@ -170,10 +173,12 @@ TABLE_B: tuple[TableBRow, ...] = (
 
 TABLE_B_BY_N: dict[int, TableBRow] = {row.n: row for row in TABLE_B}
 
-# n -> (f value, source) for the rows whose values are imported, not computed.
-REFERENCE_F: dict[int, tuple[int, str]] = {
-    row.n: (int(row.f_str), row.source) for row in TABLE_B if row.source is not None
-}
+# n -> (f value, source) for the Table-B values that nothing in the package
+# derives.  Each is t^2 for the fundamental solution of the Pell equation
+# t^2 - n*m^2 = 1 (170^2 - 19*39^2 = 1, 197^2 - 22*42^2 = 1), but f = t^2 is
+# not a bound in general, and the hypothesis of Biran's theorem that makes it
+# one here is not stated in this package: these two values are unchecked.
+REFERENCE_F: dict[int, tuple[int, str]] = {19: (28900, "Biran"), 22: (38809, "Biran")}
 
 
 def implied_f(row: TableBRow) -> Fraction:

@@ -21,11 +21,10 @@ from conftest import (
     unload_literal,
 )
 from seshadri.bounds import (
+    all_formula_bounds,
     best_known,
     bounds_for_ns,
     compute_bound,
-    formula_correm_and_circ,
-    formula_theoremone,
     lemcc_hypothesis,
     mu_n,
 )
@@ -44,7 +43,7 @@ from seshadri.effectivity import (
 from seshadri.exclusions import default_db
 from seshadri.lattice import QuadraticExpr, is_square, sign_of
 from seshadri.render import truncate2
-from seshadri.tables import REFERENCE_F, TABLE_A, TABLE_B, implied_f
+from seshadri.tables import TABLE_A, TABLE_B, implied_f
 
 Q = Fraction
 
@@ -147,17 +146,19 @@ def test_criterion_4_reference_sweep(sweep_reports, capsys):
         deficit_lines.append(
             f"n={row.n}: deficit {truncate2(rep.f)} < {row.f_str}, survivor {rep.blocker.label()}"
         )
+    # every attributed Table-B value, imported or derived, is recovered
+    attributed = {row.n: row for row in TABLE_B if row.source is not None}
     reference_ok = True
-    for n in sorted(REFERENCE_F):
+    for n, row in attributed.items():
         bk = best_known(n, reports[n])
-        if bk.f_best != Q(REFERENCE_F[n][0]):
+        if bk.f_best != Q(row.f_str):
             reference_ok = False
             deficit_lines.append(f"n={n}: best-known misses the reference value")
     deficit_ns = sorted(
         row.n for row in TABLE_B
         if truncate2(reports[row.n].f) != truncate2(implied_f(row))
     )
-    unexplained = [n for n in deficit_ns if n not in REFERENCE_F]
+    unexplained = [n for n in deficit_ns if n not in attributed]
     with capsys.disabled():
         for line in deficit_lines:
             print("   ", line)
@@ -165,7 +166,7 @@ def test_criterion_4_reference_sweep(sweep_reports, capsys):
             "criterion 4: sweep over nonsquare 10 <= n <= 99",
             hard_ok and reference_ok and not unexplained,
             f"{matches}/{len(TABLE_B)} exact matches, deficits {deficit_ns} "
-            f"(all covered by reference entries), {elapsed:.1f}s",
+            f"(all attributed rows, recovered by best_known), {elapsed:.1f}s",
         )
 
 
@@ -254,8 +255,8 @@ def test_criterion_6_property_suites():
 
 
 def test_criterion_7_formula_spot_values():
-    t_one = {fb.name: fb.value for fb in formula_theoremone(17) if fb.applicable}
-    correm = {fb.name: fb.value for fb in formula_correm_and_circ(10)}
+    t_one = {fb.name: fb.value for fb in all_formula_bounds(17) if fb.applicable}
+    correm = {fb.name: fb.value for fb in all_formula_bounds(10)}
     ok = (
         t_one.get("theoremone-a") == 1089
         and correm["correm-21"] == 168

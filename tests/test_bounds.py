@@ -21,17 +21,15 @@ from seshadri.bounds import (
     best_known,
     bounds_for_ns,
     compute_bound,
-    formula_correm_and_circ,
-    formula_theoremone,
     lemcc_hypothesis,
     mu_n,
 )
 from seshadri.candidates import e_value, enumerate_szcor
 from seshadri.effectivity import SpecializationConfig
 from seshadri.exclusions import default_db, is_excluded
-from seshadri.lattice import DomainError, QuadraticExpr, is_square, sign_of
+from seshadri.lattice import DomainError, QuadraticExpr, compare_values, is_square, sign_of
 from seshadri.render import value_to_json
-from seshadri.tables import TABLE_B
+from seshadri.tables import REFERENCE_F, TABLE_B
 
 Q = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +37,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def nonsquares(lo, hi):
     return [n for n in range(lo, hi + 1) if not is_square(n)]
+
+
+def formulas(n, db=None):
+    return {fb.name: fb for fb in all_formula_bounds(n, db)}
 
 
 class TestComputeBound:
@@ -197,17 +199,17 @@ class TestWorkerCount:
 
 class TestCaseFormulas:
     def test_delta_one(self):
-        bounds = {fb.name: fb for fb in formula_theoremone(17)}
+        bounds = formulas(17)
         assert bounds["theoremone-a"].applicable
         assert bounds["theoremone-a"].value == 1089
 
     def test_delta_two(self):
-        bounds = {fb.name: fb for fb in formula_theoremone(11)}
+        bounds = formulas(11)
         assert bounds["theoremone-b"].applicable
         assert bounds["theoremone-b"].value == 110
 
     def test_large_odd_delta(self):
-        bounds = {fb.name: fb for fb in formula_theoremone(77)}
+        bounds = formulas(77)
         assert bounds["theoremone-e"].applicable
         assert bounds["theoremone-e"].value == 5929
         # delta = 13 is also odd and > 2, so the generic odd case applies too
@@ -215,19 +217,32 @@ class TestCaseFormulas:
 
     def test_gate_of_large_odd_delta_is_exact(self):
         # n = 94 has delta = 13 but (13-1)^4 = 20736 < 256*94 = 24064
-        bounds = {fb.name: fb for fb in formula_theoremone(94)}
+        bounds = formulas(94)
         assert not bounds["theoremone-e"].applicable
 
     def test_top_delta(self):
-        bounds = {fb.name: fb for fb in formula_theoremone(14)}
+        # n(n*sqrt(n) - 5n + 5*sqrt(n) - 1)/2 at n = 14 is -497 + 133*sqrt(14)
+        # = 0.64..., below 1, so it is not a bound
+        assert not formulas(14)["theoremone-f"].applicable
+        bounds = formulas(23)
         assert bounds["theoremone-f"].applicable
         v = bounds["theoremone-f"].value
         assert isinstance(v, QuadraticExpr)
-        # n(n*sqrt(n) - 5n + 5*sqrt(n) - 1)/2 at n = 14: -497 + 133*sqrt(14)
-        assert v.a == -497 and v.b == 133 and v.q == 14
+        # at n = 23: -1334 + 322*sqrt(23)
+        assert v.a == -1334 and v.b == 322 and v.q == 23
+
+    def test_values_below_one_are_inapplicable(self):
+        # correm-quad, (n^2 - 5n*sqrt(n))/2, is <= 0 up to n = 25
+        for n in range(10, 26):
+            assert not formulas(n)["correm-quad"].applicable, n
+        assert formulas(26)["correm-quad"].applicable
+        for n in range(10, 1200):
+            for fb in all_formula_bounds(n):
+                if fb.applicable:
+                    assert compare_values(fb.value, 1) >= 0, (n, fb)
 
     def test_squares_give_empty_list(self):
-        assert formula_theoremone(16) == []
+        assert [name for name in formulas(16) if name.startswith("theoremone")] == []
 
     def test_stronger_beats_weaker_everywhere(self):
         from math import isqrt
@@ -245,13 +260,14 @@ class TestCaseFormulas:
                 assert sign_of(diff) >= 0, n
 
     def test_uniform_consequences(self):
-        vals = {fb.name: fb.value for fb in formula_correm_and_circ(10)}
+        with_dumnicki = default_db().with_sources(enable=("Dumnicki",))
+        vals = {name: fb.value for name, fb in formulas(10, with_dumnicki).items()}
         assert vals["correm-21"] == 168
         assert vals["circ"] == 210
         assert vals["correm-42"] == 336
 
     def test_uniform_quadratic_exact_at_square(self):
-        vals = {fb.name: fb.value for fb in formula_correm_and_circ(100)}
+        vals = {name: fb.value for name, fb in formulas(100).items()}
         quad = vals["correm-quad"]
         assert sign_of(QuadraticExpr(quad.a - 2500, quad.b, quad.q)) == 0
 
@@ -297,14 +313,15 @@ class TestHypothesisCheckers:
 
 class TestBestKnown:
     def test_reference_value_for_41(self):
+        # Harbourne's 1025 comes from the algorithm, not from an import
         rep = compute_bound(41)
         bk = best_known(41, rep)
-        assert bk.f_best == 1025
+        assert bk == (1025, "algorithm")
 
     def test_delta_one_formula_and_reference_agree_at_17(self):
         rep = compute_bound(17)
         bk = best_known(17, rep)
-        assert bk.f_best == 1089
+        assert bk == (1089, "theoremone-a")
 
     def test_algorithm_wins_at_10(self):
         rep = compute_bound(10)
@@ -330,6 +347,16 @@ class TestBestKnown:
         assert got == want
 
     def test_all_formula_bounds_names(self):
-        names = {fb.name for fb in all_formula_bounds(17)}
+        names = {fb.name for fb in all_formula_bounds(19)}
         assert {"theoremone-a", "correm-21", "correm-42", "correm-quad",
                 "circ", "lemcc", "reference-table"} <= names
+
+    def test_every_import_is_needed(self):
+        # an imported value must beat everything the package derives at its
+        # n, or it only relabels a derived one
+        for n, (value, _) in REFERENCE_F.items():
+            derived = [compute_bound(n).f] + [
+                fb.value for fb in all_formula_bounds(n)
+                if fb.applicable and fb.name != "reference-table"
+            ]
+            assert all(compare_values(Q(value), v) > 0 for v in derived), n

@@ -104,7 +104,8 @@ class TestCandidatesCommand:
 
 
 class TestCsvOutput:
-    # pinned as printed before csv left the import path
+    # pinned as printed before csv left the import path; the formulas golden
+    # was re-taken when values below 1 became inapplicable
     @pytest.mark.parametrize("argv, golden", [
         (["bound", "--n", "12", "--format", "csv"], "bound-12.csv"),
         (["formulas", "--n", "10..12", "--format", "csv"], "formulas-10..12.csv"),
@@ -128,7 +129,9 @@ class TestCsvOutput:
 class TestDisplayGoldens:
     # pinned as printed before the surd and rational truncations merged: the
     # formulas send every applicable surd through truncate2, and the sweep
-    # lines print best_known values
+    # lines print best_known values.  The formulas goldens were re-taken when
+    # values below 1 became inapplicable and the seven reference rows the
+    # package derives itself were dropped.
     @pytest.mark.parametrize("argv, golden", [
         (["formulas", "--n", "10..99"], "formulas-10..99.txt"),
         (["formulas", "--n", "10..30", "--format", "json"], "formulas-10..30.json"),
@@ -138,6 +141,16 @@ class TestDisplayGoldens:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_formulas_with_none_applicable(capsys, tmp_path):
+    # at the square n = 16 only the uniform consequences are listed; without
+    # CCMO two are off, Dumnicki is off by default and correm-quad is < 1
+    db = tmp_path / "db.json"
+    db.write_text(default_db().with_sources(disable=("CCMO",)).to_json(), encoding="utf-8")
+    code, out, err = run_cli(capsys, "formulas", "--n", "16", "--db", str(db))
+    assert (code, err) == (0, "")
+    assert out == "n = 16:\n  (no applicable formulas; n may be a square)\n"
 
 
 class TestAlphaCommand:
@@ -645,11 +658,19 @@ class TestReferenceTables:
         assert [row.n for row in TABLE_B] == want
 
     def test_exception_rows_are_tagged(self):
-        from seshadri.tables import REFERENCE_F
+        from seshadri.tables import TABLE_B
 
-        assert set(REFERENCE_F) == {17, 19, 22, 26, 37, 41, 50, 65, 82}
-        assert REFERENCE_F[41] == (1025, "Harbourne")
-        assert REFERENCE_F[19][1] == "Biran"
+        tags = {row.n: row.source for row in TABLE_B if row.source is not None}
+        assert set(tags) == {17, 19, 22, 26, 37, 41, 50, 65, 82}
+        assert tags[41] == "Harbourne"
+        assert tags[19] == "Biran"
+
+    def test_only_underived_values_are_imported(self):
+        from seshadri.tables import REFERENCE_F, TABLE_B_BY_N
+
+        assert REFERENCE_F == {19: (28900, "Biran"), 22: (38809, "Biran")}
+        for n, (value, source) in REFERENCE_F.items():
+            assert (str(value), source) == (TABLE_B_BY_N[n].f_str, TABLE_B_BY_N[n].source)
 
     def test_normalized_class_note_preserved(self):
         from seshadri.tables import TABLE_B_BY_N
