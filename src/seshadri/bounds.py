@@ -14,11 +14,12 @@ consequences f = 21(n-2), 42(n-2), (n^2 - 5n*sqrt(n))/2 and f = 21n.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import partial
 from math import ceil, isqrt
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional
 
 from .candidates import CandidateTriple, e_value, enumerate_szcor
 from .effectivity import SpecializationConfig
@@ -40,31 +41,25 @@ _Key = tuple[Fraction, tuple[int, ...]]
 DEFAULT_M_BUDGET_CAP = 5000
 
 
-class Coverage(NamedTuple):
+class Coverage(namedtuple("Coverage", "m_checked_k0 m_checked_knz")):
     """How far the candidate enumeration was pushed, per k-regime."""
 
-    m_checked_k0: int
-    m_checked_knz: int
+    __slots__ = ()
 
 
-class BoundReport(NamedTuple):
-    """Certified bound for one n, with its exclusion certificate."""
+class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used coverage cfg "
+                                            "budget_limited m_budget_cap")):
+    """Certified bound for one n, with its exclusion certificate: f = n*mu
+    as Fractions, the blocker (None when the budget ran out first) and the
+    (candidate, reason) pairs excluded below mu."""
 
-    n: int
-    f: Fraction
-    mu: Fraction
-    blocker: Optional[CandidateTriple]
-    exclusions_used: tuple[tuple[CandidateTriple, str], ...]
-    coverage: Coverage
-    cfg: SpecializationConfig
-    budget_limited: bool
-    m_budget_cap: int
+    __slots__ = ()
 
 
 def compute_bound(
     n: int,
-    db: Optional[ExclusionDb] = None,
-    cfg: Optional[SpecializationConfig] = None,
+    db: ExclusionDb | None = None,
+    cfg: SpecializationConfig | None = None,
     m_budget_cap: int = DEFAULT_M_BUDGET_CAP,
 ) -> BoundReport:
     """Run the fixpoint: enumerate, exclude, contract mu, grow m until covered.
@@ -98,7 +93,7 @@ def compute_bound(
     # best is the least survivor so far, with its key.  That key never goes
     # up, so each candidate keyed below the final one was decided in its own
     # round.
-    best: Optional[tuple[_Key, CandidateTriple]] = None
+    best: tuple[_Key, CandidateTriple] | None = None
     ruled_out: list[tuple[_Key, CandidateTriple, str]] = []
     m_done = 0
     m_max = min(16, m_budget_cap)
@@ -153,7 +148,7 @@ def _worker_count(jobs: int, tasks: int) -> int:
 
 def bounds_for_ns(
     ns: Iterable[int],
-    db: Optional[ExclusionDb] = None,
+    db: ExclusionDb | None = None,
     m_budget_cap: int = DEFAULT_M_BUDGET_CAP,
     jobs: int = 1,
 ) -> dict[int, BoundReport]:
@@ -175,13 +170,11 @@ def bounds_for_ns(
         return dict(zip(ns, pool.map(work, ns)))
 
 
-class FormulaBound(NamedTuple):
+class FormulaBound(namedtuple("FormulaBound", "name value source")):
     """One evaluable closed-form bound: its f(n) value, None when the
     formula does not apply."""
 
-    name: str
-    value: Optional[Value]
-    source: str
+    __slots__ = ()
 
     @property
     def applicable(self) -> bool:
@@ -236,18 +229,19 @@ def lemcc_hypothesis(n: int, mu: Rational) -> bool:
     return sign_of(diff) >= 0
 
 
-class BestKnown(NamedTuple):
-    f_best: Value
-    source: str
+class BestKnown(namedtuple("BestKnown", "f_best source")):
+    """The largest f known for n, a Value, and what gives it."""
+
+    __slots__ = ()
 
 
-def _at_least_one(v: QuadraticExpr) -> Optional[QuadraticExpr]:
+def _at_least_one(v: QuadraticExpr) -> QuadraticExpr | None:
     """v when v >= 1, else None: f <= 0 would claim eps(n) > 1/sqrt(n), and
     0 < f < 1 makes sqrt(1 - 1/f) imaginary."""
     return v if sign_of(QuadraticExpr(v.a - 1, v.b, v.q)) >= 0 else None
 
 
-def all_formula_bounds(n: int, db: Optional[ExclusionDb] = None) -> list[FormulaBound]:
+def all_formula_bounds(n: int, db: ExclusionDb | None = None) -> list[FormulaBound]:
     """Every evaluable closed-form bound for n, applicable or not.
 
     The six cases on Delta = n - d^2, d = floor(sqrt(n)), of which several may
@@ -307,7 +301,7 @@ def all_formula_bounds(n: int, db: Optional[ExclusionDb] = None) -> list[Formula
     return out
 
 
-def best_known(n: int, report: BoundReport, db: Optional[ExclusionDb] = None) -> BestKnown:
+def best_known(n: int, report: BoundReport, db: ExclusionDb | None = None) -> BestKnown:
     """Maximum of the algorithmic f, the applicable formulas, and the
     embedded reference values; ties resolve toward the algorithmic result."""
     if n < 10:

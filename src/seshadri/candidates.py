@@ -39,24 +39,31 @@ about 2*sqrt(m/n) + 1 integers, against the ~2*sqrt(m) values of k.
 Each candidate carries the exact rational e = e(t, m, k) at which the nef
 test class sqrt(n + delta)*L - sum(E_i) meets it with value zero; the minimum
 e over the candidates that survive exclusion fixes the certified bound.
+
+Where e can sit.  With s = mn + k and gap = s^2 - n*t^2, e = s^2/(n*gap).
+For k = 0, gap = n*(m^2*n - t^2) with 1 <= m^2*n - t^2 <= m by (c), so
+e >= m.  Every class with k != 0 that meets (b) and (c) has e > m(n - 1):
+
+  * (c) reads m^2*n^2 + 2mnk <= n*t^2 < m^2*n^2 + 2mnk + k^2 (the max term
+    only raises the lower bound), so 0 < gap <= k^2;
+  * (b) times n*m gives n*m(n - 1)*k^2 < n^2*m*min(m, m + k);
+  * n^2*m*min(m, m + k) <= s^2: for k > 0, n^2*m^2 < (mn + k)^2; for k < 0,
+    n^2*m*(m + k) <= m^2*n^2 + 2mnk + k^2 is n^2*m*k <= 2mnk + k^2, that is
+    n^2*m >= 2mn + k after dividing by k < 0, which holds as n >= 2;
+
+so n*gap*m(n - 1) <= n*m(n - 1)*k^2 < s^2.  Hence no k != 0 class with
+m(n - 1) >= e can undercut a level e, whatever its t.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
 
 from .lattice import DomainError, InvalidInput, ceil_sqrt
 
 
-class _CandidateTriple(NamedTuple):
-    n: int
-    t: int
-    m: int
-    k: int
-
-
-class CandidateTriple(_CandidateTriple):
+class CandidateTriple(namedtuple("CandidateTriple", "n t m k")):
     """A prospective abnormal class C(t, m, k) for n general points."""
 
     __slots__ = ()

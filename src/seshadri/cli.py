@@ -24,11 +24,9 @@ limited bound under --strict.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .bounds import (
@@ -114,13 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_db(path: Optional[str]) -> ExclusionDb:
+def _load_db(path: str | None) -> ExclusionDb:
     if path is None:
         return default_db()
     return ExclusionDb.load(path)
 
 
-def _make_cfg(n: int, d: Optional[int], r: Optional[int]) -> SpecializationConfig:
+def _make_cfg(n: int, d: int | None, r: int | None) -> SpecializationConfig:
     base = SpecializationConfig.default(n)
     return SpecializationConfig(n=n, d=base.d if d is None else d, r=base.r if r is None else r)
 
@@ -142,20 +140,22 @@ class _Cache:
     key hashes a database (see ExclusionDb.digest) only when it is not the
     one of the previous key.  A command keys every report with one
     database, so it hashes once; a cache with no path neither keys nor
-    stores anything, so it never hashes.  flush replaces the file
-    atomically with sorted compact JSON, written by json.dumps's C encoder.
-    Any layout of the same object reads back, so a file written with
-    indentation by an earlier release is still served.
+    stores anything, so it never hashes and never loads json.  flush
+    replaces the file atomically with sorted compact JSON, written by
+    json.dumps's C encoder.  Any layout of the same object reads back, so a
+    file written with indentation by an earlier release is still served.
     """
 
     # (db, db.digest()) of the last key made; the database is immutable
     _last_digest: tuple = (None, "")
 
-    def __init__(self, path: Optional[str]):
+    def __init__(self, path: str | None):
         self.path = path
         self.data: dict = {}
         self.dirty = False
         if path and os.path.exists(path):
+            import json
+
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
@@ -173,7 +173,7 @@ class _Cache:
             _Cache._last_digest = (db, digest)
         return f"n={n}|d={cfg.d}|r={cfg.r}|db={digest}|cap={cap}|v={__version__}"
 
-    def get(self, n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> Optional[BoundReport]:
+    def get(self, n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> BoundReport | None:
         """The report cached for (n, cfg, db, cap), or None when there is
         none or it is malformed."""
         if not self.data:
@@ -212,6 +212,8 @@ class _Cache:
 
     def flush(self) -> None:
         if self.path and self.dirty:
+            import json
+
             text = json.dumps(self.data, sort_keys=True, separators=(",", ":")) + "\n"
             tmp = f"{self.path}.{os.getpid()}.tmp"
             try:
@@ -231,7 +233,7 @@ def _cmd_candidates(args) -> int:
 
 def _cmd_alpha(args) -> int:
     cfg = _make_cfg(args.n, args.d, args.r)
-    closed: Optional[int] = None
+    closed: int | None = None
     if args.mults is not None:
         mults = tuple(int(x) for x in args.mults.split(","))
     elif args.m is not None:
@@ -399,7 +401,7 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
     return EXIT_OK
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -106,10 +106,11 @@ configuration.
 """
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, groupby
 from math import isqrt
 from operator import add, lt
-from typing import Iterator, NamedTuple, Sequence
 
 from .lattice import DomainError, InvalidInput, ceil_sqrt
 
@@ -118,13 +119,7 @@ class UnloadingDiverged(RuntimeError):
     """Internal diagnostic: the specialization walk exceeded its step cap."""
 
 
-class _SpecializationConfig(NamedTuple):
-    n: int
-    d: int
-    r: int
-
-
-class SpecializationConfig(_SpecializationConfig):
+class SpecializationConfig(namedtuple("SpecializationConfig", "n d r")):
     """Parameters (n, d, r) of the specialization curve, and its genus g.
 
     Defaults are d = floor(sqrt(n)) and r = floor(d*sqrt(n)).  Any d >= 1
@@ -232,7 +227,7 @@ def _walk(mults: Sequence[int], r: int) -> Iterator[Runs]:
         runs = _step_runs(runs, r)
 
 
-class _HeadSums(NamedTuple):
+class _HeadSums(namedtuple("_HeadSums", "sums lows start total zero n r dd")):
     """S_i and the prefix minima min_{j <= i} (d^2*j + S_j) of one walk.
 
     Entries up to index len(sums) - 1 are stored.  Later ones follow the
@@ -241,14 +236,7 @@ class _HeadSums(NamedTuple):
     _head_sums).
     """
 
-    sums: list[int]
-    lows: list[int]
-    start: int
-    total: int
-    zero: int
-    n: int
-    r: int
-    dd: int
+    __slots__ = ()
 
     def at(self, i: int) -> int:
         """S_i."""
@@ -336,16 +324,13 @@ def _passes(t0: int, cfg: SpecializationConfig, walk: _HeadSums) -> bool:
     return (tj + 1) * (tj + 2) <= 2 * walk.at(q)
 
 
-class TraceStep(NamedTuple):
+class TraceStep(namedtuple("TraceStep", "index mults t dot_c")):
     """Step i of the walk: D_i = t*L - sum(mults[j] * E_j), and D_i . C."""
 
-    index: int
-    mults: tuple[int, ...]
-    t: int
-    dot_c: int
+    __slots__ = ()
 
 
-class UnloadingTrace(NamedTuple):
+class UnloadingTrace(namedtuple("UnloadingTrace", "steps j omega_prime")):
     """Recorded walk D_0, D_1, ... with t_i = D_i . L and D_i . C.
 
     j is the first index with t_j < d, and omega_prime the least index at
@@ -353,9 +338,7 @@ class UnloadingTrace(NamedTuple):
     D_max(j, omega_prime).
     """
 
-    steps: tuple[TraceStep, ...]
-    j: int
-    omega_prime: int
+    __slots__ = ()
 
 
 def _require_normal_form(mults: Sequence[int], n: int) -> tuple[int, ...]:

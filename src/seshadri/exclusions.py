@@ -21,51 +21,37 @@ Shipped defaults:
 """
 from __future__ import annotations
 
-import json
-from typing import NamedTuple, Optional, Union
+from collections import namedtuple
 
 from .candidates import CandidateTriple
 from .effectivity import SpecializationConfig, alpha_lb_closed, alpha_lower_bound, semiuniformize
 from .lattice import DomainError, InvalidInput
 
 
-class UniformBound(NamedTuple):
+class UniformBound(namedtuple("UniformBound", "n_min m_max source")):
     """For n >= n_min, no abnormal class with k = 0 and m <= m_max exists."""
 
-    n_min: int
-    m_max: int
-    source: str
-
+    __slots__ = ()
     kind = "uniform_bound"
 
     def applies(self, c: CandidateTriple) -> bool:
         return c.k == 0 and c.n >= self.n_min and c.m <= self.m_max
 
 
-class ExplicitClass(NamedTuple):
+class ExplicitClass(namedtuple("ExplicitClass", "n t m k source")):
     """The specific class C(t, m, k) for n points is not effective."""
 
-    n: int
-    t: int
-    m: int
-    k: int
-    source: str
-
+    __slots__ = ()
     kind = "explicit_class"
 
     def applies(self, c: CandidateTriple) -> bool:
         return (c.n, c.t, c.m, c.k) == (self.n, self.t, self.m, self.k)
 
 
-Entry = Union[UniformBound, ExplicitClass]
+Entry = UniformBound | ExplicitClass
 
 
-class _ExclusionDb(NamedTuple):
-    entries: tuple[Entry, ...]
-    enabled_sources: frozenset[str]
-
-
-class ExclusionDb(_ExclusionDb):
+class ExclusionDb(namedtuple("ExclusionDb", "entries enabled_sources")):
     """Immutable collection of exclusion entries with a source on/off switch."""
 
     __slots__ = ()
@@ -91,7 +77,7 @@ class ExclusionDb(_ExclusionDb):
         sources = (self.enabled_sources | set(enable)) - set(disable)
         return ExclusionDb(self.entries, frozenset(sources))
 
-    def ruling(self, c: CandidateTriple) -> Optional[str]:
+    def ruling(self, c: CandidateTriple) -> str | None:
         """Source of the first enabled entry declaring c non-effective."""
         for e in self.entries:
             if e.source in self.enabled_sources and e.applies(c):
@@ -106,6 +92,8 @@ class ExclusionDb(_ExclusionDb):
         return {"entries": entries, "enabled_sources": sorted(self.enabled_sources)}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     @classmethod
@@ -133,6 +121,8 @@ class ExclusionDb(_ExclusionDb):
 
     @classmethod
     def from_json(cls, text: str) -> "ExclusionDb":
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
     @classmethod
@@ -149,6 +139,8 @@ class ExclusionDb(_ExclusionDb):
         16 hex digits of the SHA-256 of its compact, key-sorted JSON.  The
         hash is computed here in Python (see _sha256_hex), so no command
         loads hashlib and OpenSSL's libcrypto with it."""
+        import json
+
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return _sha256_hex(canon.encode("utf-8"))[:16]
 
@@ -197,7 +189,7 @@ def _sha256_hex(data: bytes) -> str:
 
 
 # kind -> entry type and its integer fields with their schema minimums
-_ENTRY_KINDS: dict[str, tuple[type, dict[str, Optional[int]]]] = {
+_ENTRY_KINDS: dict[str, tuple[type, dict[str, int | None]]] = {
     "uniform_bound": (UniformBound, {"n_min": 1, "m_max": 1}),
     "explicit_class": (ExplicitClass, {"n": 1, "t": 1, "m": 1, "k": None}),
 }
@@ -252,9 +244,8 @@ def default_db() -> ExclusionDb:
     return ExclusionDb(entries=entries, enabled_sources=frozenset({"CCMO", "unique-cubic", "Miranda"}))
 
 
-class ExclusionResult(NamedTuple):
-    excluded: bool
-    reason: Optional[str] = None
+class ExclusionResult(namedtuple("ExclusionResult", "excluded reason", defaults=(None,))):
+    __slots__ = ()
 
 
 def is_excluded(

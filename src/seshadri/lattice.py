@@ -16,12 +16,12 @@ settled by comparing squares of integers or rationals.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple, Union
 
 Q = Fraction
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 NEGATIVE = -1
 ZERO = 0
@@ -55,13 +55,7 @@ def _sign(x: Rational) -> int:
     return ZERO
 
 
-class _QuadraticExpr(NamedTuple):
-    a: Fraction
-    b: Fraction
-    q: Fraction
-
-
-class QuadraticExpr(_QuadraticExpr):
+class QuadraticExpr(namedtuple("QuadraticExpr", "a b q")):
     """The real number a + b*sqrt(q), with a, b, q rational and q >= 0.
 
     The sign is decidable from (a, b, q) alone by comparing a^2 with b^2*q,
@@ -83,7 +77,7 @@ class QuadraticExpr(_QuadraticExpr):
 
 
 # A closed-form value: a rational, or a surd in Q(sqrt(n)).
-Value = Union[Fraction, QuadraticExpr]
+Value = Fraction | QuadraticExpr
 
 
 def sign_of(x: QuadraticExpr) -> int:
@@ -109,7 +103,7 @@ def sign_of(x: QuadraticExpr) -> int:
     return ZERO
 
 
-def compare_values(x: Union[Rational, QuadraticExpr], y: Union[Rational, QuadraticExpr]) -> int:
+def compare_values(x: Rational | QuadraticExpr, y: Rational | QuadraticExpr) -> int:
     """Compare two values that are rationals or surds over a common radicand.
 
     Used when ranking closed-form bounds; raises if the radicands genuinely
@@ -124,7 +118,7 @@ def compare_values(x: Union[Rational, QuadraticExpr], y: Union[Rational, Quadrat
     return sign_of(QuadraticExpr(xa - ya, xb - yb, q))
 
 
-def _as_triple(x: Union[Rational, QuadraticExpr]) -> tuple[Fraction, Fraction, Fraction]:
+def _as_triple(x: Rational | QuadraticExpr) -> tuple[Fraction, Fraction, Fraction]:
     if isinstance(x, QuadraticExpr):
         return x.a, x.b, x.q
     return Fraction(x), Fraction(0), Fraction(0)

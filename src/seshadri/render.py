@@ -9,10 +9,9 @@ truncated display form.
 from __future__ import annotations
 
 import io
-import json
+from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Sequence
 
 from .bounds import BoundReport, Coverage, FormulaBound
 from .candidates import CandidateTriple, e_value
@@ -160,7 +159,10 @@ def _csv_text(header: Sequence[str], rows) -> str:
 
 
 def dumps(obj: dict) -> str:
-    """Canonical JSON: sorted keys, stable separators, trailing newline."""
+    """Canonical JSON: sorted keys, stable separators, trailing newline.
+    json is imported here, so only a JSON command loads it."""
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
@@ -239,6 +241,8 @@ def render_formulas(per_n: Sequence[tuple[int, Sequence[FormulaBound]]], fmt: st
                 lines.append(f"  {fb.name:<16} f = {truncate2(fb.value):>10}   [{fb.source}]")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
+        import json
+
         return _csv_text(
             ["n", "name", "applicable", "f_trunc", "f_json", "source"],
             ([

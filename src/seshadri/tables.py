@@ -24,24 +24,18 @@ and reports the two discrepancies instead of hiding them.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 
-class TableARow(NamedTuple):
-    t: int
-    m: int
-    k: int
-    e_str: str
+class TableARow(namedtuple("TableARow", "t m k e_str")):
+    __slots__ = ()
 
 
-class TableBRow(NamedTuple):
-    n: int
-    f_str: str
-    t: int
-    m: int
-    source: Optional[str] = None  # non-None marks an imported (reference) value
-    note: Optional[str] = None
+class TableBRow(namedtuple("TableBRow", "n f_str t m source note", defaults=(None, None))):
+    """A non-None source marks an imported (reference) value."""
+
+    __slots__ = ()
 
 
 # Sorted by (m, k=0 first, k, t), the enumeration's output order.

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,8 @@ from conftest import (
     k_range_literal,
     passes_testlem,
 )
-from seshadri.candidates import CandidateTriple, _k_bounds, e_value, enumerate_szcor
-from seshadri.lattice import DomainError, InvalidInput
+from seshadri.candidates import CandidateTriple, _k_bounds, e_value, enumerate_szcor, szcor_b, szcor_c
+from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, is_square
 from seshadri.tables import TABLE_A
 
 Q = Fraction
@@ -153,6 +154,23 @@ class TestEValue:
         for n in (10, 14, 18):
             for c in enumerate_szcor(n, 50):
                 assert e_value(c) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(10, 2000).filter(lambda n: not is_square(n)), st.integers(1, 400))
+    def test_nonzero_k_lies_above_m_times_n_minus_1(self, n, m_max):
+        # every k != 0 candidate up to m_max; and, since the module docstring
+        # proves e > m(n - 1) from (b) and (c) alone, every class meeting
+        # them at m = m_max, whether or not it is enumerated
+        for c in enumerate_szcor(n, m_max):
+            assert c.k == 0 or e_value(c) > c.m * (n - 1), c
+        m = m_max
+        for k in range(1 - m, m + 1):
+            if k == 0 or not szcor_b(n, m, k):
+                continue
+            base = m * m * n + 2 * m * k
+            for t in range(ceil_sqrt(base), isqrt((n * base + k * k - 1) // n) + 1):
+                if szcor_c(n, t, m, k):
+                    assert e_value(CandidateTriple(n, t, m, k)) > m * (n - 1), (t, m, k)
 
     def test_rejects_class_on_nef_side(self):
         # 170*sqrt(19) exceeds 39*19, so this class is not abnormal

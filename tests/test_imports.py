@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: it imports only itself and the
-standard library.  Every public name it defines is used by the package
+standard library, never typing, and json only inside the functions that
+read or write JSON.  Every public name it defines is used by the package
 itself, no float appears in it, and every name the benchmark tracer wraps
 is there to wrap."""
 from __future__ import annotations
@@ -21,21 +22,49 @@ def test_every_module_is_checked():
     assert {"__init__.py", "effectivity.py", "cli.py"} <= {p.name for p in MODULES}
 
 
+def _imported_modules(node):
+    """Absolute module names that an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_are_relative_or_stdlib(path):
     outside = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        for name in names:
+        for name in _imported_modules(node):
             top = name.split(".", 1)[0]
             if top != "__future__" and top not in sys.stdlib_module_names:
                 outside.append(f"line {node.lineno}: {name}")
     assert outside == []
+
+
+def _imports_outside_functions(node):
+    """(line, module) of every import not nested in a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for name in _imported_modules(child):
+            yield child.lineno, name
+        yield from _imports_outside_functions(child)
+
+
+def test_no_typing_and_json_only_inside_functions():
+    # every command pays the import of seshadri.cli, and typing alone
+    # costs a bare interpreter milliseconds; json is loaded only by the
+    # commands that read or write JSON
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            found += [f"{path.name}:{node.lineno}: {name}" for name in _imported_modules(node)
+                      if name.split(".", 1)[0] == "typing"]
+        found += [f"{path.name}:{line}: {name} outside a function"
+                  for line, name in _imports_outside_functions(tree) if name.split(".", 1)[0] == "json"]
+    assert found == []
 
 
 # Public names that only callers outside the package use: the README writes

@@ -1,11 +1,12 @@
-"""The package's value types: immutable named tuples that validate where
-they enter, print as Name(field=value), pickle for the process pool, and
-keep dataclasses and inspect off the import path (and hashlib and csv with
-them)."""
+"""The package's value types: immutable named tuples (collections.namedtuple)
+that validate where they enter, print as Name(field=value), pickle for the
+process pool, and keep typing, dataclasses and inspect off the import path
+(and hashlib, csv and json with them)."""
 from __future__ import annotations
 
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from seshadri.effectivity import (
     TraceStep,
     UnloadingTrace,
     _head_sums,
+    _HeadSums,
     d_sequence,
 )
 from seshadri.exclusions import (
@@ -27,7 +29,10 @@ from seshadri.exclusions import (
     default_db,
 )
 from seshadri.lattice import DomainError, InvalidInput, QuadraticExpr
-from seshadri.tables import TABLE_A, TABLE_B
+from seshadri.tables import TABLE_A, TABLE_B, TableARow, TableBRow
+
+GOLDEN = Path(__file__).parent / "golden"
+VERIFY_TABLE_B = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify-table-b.txt"
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -65,6 +70,15 @@ def test_validation_keeps_its_exception_and_message(make, error, message):
     (lambda: QuadraticExpr._make((1, 2, -1)), DomainError, "radicand must be >= 0, got -1"),
     (lambda: default_db()._replace(entries=(ExplicitClass(10, 3, 1, 0, ""),)), InvalidInput,
      "every exclusion entry needs a nonempty source"),
+    # each validated type both ways: namedtuple's own _make would skip __new__
+    pytest.param(lambda: CandidateTriple(10, 3, 1, 0)._replace(n=9), DomainError,
+                 "candidate analysis requires n >= 10, got 9", id="candidate-replace"),
+    pytest.param(lambda: SpecializationConfig._make((10, 3, 11)), InvalidInput,
+                 "r = 11 exceeds n = 10", id="cfg-make"),
+    pytest.param(lambda: SpecializationConfig(10, 3, 9)._replace(n=9), DomainError,
+                 "specialization requires n >= 10, got 9", id="cfg-replace"),
+    pytest.param(lambda: ExclusionDb._make(((UniformBound(10, 20, ""),), frozenset())), InvalidInput,
+                 "every exclusion entry needs a nonempty source", id="db-make"),
 ])
 def test_replace_and_make_validate_like_the_constructor(make, error, message):
     with pytest.raises(error) as info:
@@ -119,8 +133,38 @@ def test_one_of_each_covers_every_value_type():
     }
 
 
+# Field order and defaults, as they were under typing.NamedTuple.
+FIELDS = [
+    (QuadraticExpr, ("a", "b", "q"), {}),
+    (CandidateTriple, ("n", "t", "m", "k"), {}),
+    (SpecializationConfig, ("n", "d", "r"), {}),
+    (_HeadSums, ("sums", "lows", "start", "total", "zero", "n", "r", "dd"), {}),
+    (TraceStep, ("index", "mults", "t", "dot_c"), {}),
+    (UnloadingTrace, ("steps", "j", "omega_prime"), {}),
+    (UniformBound, ("n_min", "m_max", "source"), {}),
+    (ExplicitClass, ("n", "t", "m", "k", "source"), {}),
+    (ExclusionDb, ("entries", "enabled_sources"), {}),
+    (ExclusionResult, ("excluded", "reason"), {"reason": None}),
+    (Coverage, ("m_checked_k0", "m_checked_knz"), {}),
+    (BoundReport, ("n", "f", "mu", "blocker", "exclusions_used", "coverage", "cfg", "budget_limited",
+                   "m_budget_cap"), {}),
+    (FormulaBound, ("name", "value", "source"), {}),
+    (BestKnown, ("f_best", "source"), {}),
+    (TableARow, ("t", "m", "k", "e_str"), {}),
+    (TableBRow, ("n", "f_str", "t", "m", "source", "note"), {"source": None, "note": None}),
+]
+
+
+def test_fields_are_pinned_for_every_value_type():
+    assert {cls for cls, _, _ in FIELDS} == {type(v) for v in _one_of_each()}
+    for cls, fields, defaults in FIELDS:
+        assert (cls._fields, cls._field_defaults) == (fields, defaults), cls.__name__
+
+
 @pytest.mark.parametrize("value", _one_of_each(), ids=lambda v: type(v).__name__)
 def test_fields_cannot_be_assigned(value):
+    # every class in the chain declares __slots__ = (), so there is no __dict__
+    assert not hasattr(value, "__dict__")
     field = type(value)._fields[0]
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
@@ -138,24 +182,49 @@ def test_repr_is_name_and_fields():
 
 
 @pytest.mark.parametrize("value", [
-    compute_bound(10),
-    compute_bound(11, m_budget_cap=5),
-    default_db().with_sources(enable=("Dumnicki",)),
-    SpecializationConfig(41, 5, 32),
-], ids=["report", "budget-limited", "db", "cfg"])
+    pytest.param(compute_bound(10), id="report"),
+    pytest.param(compute_bound(11, m_budget_cap=5), id="budget-limited"),
+    pytest.param(default_db().with_sources(enable=("Dumnicki",)), id="db"),
+    pytest.param(SpecializationConfig(41, 5, 32), id="cfg"),
+    *(pytest.param(v, id=type(v).__name__) for v in _one_of_each()),
+])
 def test_pickle_round_trips(value):
+    # the --jobs pool sends reports between processes
     again = pickle.loads(pickle.dumps(value))
     assert again == value and type(again) is type(value)
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # hashlib's _hashlib loads OpenSSL's libcrypto; csv is needed only for
-    # CSV output
+    # the import and default_db() that every command pays: hashlib's
+    # _hashlib loads OpenSSL's libcrypto, csv is needed only for CSV output
+    # and json only for JSON output, --db and --cache
     out = fresh_python(
         "import seshadri.cli\n"
-        "print(sorted({'dataclasses', 'inspect', '_hashlib', 'hashlib', 'csv'} & set(sys.modules)))\n"
+        "seshadri.cli.default_db()\n"
+        "print(sorted({'typing', 'json', 'dataclasses', 'inspect', '_hashlib', 'hashlib', 'csv'}\n"
+        "             & set(sys.modules)))\n"
     )
     assert out == "[]\n"
+
+
+def _fresh_main(*argv: str) -> str:
+    """stdout of seshadri.cli.main(argv) in a new interpreter, which loads
+    json on first use; a nonzero exit raises."""
+    return fresh_python(f"import seshadri.cli\nsys.exit(seshadri.cli.main({list(argv)!r}))\n")
+
+
+def test_json_output_in_a_fresh_interpreter():
+    assert _fresh_main("bound", "--n", "12", "--format", "json") == (GOLDEN / "bound-12.json").read_text(
+        encoding="utf-8")
+
+
+def test_cold_and_warm_cache_in_fresh_interpreters(tmp_path):
+    cache = str(tmp_path / "c.json")
+    golden = VERIFY_TABLE_B.read_text(encoding="utf-8")
+    assert _fresh_main("--cache", cache, "verify", "--table", "B") == golden
+    written = (tmp_path / "c.json").read_bytes()
+    assert _fresh_main("--cache", cache, "verify", "--table", "B") == golden
+    assert (tmp_path / "c.json").read_bytes() == written
 
 
 def test_cached_verify_never_loads_hashlib(tmp_path):
