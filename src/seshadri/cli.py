@@ -16,7 +16,7 @@ database file (`--db`), for example one written by
 `default_db().with_sources(disable=("Miranda",)).save(path)`.
 
 Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (bound-report
-cache keyed by (n, d, r, db-hash, m-cap, package version)).
+cache keyed by (n, d, r, database JSON, m-cap, package version)).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget-
 limited bound under --strict.
@@ -137,22 +137,27 @@ class _Cache:
     coverage fields.  Keys carry the package version, so a report cached by
     another release is recomputed, not served.
 
-    key hashes a database (see ExclusionDb.digest) only when it is not the
-    one of the previous key.  A command keys every report with one
-    database, so it hashes once; a cache with no path neither keys nor
-    stores anything, so it never hashes and never loads json.  flush
-    replaces the file atomically with sorted compact JSON, written by
-    json.dumps's C encoder.  Any layout of the same object reads back, so a
-    file written with indentation by an earlier release is still served.
+    A key holds the database itself, as the compact, key-sorted JSON of
+    its to_json_dict, so reports cached under one database are never served
+    under another.  The text is made only when the database is not the one
+    of the previous key: a command keys every report with one database, so
+    it makes the text once, and a cache with no path neither keys nor
+    stores anything, so it never loads json.  A path in a directory that
+    does not exist raises OSError at once, before any work.  flush replaces
+    the file atomically with sorted compact JSON, written by json.dumps's C
+    encoder.  Any layout of the same object reads back, so a file written
+    with indentation by an earlier release is still served.
     """
 
-    # (db, db.digest()) of the last key made; the database is immutable
-    _last_digest: tuple = (None, "")
+    # (db, its canonical JSON text) of the last key made; the database is immutable
+    _last_db: tuple = (None, "")
 
     def __init__(self, path: str | None):
         self.path = path
         self.data: dict = {}
         self.dirty = False
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise OSError(f"cannot write the cache {path}: no such directory")
         if path and os.path.exists(path):
             import json
 
@@ -167,11 +172,13 @@ class _Cache:
 
     @staticmethod
     def key(n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> str:
-        last, digest = _Cache._last_digest
+        last, text = _Cache._last_db
         if db is not last:
-            digest = db.digest()
-            _Cache._last_digest = (db, digest)
-        return f"n={n}|d={cfg.d}|r={cfg.r}|db={digest}|cap={cap}|v={__version__}"
+            import json
+
+            text = json.dumps(db.to_json_dict(), sort_keys=True, separators=(",", ":"))
+            _Cache._last_db = (db, text)
+        return f"n={n}|d={cfg.d}|r={cfg.r}|db={text}|cap={cap}|v={__version__}"
 
     def get(self, n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> BoundReport | None:
         """The report cached for (n, cfg, db, cap), or None when there is

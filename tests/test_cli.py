@@ -11,14 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import seshadri.exclusions as exclusions
 from conftest import fresh_python
-from seshadri import cli
+from seshadri import __version__, cli
 from seshadri.bounds import DEFAULT_M_BUDGET_CAP, compute_bound
 from seshadri.candidates import CandidateTriple
 from seshadri.cli import _Cache, main
 from seshadri.effectivity import SpecializationConfig
-from seshadri.exclusions import default_db
+from seshadri.exclusions import ExclusionDb, ExplicitClass, default_db
 from seshadri.render import (
     candidate_to_json,
     fraction_to_json,
@@ -351,10 +350,14 @@ class TestCacheRobustness:
         assert out == plain.replace("[CCMO]", "[from-the-cache]", 1)
 
     def test_cache_path_that_is_a_directory_exits_2(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "--cache", str(tmp_path), "bound", "--n", "11")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        # a directory, and a file in a directory that does not exist: both
+        # fail before any report is computed or printed
+        for path in (str(tmp_path), str(tmp_path / "nonexist" / "x.json")):
+            code, out, err = run_cli(capsys, "--cache", path, "bound", "--n", "11")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert path in err and ".tmp" not in err
 
     def test_flush_replaces_the_file_and_leaves_no_temp(self, tmp_path):
         cache = tmp_path / "cache.json"
@@ -413,39 +416,71 @@ class TestCacheRobustness:
         assert run_cli(capsys, "--cache", str(cache), *argv) == (0, cold, "")
         assert cache.read_bytes() == indented
 
+    def test_report_of_another_database_is_never_served(self, capsys, tmp_path):
+        cache, db = tmp_path / "c.json", tmp_path / "nomiranda.json"
+        default_db().with_sources(disable=("Miranda",)).save(str(db))
+        _, plain, _ = run_cli(capsys, "bound", "--n", "10", "--db", str(db))
+        assert "blocker C(79,25,0)" in plain
+        run_cli(capsys, "--cache", str(cache), "bound", "--n", "10")
+        code, out, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "10", "--db", str(db))
+        assert (code, out, err) == (0, plain, "")
+        assert len(json.loads(cache.read_text())) == 2
 
-class TestCacheHashing:
+    def test_same_database_from_a_file_is_served(self, capsys, tmp_path, monkeypatch):
+        # a key holds the database's canonical text, not its layout on disk
+        cache, db = tmp_path / "c.json", tmp_path / "default.json"
+        default_db().save(str(db))
+        _, cold, _ = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("a report was recomputed on a warm cache")
+
+        monkeypatch.setattr(cli, "compute_bound", no_compute)
+        assert run_cli(capsys, "--cache", str(cache), "bound", "--n", "12", "--db", str(db)) == (0, cold, "")
+        assert len(json.loads(cache.read_text())) == 1
+
+
+class TestCacheKeyText:
     @pytest.fixture
-    def hashes(self, monkeypatch):
+    def encodes(self, monkeypatch):
+        """Every database encoded for a cache key."""
         calls = []
-        sha256_hex = exclusions._sha256_hex
+        to_json_dict = ExclusionDb.to_json_dict
 
-        def counted(data):
-            calls.append(data)
-            return sha256_hex(data)
+        def counted(db):
+            calls.append(db)
+            return to_json_dict(db)
 
-        monkeypatch.setattr(exclusions, "_sha256_hex", counted)
+        monkeypatch.setattr(ExclusionDb, "to_json_dict", counted)
         return calls
 
-    def test_once_per_cached_command(self, capsys, tmp_path, hashes):
+    def test_once_per_cached_command(self, capsys, tmp_path, encodes):
         cache = tmp_path / "cache.json"
         for run in ("cold", "warm"):
-            hashes.clear()
+            encodes.clear()
             code, _, err = run_cli(capsys, "--cache", str(cache), "verify", "--table", "B")
             assert (code, err) == (0, "")
-            assert len(hashes) == 1, run
+            assert len(encodes) == 1, run
 
-    def test_never_without_a_cache(self, capsys, hashes):
+    def test_never_without_a_cache(self, capsys, encodes):
         code, _, _ = run_cli(capsys, "verify", "--table", "B")
-        assert code == 0 and hashes == []
+        assert code == 0 and encodes == []
 
-    def test_key_hashes_a_new_database(self, hashes):
+    def test_once_per_new_database(self, encodes):
         cfg, cap = SpecializationConfig.default(12), DEFAULT_M_BUDGET_CAP
         db, other = default_db(), default_db().with_sources(disable=("Miranda",))
         keys = [_Cache.key(12, cfg, d, cap) for d in (db, db, other, db)]
-        assert len(hashes) == 3
+        assert len(encodes) == 3
         assert keys[0] == keys[1] == keys[3] != keys[2]
-        assert keys[0].split("|")[3] == f"db={db.digest()}"
+
+    def test_database_reads_back_from_the_key(self):
+        # the JSON object delimits itself, even around a source name that
+        # looks like the fields after it, so no two databases share a key
+        entry = ExplicitClass(n=10, t=79, m=25, k=0, source='x"}|cap=1|v=0')
+        db = ExclusionDb(entries=(entry,), enabled_sources=frozenset({entry.source}))
+        key = _Cache.key(12, SpecializationConfig.default(12), db, DEFAULT_M_BUDGET_CAP)
+        text = key.split("|db=", 1)[1].rsplit("|cap=", 1)[0]
+        assert ExclusionDb.from_json(text) == db
 
 
 class TestCacheVersion:
@@ -457,18 +492,35 @@ class TestCacheVersion:
         key = _Cache.key(12, SpecializationConfig.default(12), default_db(), 5000)
         assert key.endswith(f"|v={__version__}")
 
+    def test_key_of_the_default_database_is_pinned(self):
+        # the database's text is part of every cache key: a new encoding of
+        # the same database must not move every key
+        key = _Cache.key(12, SpecializationConfig.default(12), default_db(), DEFAULT_M_BUDGET_CAP)
+        assert key == (
+            'n=12|d=3|r=10|db={"enabled_sources":["CCMO","Miranda","unique-cubic"],"entries":['
+            '{"kind":"uniform_bound","m_max":20,"n_min":10,"source":"CCMO"},'
+            '{"kind":"uniform_bound","m_max":42,"n_min":10,"source":"Dumnicki"},'
+            '{"k":0,"kind":"explicit_class","m":1,"n":10,"source":"unique-cubic","t":3},'
+            '{"k":-1,"kind":"explicit_class","m":2,"n":10,"source":"unique-cubic","t":6},'
+            '{"k":0,"kind":"explicit_class","m":25,"n":10,"source":"Miranda","t":79}]}'
+            f'|cap=5000|v={__version__}'
+        )
+
     def test_report_cached_by_another_version_is_recomputed(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         _, plain, _ = run_cli(capsys, "bound", "--n", "12")
         run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
         (key, payload), = json.loads(cache.read_text()).items()
-        old_key = key.rsplit("|v=", 1)[0] + "|v=0.0.0-other"
         payload["f"] = {"num": "999", "den": "1"}
-        cache.write_text(json.dumps({old_key: payload}))
-        code, out, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
-        assert code == 0 and err == ""
-        assert out == plain
-        assert set(json.loads(cache.read_text())) == {old_key, key}
+        # another release's key, and this release's key in the layout that
+        # named the database by a digest
+        for old_key in (key.rsplit("|v=", 1)[0] + "|v=0.0.0-other",
+                        f"n=12|d=3|r=10|db=8138c457c9f753a7|cap=5000|v={__version__}"):
+            cache.write_text(json.dumps({old_key: payload}))
+            code, out, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
+            assert code == 0 and err == ""
+            assert out == plain
+            assert set(json.loads(cache.read_text())) == {old_key, key}
 
 
 _DB_ENTRY = {"kind": "uniform_bound", "n_min": 10, "m_max": 20, "source": "CCMO"}
@@ -522,7 +574,7 @@ class TestExclusionDbInput:
         db = default_db()
         again = ExclusionDb.from_json(db.to_json())
         assert again == db
-        assert again.to_json() == db.to_json() and again.digest() == db.digest()
+        assert again.to_json() == db.to_json()
 
 
 class TestJobsFlag:
