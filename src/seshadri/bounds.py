@@ -51,9 +51,32 @@ class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used cove
                                             "budget_limited m_budget_cap")):
     """Certified bound for one n, with its exclusion certificate: f = n*mu
     as Fractions, the blocker (None when the budget ran out first) and the
-    (candidate, reason) pairs excluded below mu."""
+    (candidate, reason) pairs excluded below mu.  Every report, decoded or
+    unpickled ones too, must hold what compute_bound guarantees, or the
+    constructor raises ValueError (DomainError for a cfg of another n)."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "BoundReport":
+        self = super().__new__(cls, *args, **kwargs)
+        n, f, mu, blocker, _, coverage, cfg, budget_limited, cap = self
+        if cfg.n != n:
+            raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {n}")
+        if f != n * mu:
+            raise ValueError(f"f = {f} is not n*mu = {n * mu}")
+        if blocker is not None and (blocker.n != n or e_value(blocker) != mu):
+            raise ValueError(f"blocker {blocker.label()} does not give mu = {mu}")
+        if blocker is None and not (budget_limited and mu == cap + 1):
+            raise ValueError(f"no blocker, yet not budget-limited at mu = {cap + 1}")
+        covered = (coverage.m_checked_k0, coverage.m_checked_knz)
+        if budget_limited and (covered != (cap, cap) or mu > cap + 1):
+            raise ValueError(f"budget-limited at cap {cap}, yet coverage {covered}, mu = {mu}")
+        if not budget_limited and mu > min(covered):
+            raise ValueError(f"mu = {mu} is above the coverage {covered}")
+        return self
+
+    # _replace builds through _make, so both validate as the constructor does.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def compute_bound(
@@ -87,8 +110,6 @@ def compute_bound(
         db = default_db()
     if cfg is None:
         cfg = SpecializationConfig.default(n)
-    elif cfg.n != n:
-        raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {n}")
 
     # best is the least survivor so far, with its key.  That key never goes
     # up, so each candidate keyed below the final one was decided in its own
@@ -303,9 +324,12 @@ def all_formula_bounds(n: int, db: ExclusionDb | None = None) -> list[FormulaBou
 
 def best_known(n: int, report: BoundReport, db: ExclusionDb | None = None) -> BestKnown:
     """Maximum of the algorithmic f, the applicable formulas, and the
-    embedded reference values; ties resolve toward the algorithmic result."""
+    embedded reference values; ties resolve toward the algorithmic result.
+    Raises DomainError when report is for another n."""
     if n < 10:
         raise DomainError(f"requires n >= 10, got {n}")
+    if report.n != n:
+        raise DomainError(f"the report is for n = {report.n}, not n = {n}")
     best: Value = report.f
     source = "algorithm"
     for fb in all_formula_bounds(n, db=db):

@@ -15,8 +15,9 @@ the Table-B n at the default m cap.  Exclusion sources are switched with a
 database file (`--db`), for example one written by
 `default_db().with_sources(disable=("Miranda",)).save(path)`.
 
-Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (bound-report
-cache keyed by (n, d, r, database JSON, m-cap, package version)).
+Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (cache of the
+reports of bound, sweep and verify --table B, which alone open it, keyed by
+(n, d, r, database JSON, m-cap, package version)).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget-
 limited bound under --strict.
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certified lower bounds for multi-point Seshadri constants of the plane.",
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel workers across values of n")
-    p.add_argument("--cache", default=None, help="path to a JSON bound-report cache")
+    p.add_argument("--cache", default=None, help="JSON report cache of bound, sweep and verify --table B")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("candidates", help="enumerate prospective abnormal classes")
@@ -124,43 +125,37 @@ def _make_cfg(n: int, d: int | None, r: int | None) -> SpecializationConfig:
 
 
 class _Cache:
-    """Single-writer JSON cache of bound reports.
+    """Single-writer JSON cache of the bound reports of one database.
 
     A file that is not a JSON object is ignored with a warning on stderr, so
     every report is recomputed.  An entry is ignored the same way, and the
-    recomputed report replaces it, unless it decodes as a report that fits
-    its key and itself: the key's n, configuration and m cap, f = n*mu, a
-    blocker of the same n with e = mu, and what compute_bound guarantees.
-    That is, no blocker means budget-limited with mu = cap + 1; a
-    budget-limited report has both coverage fields at the cap and
-    mu <= cap + 1; any other report has a blocker and mu at most both
-    coverage fields.  Keys carry the package version, so a report cached by
-    another release is recomputed, not served.
+    recomputed report replaces it, unless it decodes as a report (which
+    checks itself) for its key's n, configuration and m cap.  Keys carry
+    the package version, so a report cached by another release is
+    recomputed, not served.
 
-    A key holds the database itself, as the compact, key-sorted JSON of
-    its to_json_dict, so reports cached under one database are never served
-    under another.  The text is made only when the database is not the one
-    of the previous key: a command keys every report with one database, so
-    it makes the text once, and a cache with no path neither keys nor
-    stores anything, so it never loads json.  A path in a directory that
-    does not exist raises OSError at once, before any work.  flush replaces
-    the file atomically with sorted compact JSON, written by json.dumps's C
-    encoder.  Any layout of the same object reads back, so a file written
-    with indentation by an earlier release is still served.
+    A key holds the database itself, as the compact, key-sorted JSON of its
+    to_json_dict, so reports cached under one database are never served
+    under another.  The text is made once, when a cache with a path opens;
+    a cache with no path neither keys nor stores anything, so it never
+    loads json.  A path in a directory that does not exist raises OSError
+    at once, before any work.  flush replaces the file atomically with
+    sorted compact JSON, written by json.dumps's C encoder.  A file with
+    this release's keys is served in any JSON layout.
     """
 
-    # (db, its canonical JSON text) of the last key made; the database is immutable
-    _last_db: tuple = (None, "")
-
-    def __init__(self, path: str | None):
+    def __init__(self, path: str | None, db: ExclusionDb):
         self.path = path
         self.data: dict = {}
         self.dirty = False
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+        if not path:
+            return
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise OSError(f"cannot write the cache {path}: no such directory")
-        if path and os.path.exists(path):
-            import json
+        import json
 
+        self.db_text = json.dumps(db.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        if os.path.exists(path):
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
@@ -170,51 +165,32 @@ class _Cache:
             except ValueError as exc:
                 sys.stderr.write(f"warning: ignoring corrupt cache {path} ({exc}); recomputing\n")
 
-    @staticmethod
-    def key(n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> str:
-        last, text = _Cache._last_db
-        if db is not last:
-            import json
+    def key(self, n: int, cfg: SpecializationConfig, cap: int) -> str:
+        return f"n={n}|d={cfg.d}|r={cfg.r}|db={self.db_text}|cap={cap}|v={__version__}"
 
-            text = json.dumps(db.to_json_dict(), sort_keys=True, separators=(",", ":"))
-            _Cache._last_db = (db, text)
-        return f"n={n}|d={cfg.d}|r={cfg.r}|db={text}|cap={cap}|v={__version__}"
-
-    def get(self, n: int, cfg: SpecializationConfig, db: ExclusionDb, cap: int) -> BoundReport | None:
-        """The report cached for (n, cfg, db, cap), or None when there is
-        none or it is malformed."""
+    def get(self, n: int, cfg: SpecializationConfig, cap: int) -> BoundReport | None:
+        """The report cached for (n, cfg, cap), or None when there is none
+        or it is malformed."""
         if not self.data:
             return None
-        key = self.key(n, cfg, db, cap)
+        key = self.key(n, cfg, cap)
         if key not in self.data:
             return None
         try:
             rep = report_from_json_dict(self.data[key])
             if (rep.n, rep.cfg, rep.m_budget_cap) != (n, cfg, cap):
                 raise ValueError(f"entry is for n={rep.n}, {rep.cfg}, cap={rep.m_budget_cap}")
-            if rep.f != rep.n * rep.mu:
-                raise ValueError(f"f = {rep.f} is not n*mu = {rep.n * rep.mu}")
-            if rep.blocker is not None and (rep.blocker.n != n or e_value(rep.blocker) != rep.mu):
-                raise ValueError(f"blocker {rep.blocker.label()} does not give mu = {rep.mu}")
-            if rep.blocker is None and not (rep.budget_limited and rep.mu == cap + 1):
-                raise ValueError(f"no blocker, yet not budget-limited at mu = {cap + 1}")
-            covered = (rep.coverage.m_checked_k0, rep.coverage.m_checked_knz)
-            if rep.budget_limited and (covered != (cap, cap) or rep.mu > cap + 1):
-                raise ValueError(f"budget-limited at cap {cap}, yet coverage {covered}, mu = {rep.mu}")
-            if not rep.budget_limited and rep.mu > min(covered):
-                raise ValueError(f"mu = {rep.mu} is above the coverage {covered}")
             return rep
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             reason = f"{type(exc).__name__}: {exc}"
             sys.stderr.write(f"warning: ignoring malformed cache entry {key} ({reason}); recomputing\n")
             return None
 
-    def put(self, db: ExclusionDb, rep: BoundReport) -> None:
-        """Cache rep, computed with db, under the key of its own n,
-        configuration and m cap."""
+    def put(self, rep: BoundReport) -> None:
+        """Cache rep under the key of its own n, configuration and m cap."""
         if not self.path:
             return
-        self.data[self.key(rep.n, rep.cfg, db, rep.m_budget_cap)] = report_to_json_dict(rep)
+        self.data[self.key(rep.n, rep.cfg, rep.m_budget_cap)] = report_to_json_dict(rep)
         self.dirty = True
 
     def flush(self) -> None:
@@ -265,14 +241,16 @@ def _cmd_alpha(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bound(args, cache: _Cache) -> int:
+def _cmd_bound(args) -> int:
     db = _load_db(args.db)
+    cache = _Cache(args.cache, db)
     cfg = _make_cfg(args.n, args.d, args.r)
-    rep = cache.get(args.n, cfg, db, args.m_cap)
+    rep = cache.get(args.n, cfg, args.m_cap)
     if rep is None:
         rep = compute_bound(args.n, db=db, cfg=cfg, m_budget_cap=args.m_cap)
-        cache.put(db, rep)
+        cache.put(rep)
     sys.stdout.write(render_report(rep, args.format))
+    cache.flush()
     if rep.budget_limited and args.strict:
         return EXIT_BUDGET_LIMITED
     return EXIT_OK
@@ -296,21 +274,41 @@ def _cmd_formulas(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, cache: _Cache) -> int:
+def _cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.n)
     if lo < 10 or lo > hi:
         raise InvalidInput(f"sweep needs a range A..B with 10 <= A <= B, got {args.n}")
     db = _load_db(args.db)
     ns = [n for n in range(lo, hi + 1) if not is_square(n)]
-    return _print_sweep(ns, _default_reports(ns, db, args.m_cap, args.jobs, cache), db)
+    return _cached_sweep(args, ns, db, args.m_cap)
 
 
-def _cmd_verify(args, cache: _Cache) -> int:
+def _cmd_verify(args) -> int:
     db = _load_db(args.db)
     if args.table == "A":
         return _verify_table_a()
-    ns = [row.n for row in TABLE_B]
-    return _print_sweep(ns, _default_reports(ns, db, DEFAULT_M_BUDGET_CAP, args.jobs, cache), db)
+    return _cached_sweep(args, [row.n for row in TABLE_B], db, DEFAULT_M_BUDGET_CAP)
+
+
+def _cached_sweep(args, ns: list[int], db: ExclusionDb, cap: int) -> int:
+    """_print_sweep over the default-configuration reports for ns: cached ones
+    are read, and the misses computed by one bounds_for_ns call and cached."""
+    cache = _Cache(args.cache, db)
+    reports: dict[int, BoundReport] = {}
+    missing = []
+    for n in ns:
+        rep = cache.get(n, SpecializationConfig.default(n), cap)
+        if rep is None:
+            missing.append(n)
+        else:
+            reports[n] = rep
+    if missing:
+        for n, rep in bounds_for_ns(missing, db=db, m_budget_cap=cap, jobs=args.jobs).items():
+            reports[n] = rep
+            cache.put(rep)
+    code = _print_sweep(ns, reports, db)
+    cache.flush()
+    return code
 
 
 def _verify_table_a() -> int:
@@ -327,26 +325,6 @@ def _verify_table_a() -> int:
             ok = False
     sys.stdout.write(f"table A: {'PASS' if ok else 'FAIL'} ({len(cands)} candidates)\n")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-
-def _default_reports(
-    ns: list[int], db: ExclusionDb, cap: int, jobs: int, cache: _Cache
-) -> dict[int, BoundReport]:
-    """Default-configuration reports for ns: cached ones are read, and all
-    the misses are computed by one bounds_for_ns call and cached."""
-    reports: dict[int, BoundReport] = {}
-    missing = []
-    for n in ns:
-        rep = cache.get(n, SpecializationConfig.default(n), db, cap)
-        if rep is None:
-            missing.append(n)
-        else:
-            reports[n] = rep
-    if missing:
-        for n, rep in bounds_for_ns(missing, db=db, m_budget_cap=cap, jobs=jobs).items():
-            reports[n] = rep
-            cache.put(db, rep)
-    return reports
 
 
 def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb) -> int:
@@ -418,22 +396,20 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: --jobs must be >= 1, got {args.jobs}\n")
         return EXIT_USAGE
     try:
-        cache = _Cache(args.cache)
         if args.command == "candidates":
             code = _cmd_candidates(args)
         elif args.command == "alpha":
             code = _cmd_alpha(args)
         elif args.command == "bound":
-            code = _cmd_bound(args, cache)
+            code = _cmd_bound(args)
         elif args.command == "formulas":
             code = _cmd_formulas(args)
         elif args.command == "sweep":
-            code = _cmd_sweep(args, cache)
+            code = _cmd_sweep(args)
         elif args.command == "verify":
-            code = _cmd_verify(args, cache)
+            code = _cmd_verify(args)
         else:  # pragma: no cover
             return EXIT_USAGE
-        cache.flush()
     except (DomainError, InvalidInput, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

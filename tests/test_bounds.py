@@ -329,6 +329,11 @@ class TestBestKnown:
         assert bk.f_best == Q(313600, 310)
         assert bk.source == "algorithm"
 
+    def test_report_of_another_n_is_refused(self):
+        # f(10) = 1011.61 is no bound for n = 12, whose Table-B value is 300.52
+        with pytest.raises(DomainError, match="the report is for n = 10, not n = 12"):
+            best_known(12, compute_bound(10))
+
     def test_dumnicki_formula_respects_database_switch(self):
         rep = compute_bound(41)
         enabled = default_db().with_sources(enable=("Dumnicki",))

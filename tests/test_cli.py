@@ -17,7 +17,7 @@ from seshadri.bounds import DEFAULT_M_BUDGET_CAP, compute_bound
 from seshadri.candidates import CandidateTriple
 from seshadri.cli import _Cache, main
 from seshadri.effectivity import SpecializationConfig
-from seshadri.exclusions import ExclusionDb, ExplicitClass, default_db
+from seshadri.exclusions import _ENTRY_KINDS, ExclusionDb, ExplicitClass, default_db
 from seshadri.render import (
     candidate_to_json,
     fraction_to_json,
@@ -359,20 +359,36 @@ class TestCacheRobustness:
             assert err.startswith("error: ") and "Traceback" not in err
             assert path in err and ".tmp" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("candidates", "--n", "10", "--m-max", "3"),
+        ("alpha", "--n", "10", "--m", "3"),
+        ("formulas", "--n", "10..12"),
+        ("verify", "--table", "A"),
+    ], ids=["candidates", "alpha", "formulas", "verify-A"])
+    def test_commands_without_reports_never_open_the_cache(self, capsys, tmp_path, argv):
+        cache = tmp_path / "cache.json"
+        cache.write_bytes(b"{not json")
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0 and plain[2] == ""
+        assert run_cli(capsys, "--cache", str(cache), *argv) == plain
+        assert cache.read_bytes() == b"{not json"
+
     def test_flush_replaces_the_file_and_leaves_no_temp(self, tmp_path):
         cache = tmp_path / "cache.json"
-        c = _Cache(str(cache))
-        c.put(default_db(), compute_bound(11))
+        c = _Cache(str(cache), default_db())
+        c.put(compute_bound(11))
         c.flush()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
-        key = _Cache.key(11, SpecializationConfig.default(11), default_db(), DEFAULT_M_BUDGET_CAP)
-        assert set(_Cache(str(cache)).data) == {key}
+        again = _Cache(str(cache), default_db())
+        key = again.key(11, SpecializationConfig.default(11), DEFAULT_M_BUDGET_CAP)
+        assert set(again.data) == {key}
+        assert again.get(11, SpecializationConfig.default(11), DEFAULT_M_BUDGET_CAP) == compute_bound(11)
 
     def test_failed_flush_keeps_the_old_file(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache.json"
         cache.write_text('{"old": 1}\n')
-        c = _Cache(str(cache))
-        c.put(default_db(), compute_bound(11))
+        c = _Cache(str(cache), default_db())
+        c.put(compute_bound(11))
 
         def disk_full(*args, **kwargs):
             raise OSError("disk full")
@@ -403,7 +419,8 @@ class TestCacheRobustness:
         assert (code, err) == (0, "")
         data = json.loads(cache.read_text(encoding="utf-8"))
         with open(cache, "w", encoding="utf-8") as fh:
-            # the layout that releases before the compact one wrote
+            # an indented layout: this release's keys are served in any
+            # JSON layout (earlier releases' digest keys are recomputed)
             json.dump(data, fh, sort_keys=True, indent=1)
             fh.write("\n")
         indented = cache.read_bytes()
@@ -466,36 +483,42 @@ class TestCacheKeyText:
         code, _, _ = run_cli(capsys, "verify", "--table", "B")
         assert code == 0 and encodes == []
 
-    def test_once_per_new_database(self, encodes):
+    def test_once_per_new_database(self, tmp_path, encodes):
+        # a cache encodes its database when it opens, and only with a path
         cfg, cap = SpecializationConfig.default(12), DEFAULT_M_BUDGET_CAP
         db, other = default_db(), default_db().with_sources(disable=("Miranda",))
-        keys = [_Cache.key(12, cfg, d, cap) for d in (db, db, other, db)]
+        path = str(tmp_path / "cache.json")
+        _Cache(None, db)
+        assert encodes == []
+        cache, other_cache = _Cache(path, db), _Cache(path, other)
+        assert encodes == [db, other]
+        keys = [cache.key(12, cfg, cap), cache.key(12, cfg, cap), other_cache.key(12, cfg, cap),
+                _Cache(path, db).key(12, cfg, cap)]
         assert len(encodes) == 3
         assert keys[0] == keys[1] == keys[3] != keys[2]
 
-    def test_database_reads_back_from_the_key(self):
+    def test_database_reads_back_from_the_key(self, tmp_path):
         # the JSON object delimits itself, even around a source name that
         # looks like the fields after it, so no two databases share a key
         entry = ExplicitClass(n=10, t=79, m=25, k=0, source='x"}|cap=1|v=0')
         db = ExclusionDb(entries=(entry,), enabled_sources=frozenset({entry.source}))
-        key = _Cache.key(12, SpecializationConfig.default(12), db, DEFAULT_M_BUDGET_CAP)
+        cache = _Cache(str(tmp_path / "cache.json"), db)
+        key = cache.key(12, SpecializationConfig.default(12), DEFAULT_M_BUDGET_CAP)
         text = key.split("|db=", 1)[1].rsplit("|cap=", 1)[0]
         assert ExclusionDb.from_json(text) == db
 
 
 class TestCacheVersion:
-    def test_key_carries_the_package_version(self):
-        from seshadri import __version__
-        from seshadri.effectivity import SpecializationConfig
-        from seshadri.exclusions import default_db
-
-        key = _Cache.key(12, SpecializationConfig.default(12), default_db(), 5000)
+    def test_key_carries_the_package_version(self, tmp_path):
+        cache = _Cache(str(tmp_path / "cache.json"), default_db())
+        key = cache.key(12, SpecializationConfig.default(12), 5000)
         assert key.endswith(f"|v={__version__}")
 
-    def test_key_of_the_default_database_is_pinned(self):
+    def test_key_of_the_default_database_is_pinned(self, tmp_path):
         # the database's text is part of every cache key: a new encoding of
         # the same database must not move every key
-        key = _Cache.key(12, SpecializationConfig.default(12), default_db(), DEFAULT_M_BUDGET_CAP)
+        cache = _Cache(str(tmp_path / "cache.json"), default_db())
+        key = cache.key(12, SpecializationConfig.default(12), DEFAULT_M_BUDGET_CAP)
         assert key == (
             'n=12|d=3|r=10|db={"enabled_sources":["CCMO","Miranda","unique-cubic"],"entries":['
             '{"kind":"uniform_bound","m_max":20,"n_min":10,"source":"CCMO"},'
@@ -527,6 +550,28 @@ _DB_ENTRY = {"kind": "uniform_bound", "n_min": 10, "m_max": 20, "source": "CCMO"
 
 
 class TestExclusionDbInput:
+    def test_schema_matches_the_checker(self):
+        # docs/exclusion_db.schema.json and the hand-written checker
+        # describe one format: a field added to one must be added to both
+        schema = json.loads((Path(__file__).resolve().parents[1] / "docs" / "exclusion_db.schema.json")
+                            .read_text(encoding="utf-8"))
+        assert (schema["type"], schema["additionalProperties"]) == ("object", False)
+        assert sorted(schema["required"]) == sorted(schema["properties"]) == ["enabled_sources", "entries"]
+        assert schema["properties"]["enabled_sources"] == {
+            "type": "array", "items": {"type": "string", "minLength": 1}, "uniqueItems": True}
+        entries = schema["properties"]["entries"]
+        assert entries["type"] == "array"
+        kinds = {}
+        for variant in entries["items"]["oneOf"]:
+            props = variant["properties"]
+            assert (variant["type"], variant["additionalProperties"]) == ("object", False)
+            assert sorted(variant["required"]) == sorted(props)
+            assert props["source"] == {"type": "string", "minLength": 1}
+            fields = {name: spec for name, spec in props.items() if name not in ("kind", "source")}
+            assert all(spec["type"] == "integer" and set(spec) <= {"type", "minimum"} for spec in fields.values())
+            kinds[props["kind"]["const"]] = {name: spec.get("minimum") for name, spec in fields.items()}
+        assert kinds == {kind: fields for kind, (_, fields) in _ENTRY_KINDS.items()}
+
     @pytest.mark.parametrize("doc, message", [
         ({}, "lacks enabled_sources, entries"),
         ([], "top level must be a JSON object"),

@@ -35,6 +35,15 @@ GOLDEN = Path(__file__).parent / "golden"
 VERIFY_TABLE_B = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify-table-b.txt"
 
 
+_REPORT = compute_bound(12)  # f = 6912/23, mu = 576/23, blocker C(83,24,0), coverage m <= 32
+_LIMITED = compute_bound(10, m_budget_cap=5)  # budget-limited: mu = 6, no blocker
+
+
+def _report(rep, **fields):
+    """rep with these fields, built through the constructor."""
+    return BoundReport(**dict(rep._asdict(), **fields))
+
+
 @pytest.mark.parametrize("make, error, message", [
     (lambda: CandidateTriple(9, 3, 1, 0), DomainError,
      "candidate analysis requires n >= 10, got 9"),
@@ -52,6 +61,26 @@ VERIFY_TABLE_B = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / 
     (lambda: QuadraticExpr(1, 2, Fraction(-1, 3)), DomainError, "radicand must be >= 0, got -1/3"),
     (lambda: ExclusionDb((UniformBound(10, 20, "CCMO"), ExplicitClass(10, 3, 1, 0, "")), frozenset()),
      InvalidInput, "every exclusion entry needs a nonempty source"),
+    # a report holds what compute_bound guarantees, one row per invariant
+    pytest.param(lambda: _report(_REPORT, cfg=SpecializationConfig.default(13)), DomainError,
+                 "the specialization is configured for n = 13, not n = 12", id="report-cfg-of-another-n"),
+    pytest.param(lambda: _report(_REPORT, f=Fraction(300)), ValueError,
+                 "f = 300 is not n*mu = 6912/23", id="report-f-not-n-mu"),
+    pytest.param(lambda: _report(_REPORT, blocker=CandidateTriple(13, 83, 24, 0)), ValueError,
+                 "blocker C(83,24,0) does not give mu = 576/23", id="report-blocker-of-another-n"),
+    pytest.param(lambda: _report(_REPORT, f=Fraction(300), mu=Fraction(25)), ValueError,
+                 "blocker C(83,24,0) does not give mu = 25", id="report-mu-not-the-blocker-e"),
+    pytest.param(lambda: _report(_REPORT, blocker=None), ValueError,
+                 "no blocker, yet not budget-limited at mu = 5001", id="report-no-blocker-not-limited"),
+    pytest.param(lambda: _report(_LIMITED, f=Fraction(50), mu=Fraction(5)), ValueError,
+                 "no blocker, yet not budget-limited at mu = 6", id="report-no-blocker-mu-not-cap-plus-one"),
+    pytest.param(lambda: _report(_LIMITED, coverage=Coverage(4, 5)), ValueError,
+                 "budget-limited at cap 5, yet coverage (4, 5), mu = 6", id="report-limited-below-the-cap"),
+    pytest.param(lambda: _report(_REPORT, budget_limited=True, m_budget_cap=24, coverage=Coverage(24, 24)),
+                 ValueError, "budget-limited at cap 24, yet coverage (24, 24), mu = 576/23",
+                 id="report-limited-mu-above-cap-plus-one"),
+    pytest.param(lambda: _report(_REPORT, coverage=Coverage(32, 25)), ValueError,
+                 "mu = 576/23 is above the coverage (32, 25)", id="report-mu-above-the-coverage"),
 ])
 def test_validation_keeps_its_exception_and_message(make, error, message):
     with pytest.raises(error) as info:
@@ -79,6 +108,8 @@ def test_validation_keeps_its_exception_and_message(make, error, message):
                  "specialization requires n >= 10, got 9", id="cfg-replace"),
     pytest.param(lambda: ExclusionDb._make(((UniformBound(10, 20, ""),), frozenset())), InvalidInput,
                  "every exclusion entry needs a nonempty source", id="db-make"),
+    pytest.param(lambda: _REPORT._replace(f=Fraction(1)), ValueError,
+                 "f = 1 is not n*mu = 6912/23", id="report-replace"),
 ])
 def test_replace_and_make_validate_like_the_constructor(make, error, message):
     with pytest.raises(error) as info:
