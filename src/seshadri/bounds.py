@@ -51,14 +51,14 @@ class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used cove
                                             "budget_limited m_budget_cap")):
     """Certified bound for one n, with its exclusion certificate: f = n*mu
     as Fractions, the blocker (None when the budget ran out first) and the
-    (candidate, reason) pairs excluded below mu.  Every report, decoded or
-    unpickled ones too, must hold what compute_bound guarantees, or the
-    constructor raises ValueError (DomainError for a cfg of another n)."""
+    (candidate, reason) pairs excluded below mu.  Building one does not
+    check; check re-tests what compute_bound guarantees on a decoded one."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "BoundReport":
-        self = super().__new__(cls, *args, **kwargs)
+    def check(self) -> None:
+        """Raise ValueError (DomainError for a cfg of another n) unless this
+        report holds what compute_bound guarantees."""
         n, f, mu, blocker, _, coverage, cfg, budget_limited, cap = self
         if cfg.n != n:
             raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {n}")
@@ -73,10 +73,6 @@ class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used cove
             raise ValueError(f"budget-limited at cap {cap}, yet coverage {covered}, mu = {mu}")
         if not budget_limited and mu > min(covered):
             raise ValueError(f"mu = {mu} is above the coverage {covered}")
-        return self
-
-    # _replace builds through _make, so both validate as the constructor does.
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def compute_bound(
@@ -110,6 +106,8 @@ def compute_bound(
         db = default_db()
     if cfg is None:
         cfg = SpecializationConfig.default(n)
+    elif cfg.n != n:
+        raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {n}")
 
     # best is the least survivor so far, with its key.  That key never goes
     # up, so each candidate keyed below the final one was decided in its own

@@ -129,9 +129,9 @@ class _Cache:
 
     A file that is not a JSON object is ignored with a warning on stderr, so
     every report is recomputed.  An entry is ignored the same way, and the
-    recomputed report replaces it, unless it decodes as a report (which
-    checks itself) for its key's n, configuration and m cap.  Keys carry
-    the package version, so a report cached by another release is
+    recomputed report replaces it, unless it decodes as a report for its
+    key's n, configuration and m cap that passes BoundReport.check.  Keys
+    carry the package version, so a report cached by another release is
     recomputed, not served.
 
     A key holds the database itself, as the compact, key-sorted JSON of its
@@ -180,6 +180,7 @@ class _Cache:
             rep = report_from_json_dict(self.data[key])
             if (rep.n, rep.cfg, rep.m_budget_cap) != (n, cfg, cap):
                 raise ValueError(f"entry is for n={rep.n}, {rep.cfg}, cap={rep.m_budget_cap}")
+            rep.check()
             return rep
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             reason = f"{type(exc).__name__}: {exc}"

@@ -16,6 +16,7 @@ from conftest import (
     theoremone_weak_d,
 )
 from seshadri.bounds import (
+    DEFAULT_M_BUDGET_CAP,
     _worker_count,
     all_formula_bounds,
     best_known,
@@ -44,6 +45,11 @@ def formulas(n, db=None):
 
 
 class TestComputeBound:
+    @pytest.mark.parametrize("n, cap", [(10, DEFAULT_M_BUDGET_CAP), (10, 5), (41, DEFAULT_M_BUDGET_CAP),
+                                        (99, DEFAULT_M_BUDGET_CAP), (3001, 64)])
+    def test_report_passes_its_check(self, n, cap):
+        compute_bound(n, m_budget_cap=cap).check()
+
     def test_ten_points_with_full_database(self):
         rep = compute_bound(10)
         assert rep.f == Q(313600, 310)
@@ -78,6 +84,9 @@ class TestComputeBound:
     def test_config_for_another_n_rejected(self):
         with pytest.raises(DomainError, match="configured for n = 40, not n = 41"):
             compute_bound(41, cfg=SpecializationConfig.default(40))
+        # no class has m <= 1, so no ruling would see the configuration
+        with pytest.raises(DomainError, match="configured for n = 13, not n = 12"):
+            compute_bound(12, cfg=SpecializationConfig.default(13), m_budget_cap=1)
 
     def test_budget_limited_report(self):
         rep = compute_bound(10, m_budget_cap=5)

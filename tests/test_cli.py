@@ -740,6 +740,17 @@ def test_report_json_dict_round_trip():
     assert report_from_json_dict(report_to_json_dict(rep)) == rep
 
 
+def test_report_that_breaks_its_invariants_decodes_and_fails_its_check():
+    # Decoding checks types only, so a golden comparison sees an unequal
+    # report; the cache serves an entry only after BoundReport.check.
+    d = report_to_json_dict(compute_bound(11))
+    d["f"]["num"] = str(int(d["f"]["num"]) + 1)
+    rep = report_from_json_dict(d)
+    assert rep != compute_bound(11)
+    with pytest.raises(ValueError, match=r"f = 2817/7 is not n\*mu = 2816/7"):
+        rep.check()
+
+
 class TestReferenceTables:
     def test_table_a_has_32_rows(self):
         from seshadri.tables import TABLE_A
