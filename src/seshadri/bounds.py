@@ -323,9 +323,7 @@ def all_formula_bounds(n: int, db: ExclusionDb | None = None) -> list[FormulaBou
 def best_known(n: int, report: BoundReport, db: ExclusionDb | None = None) -> BestKnown:
     """Maximum of the algorithmic f, the applicable formulas, and the
     embedded reference values; ties resolve toward the algorithmic result.
-    Raises DomainError when report is for another n."""
-    if n < 10:
-        raise DomainError(f"requires n >= 10, got {n}")
+    Raises DomainError when report is for another n, or n < 10."""
     if report.n != n:
         raise DomainError(f"the report is for n = {report.n}, not n = {n}")
     best: Value = report.f

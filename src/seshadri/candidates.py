@@ -157,17 +157,14 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
         if t * t >= base - m and szcor_d(n, t, m, 0):
             out.append(CandidateTriple(n, t, m, 0))
         if m < n:
-            # k != 0 pinned by the almost-uniform constraints
+            # k != 0 pinned by the almost-uniform constraints; t >= isqrt(10m^2)
+            # >= 3, and num != 0 with 2m | num makes k nonzero
             tm = isqrt(base)
             for t in (tm, tm + 1):
-                if t < 1:
-                    continue
                 num = t * t - base
                 if num == 0 or num % (2 * m) != 0:
                     continue
                 k = num // (2 * m)
-                if k == 0:
-                    continue
                 if not lemaaa_conditions(n, t, m, k):
                     continue
                 if szcor_conditions(n, t, m, k):

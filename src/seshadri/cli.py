@@ -9,11 +9,13 @@ Subcommands:
   sweep      --n A..B [--db PATH] [--m-cap C]
   verify     --table A|B [--db PATH]
 
-sweep reports f(n) for every nonsquare n in A..B (A >= 10) and judges each
-n that has a Table-B row as verify does; `verify --table B` is the sweep over
-the Table-B n at the default m cap.  Exclusion sources are switched with a
-database file (`--db`), for example one written by
-`default_db().with_sources(disable=("Miranda",)).save(path)`.
+formulas and sweep take --n as N or A..B with 10 <= A <= B; any other spec
+exits 2 with one message.  sweep reports f(n) for every nonsquare n in the
+range and judges each n that has a Table-B row as verify does; `verify
+--table B` is the sweep over the Table-B n at the default m cap.  Exclusion
+sources are switched with a database file (`--db`), for example one written
+by `default_db().with_sources(disable=("Miranda",)).save(path)`; verify
+reads it for table B only, since table A uses no database.
 
 Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (cache of the
 reports of bound, sweep and verify --table B, which alone open it, keyed by
@@ -78,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--m-max", type=int, required=True)
     c.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    c.set_defaults(run=_cmd_candidates)
 
     a = sub.add_parser("alpha", help="certified lower bounds for the degree of a fat-point curve")
     a.add_argument("--n", type=int, required=True)
@@ -87,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--d", type=int, default=None)
     a.add_argument("--r", type=int, default=None)
     a.add_argument("--trace", action="store_true", help="dump the unloading trace of the witness degree")
+    a.set_defaults(run=_cmd_alpha)
 
     b = sub.add_parser("bound", help="certified f(n) via the exclusion fixpoint")
     b.add_argument("--n", type=int, required=True)
@@ -96,20 +100,24 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--r", type=int, default=None)
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")
     b.add_argument("--strict", action="store_true", help="exit 3 if the bound is budget-limited")
+    b.set_defaults(run=_cmd_bound)
 
     f = sub.add_parser("formulas", help="closed-form f(n) bounds")
-    f.add_argument("--n", type=str, required=True, help="single n or range A..B")
+    f.add_argument("--n", type=str, required=True, help="single n or range A..B, A >= 10")
     f.add_argument("--db", default=None)
     f.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    f.set_defaults(run=_cmd_formulas)
 
     s = sub.add_parser("sweep", help="certified f(n) over a range of n, judged against table B")
     s.add_argument("--n", type=str, required=True, help="single n or range A..B, A >= 10")
     s.add_argument("--db", default=None, help="path to an exclusion database (JSON)")
     s.add_argument("--m-cap", type=int, default=DEFAULT_M_BUDGET_CAP)
+    s.set_defaults(run=_cmd_sweep)
 
     v = sub.add_parser("verify", help="check the build against the embedded reference tables")
     v.add_argument("--table", choices=("A", "B"), required=True)
-    v.add_argument("--db", default=None)
+    v.add_argument("--db", default=None, help="exclusion database of table B")
+    v.set_defaults(run=_cmd_verify)
     return p
 
 
@@ -224,7 +232,7 @@ def _cmd_alpha(args) -> int:
         mults = semiuniformize(args.n, args.m, args.k)
         if cfg.is_default():
             try:
-                closed = alpha_lb_closed(args.n, args.m, args.k, cfg)
+                closed = alpha_lb_closed(args.m, args.k, cfg)
             except DomainError:
                 closed = None
     else:
@@ -257,38 +265,37 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(spec: str) -> tuple[int, int]:
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return int(a), int(b)
-    n = int(spec)
-    return n, n
+def _parse_range(spec: str) -> range:
+    """The n of an --n given as N or A..B, with integers 10 <= A <= B."""
+    message = f"--n needs N or A..B with integers 10 <= A <= B, got {spec}"
+    a, sep, b = spec.partition("..")
+    try:
+        lo, hi = int(a), int(b if sep else a)
+    except ValueError:
+        raise InvalidInput(message) from None
+    if not 10 <= lo <= hi:
+        raise InvalidInput(message)
+    return range(lo, hi + 1)
 
 
 def _cmd_formulas(args) -> int:
-    lo, hi = _parse_range(args.n)
-    if lo > hi:
-        raise InvalidInput(f"empty range {args.n}")
+    ns = _parse_range(args.n)
     db = _load_db(args.db)
-    per_n = [(n, all_formula_bounds(n, db=db)) for n in range(lo, hi + 1)]
+    per_n = [(n, all_formula_bounds(n, db=db)) for n in ns]
     sys.stdout.write(render_formulas(per_n, args.format))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    lo, hi = _parse_range(args.n)
-    if lo < 10 or lo > hi:
-        raise InvalidInput(f"sweep needs a range A..B with 10 <= A <= B, got {args.n}")
+    ns = [n for n in _parse_range(args.n) if not is_square(n)]
     db = _load_db(args.db)
-    ns = [n for n in range(lo, hi + 1) if not is_square(n)]
     return _cached_sweep(args, ns, db, args.m_cap)
 
 
 def _cmd_verify(args) -> int:
-    db = _load_db(args.db)
     if args.table == "A":
         return _verify_table_a()
-    return _cached_sweep(args, [row.n for row in TABLE_B], db, DEFAULT_M_BUDGET_CAP)
+    return _cached_sweep(args, [row.n for row in TABLE_B], _load_db(args.db), DEFAULT_M_BUDGET_CAP)
 
 
 def _cached_sweep(args, ns: list[int], db: ExclusionDb, cap: int) -> int:
@@ -330,8 +337,8 @@ def _verify_table_a() -> int:
 
 def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb) -> int:
     """One line per n and a table-B summary.  An n with a Table-B row is
-    judged against the f implied by the row's class: above it (beyond a
-    1e-9 relative slack) is EXCESS, a hard failure; below it, a row with a
+    judged against the f implied by the row's class: above it, by any
+    amount, is EXCESS, a hard failure; below it, a row with a
     reference value must have that value recovered by best_known.  An n
     without a row shows f, the blocker and best_known.  A range with no
     Table-B row ends in "table B: no rows in range" instead of a summary.
@@ -340,7 +347,6 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
     rows = 0
     matches = 0
     deficit_rows = []
-    slack = Fraction(1, 10**9)
     for n in ns:
         rep = reports[n]
         row = TABLE_B_BY_N.get(n)
@@ -354,7 +360,7 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
             rows += 1
             target = implied_f(row)
             note = f"  [{row.note}]" if row.note else ""
-            if rep.f > target * (1 + slack):
+            if rep.f > target:
                 line = f"{head} EXCESS (hard failure)"
                 hard_fail = True
             elif truncate2(rep.f) == truncate2(target):
@@ -397,24 +403,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: --jobs must be >= 1, got {args.jobs}\n")
         return EXIT_USAGE
     try:
-        if args.command == "candidates":
-            code = _cmd_candidates(args)
-        elif args.command == "alpha":
-            code = _cmd_alpha(args)
-        elif args.command == "bound":
-            code = _cmd_bound(args)
-        elif args.command == "formulas":
-            code = _cmd_formulas(args)
-        elif args.command == "sweep":
-            code = _cmd_sweep(args)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        else:  # pragma: no cover
-            return EXIT_USAGE
-    except (DomainError, InvalidInput, OSError, ValueError) as exc:
+        return args.run(args)
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    return code
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ Write m*n = u*r + rho with 0 < rho <= r, A = floor((m*r + g - 1)/d) and
 B = u*d + s, with s the largest integer below d such that
 (s+1)(s+2) <= 2*rho.  Then the criterion holds exactly for
 0 <= t_0 <= min(A, B), so alpha_lower_bound((m,)*n, cfg) = 1 + min(A, B),
-which is alpha_lb_closed(n, m, 0):
+which is alpha_lb_closed(m, 0, cfg):
 
 * Interior condition.  a_0 = S_0 = r*m.  For 0 < i < z the identity above
   with b = 0 gives n*a_i = n*r*m + i*(n*d^2 - r^2) + psi(x) >= n*a_0, since
@@ -424,8 +424,9 @@ def semiuniformize(n: int, m: int, k: int) -> tuple[int, ...]:
     return (m + k,) + (m,) * (n - 1)
 
 
-def alpha_lb_closed(n: int, m: int, k: int, cfg: SpecializationConfig) -> int:
-    """Closed-form bound 1 + min(floor((mr+k+g-1)/d), s + u*d) for alpha.
+def alpha_lb_closed(m: int, k: int, cfg: SpecializationConfig) -> int:
+    """Closed-form bound 1 + min(floor((mr+k+g-1)/d), s + u*d) for alpha,
+    for the semi-uniform vector of n = cfg.n points.
 
     cfg must be the default specialization of n, the only one the form is
     proved for; the callers check cfg.is_default(), since is_excluded needs
@@ -439,9 +440,9 @@ def alpha_lb_closed(n: int, m: int, k: int, cfg: SpecializationConfig) -> int:
     For k = 0 the value equals alpha_lower_bound((m,)*n, cfg) (see the
     module docstring).
     """
+    n, d, r, g = cfg.n, cfg.d, cfg.r, cfg.g
     if m < 1 or k * k > m or (k != 0 and m >= n):
         raise DomainError(f"closed form needs k^2 <= m (and m < n unless k = 0), got m={m}, k={k}")
-    d, r, g = cfg.d, cfg.r, cfg.g
     u, rho = divmod(m * n + k, r)
     if rho == 0:
         u, rho = u - 1, r

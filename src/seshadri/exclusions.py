@@ -215,7 +215,7 @@ def is_excluded(
     if source is not None:
         return ExclusionResult(True, source)
     if c.k == 0 and cfg.is_default():
-        bound = alpha_lb_closed(c.n, c.m, 0, cfg)
+        bound = alpha_lb_closed(c.m, 0, cfg)
     else:
         bound = alpha_lower_bound(semiuniformize(c.n, c.m, c.k), cfg)
     if c.t < bound:

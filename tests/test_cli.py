@@ -207,6 +207,16 @@ class TestAlphaCommand:
             "j = 3, omega' = 4\n"
         )
 
+    def test_closed_form_of_the_configured_n(self, capsys):
+        code, out, err = run_cli(capsys, "alpha", "--n", "12", "--m", "5")
+        assert (code, err) == (0, "")
+        assert out == (
+            "n = 12, d = 3, r = 10, g = 1\n"
+            "mults = 5,5,5,5,5,5,5,5,5,5,5,5\n"
+            "alpha >= 17   (specialization criterion)\n"
+            "alpha >= 17   (closed form)\n"
+        )
+
     def test_custom_parameters(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--n", "14", "--m", "1", "--k", "1",
                                "--d", "3", "--r", "12")
@@ -651,6 +661,22 @@ class TestVerifyCommand:
         assert code == 0
         assert "PASS" in out
 
+    def test_table_a_never_reads_the_database(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json\n")
+        code, out, err = run_cli(capsys, "verify", "--table", "A", "--db", str(bad))
+        assert (code, out, err) == (0, "table A: PASS (32 candidates)\n", "")
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda rows: rows[:-1], "FAIL: expected 31 candidates, got 32"),
+        (lambda rows: (rows[0]._replace(e_str="2"),) + rows[1:], "FAIL: (3, 1, 0, '1') != (3, 1, 0, '2')"),
+    ])
+    def test_table_a_mismatch_fails(self, capsys, monkeypatch, edit, line):
+        monkeypatch.setattr(cli, "TABLE_A", edit(cli.TABLE_A))
+        code, out, err = run_cli(capsys, "verify", "--table", "A")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [line, "table A: FAIL (32 candidates)"]
+
 
 class TestSweepCommand:
     def test_table_b_range_is_verify_table_b(self, capsys):
@@ -707,12 +733,46 @@ class TestSweepCommand:
         assert code == 0
         assert out.splitlines()[0].endswith("deficit, survivor C(79,25,0)")
 
-    @pytest.mark.parametrize("spec", ["9..20", "30..20", "abc"])
-    def test_bad_range_exits_2(self, capsys, spec):
-        code, out, err = run_cli(capsys, "sweep", "--n", spec)
+    def test_f_above_the_row_by_any_amount_is_excess(self, capsys, monkeypatch):
+        # f exceeds the class-implied value by about 1e-13 relative, below the
+        # printed precision: still a hard failure
+        bounds_for_ns = cli.bounds_for_ns
+
+        def raised(ns, **kwargs):
+            reps = bounds_for_ns(ns, **kwargs)
+            return {n: rep._replace(f=rep.f + Q(1, 10**10)) for n, rep in reps.items()}
+
+        monkeypatch.setattr(cli, "bounds_for_ns", raised)
+        code, out, err = run_cli(capsys, "sweep", "--n", "10..10")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "n= 10 f=  1011.61 table=  1011.61 EXCESS (hard failure)",
+            "table B: 0/1 exact matches (vs class-implied exact values); unexplained deficits: none",
+            "table B: FAIL",
+        ]
+
+    def test_reference_not_recovered_is_missing(self, capsys, monkeypatch):
+        # C(117, 37) implies f = 13690 at n = 10, far above what best_known finds
+        row = cli.TABLE_B_BY_N[10]._replace(f_str="13690", t=117, m=37, source="test")
+        monkeypatch.setattr(cli, "TABLE_B_BY_N", {10: row})
+        code, out, err = run_cli(capsys, "sweep", "--n", "10..10")
+        assert (code, err) == (1, "")
+        assert out.splitlines()[0] == (
+            "n= 10 f=  1011.61 table=    13690 deficit, survivor C(177,56,0); "
+            "reference (test) gives 13690: MISSING"
+        )
+        assert out.splitlines()[-1] == "table B: FAIL"
+
+    @pytest.mark.parametrize("command, spec", [
+        *(pytest.param("sweep", spec, id=spec) for spec in ("9..20", "30..20", "abc")),
+        *(pytest.param("formulas", spec, id=f"formulas-{spec}")
+          for spec in ("5..12", "12..10", "10..", "..20", "abc")),
+    ])
+    def test_bad_range_exits_2(self, capsys, command, spec):
+        code, out, err = run_cli(capsys, command, "--n", spec)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err == f"error: --n needs N or A..B with integers 10 <= A <= B, got {spec}\n"
 
 
 def test_docstring_names_every_subcommand():
@@ -733,6 +793,10 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "bound", "--n", "16")
         assert code == 2
         assert "square" in err
+
+    def test_m_cap_below_one(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--n", "12", "--m-cap", "0")
+        assert (code, out, err) == (2, "", "error: m_budget_cap must be >= 1, got 0\n")
 
 
 def test_report_json_dict_round_trip():

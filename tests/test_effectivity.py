@@ -190,26 +190,26 @@ class TestAlphaBounds:
 
     def test_closed_form_goldens(self):
         cfg = SpecializationConfig.default(10)
-        assert alpha_lb_closed(10, 1, 0, cfg) == 4
-        assert alpha_lb_closed(10, 56, 0, cfg) == 169
-        assert alpha_lb_closed(10, 25, 0, cfg) == 76
-        assert alpha_lb_closed(10, 2, -1, cfg) == 6
+        assert alpha_lb_closed(1, 0, cfg) == 4
+        assert alpha_lb_closed(56, 0, cfg) == 169
+        assert alpha_lb_closed(25, 0, cfg) == 76
+        assert alpha_lb_closed(2, -1, cfg) == 6
 
     def test_closed_form_domain(self):
         cfg = SpecializationConfig.default(10)
         with pytest.raises(DomainError):
-            alpha_lb_closed(10, 3, 2, cfg)  # k^2 > m
+            alpha_lb_closed(3, 2, cfg)  # k^2 > m
         with pytest.raises(DomainError):
-            alpha_lb_closed(10, 12, 2, cfg)  # k != 0 with m >= n
+            alpha_lb_closed(12, 2, cfg)  # k != 0 with m >= n
         with pytest.raises(DomainError):
-            alpha_lb_closed(9, 1, 0, SpecializationConfig.default(9))  # no default specialization below n = 10
+            alpha_lb_closed(1, 0, SpecializationConfig.default(9))  # no default specialization below n = 10
 
     def test_even_gap_variant_selected(self):
         # n = 18 has d = 4 and even positive n - d^2, so the k < 0 bound drops
         # the k term: floor((10*16 + 2)/4) = 40 beats floor((10*16 - 3 + 2)/4) = 39
-        assert alpha_lb_closed(18, 10, -3, SpecializationConfig.default(18)) == 41
+        assert alpha_lb_closed(10, -3, SpecializationConfig.default(18)) == 41
         # n = 19 has odd n - d^2; the standard numerator applies
-        assert alpha_lb_closed(19, 10, -3, SpecializationConfig.default(19)) == 43
+        assert alpha_lb_closed(10, -3, SpecializationConfig.default(19)) == 43
 
 
 def _configs(n):
@@ -621,20 +621,20 @@ class TestTraceInvariants:
             if k * k > m or (k != 0 and m >= n):
                 continue
             cfg = SpecializationConfig.default(n)
-            assert alpha_lower_bound(semiuniformize(n, m, k), cfg) >= alpha_lb_closed(n, m, k, cfg)
+            assert alpha_lower_bound(semiuniformize(n, m, k), cfg) >= alpha_lb_closed(m, k, cfg)
             checked += 1
         assert checked >= 1000
 
 
 class TestUniformClosedForm:
-    """alpha_lb_closed(n, m, 0) is the walk's bound for the uniform vector
+    """alpha_lb_closed(m, 0, cfg) is the walk's bound for the uniform vector
     under the default configuration (proof in the effectivity docstring)."""
 
     def test_matches_the_walk_on_a_grid(self):
         for n in range(10, 200):
             cfg = SpecializationConfig.default(n)
             for m in range(1, 200):
-                assert alpha_lb_closed(n, m, 0, cfg) == alpha_lower_bound((m,) * n, cfg), (n, m)
+                assert alpha_lb_closed(m, 0, cfg) == alpha_lower_bound((m,) * n, cfg), (n, m)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(10, 10**4), st.integers(1, 2 * 10**5))
@@ -643,7 +643,7 @@ class TestUniformClosedForm:
     @example(10, 1)
     def test_matches_the_walk(self, n, m):
         cfg = SpecializationConfig.default(n)
-        assert alpha_lb_closed(n, m, 0, cfg) == alpha_lower_bound((m,) * n, cfg)
+        assert alpha_lb_closed(m, 0, cfg) == alpha_lower_bound((m,) * n, cfg)
 
     def test_matches_the_s_loop_it_replaced(self):
         # reference: the closed form with s found by stepping up from 0
@@ -666,7 +666,7 @@ class TestUniformClosedForm:
             for m in range(1, 3 * n):
                 ks = range(-isqrt(m), isqrt(m) + 1) if m < n else (0,)
                 for k in ks:
-                    assert alpha_lb_closed(n, m, k, cfg) == closed_with_loop(n, m, k), (n, m, k)
+                    assert alpha_lb_closed(m, k, cfg) == closed_with_loop(n, m, k), (n, m, k)
 
 
 def _refuse_walk(mults, cfg):
