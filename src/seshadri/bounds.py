@@ -57,11 +57,12 @@ class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used cove
     __slots__ = ()
 
     def check(self) -> None:
-        """Raise ValueError (DomainError for a cfg of another n) unless this
-        report holds what compute_bound guarantees."""
+        """Raise ValueError (DomainError for a cfg other than the default of
+        n) unless this report holds what compute_bound guarantees."""
         n, f, mu, blocker, _, coverage, cfg, budget_limited, cap = self
-        if cfg.n != n:
-            raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {n}")
+        default = SpecializationConfig.default(n)
+        if cfg != default:
+            raise DomainError(f"the specialization {tuple(cfg)} is not the default {tuple(default)}")
         if f != n * mu:
             raise ValueError(f"f = {f} is not n*mu = {n * mu}")
         if blocker is not None and (blocker.n != n or e_value(blocker) != mu):
@@ -78,7 +79,6 @@ class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used cove
 def compute_bound(
     n: int,
     db: ExclusionDb | None = None,
-    cfg: SpecializationConfig | None = None,
     m_budget_cap: int = DEFAULT_M_BUDGET_CAP,
 ) -> BoundReport:
     """Run the fixpoint: enumerate, exclude, contract mu, grow m until covered.
@@ -104,10 +104,6 @@ def compute_bound(
         raise DomainError(f"m_budget_cap must be >= 1, got {m_budget_cap}")
     if db is None:
         db = default_db()
-    if cfg is None:
-        cfg = SpecializationConfig.default(n)
-    elif cfg.n != n:
-        raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {n}")
 
     # best is the least survivor so far, with its key.  That key never goes
     # up, so each candidate keyed below the final one was decided in its own
@@ -123,7 +119,7 @@ def compute_bound(
         for key, c in fresh:
             if best is not None and key >= best[0]:
                 break
-            res = is_excluded(c, cfg, db)
+            res = is_excluded(c, db)
             if not res.excluded:
                 best = (key, c)
                 break
@@ -153,7 +149,7 @@ def compute_bound(
         blocker=blocker,
         exclusions_used=tuple((c, why) for key, c, why in ruled_out if best is None or key < best[0]),
         coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
-        cfg=cfg,
+        cfg=SpecializationConfig.default(n),
         budget_limited=budget_limited,
         m_budget_cap=m_budget_cap,
     )

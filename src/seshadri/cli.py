@@ -3,8 +3,8 @@
 Subcommands:
 
   candidates --n N --m-max M [--format text|csv|json]
-  alpha      --n N (--m M [--k K] | --mults v1,v2,...) [--d D --r R] [--trace]
-  bound      --n N [--db PATH] [--m-cap C] [--d D --r R] [--format ...] [--strict]
+  alpha      --n N (--m M [--k K] | --mults v1,v2,...) [--trace]
+  bound      --n N [--db PATH] [--m-cap C] [--format ...] [--strict]
   formulas   --n A..B [--db PATH] [--format ...]
   sweep      --n A..B [--db PATH] [--m-cap C]
   verify     --table A|B [--db PATH]
@@ -15,11 +15,12 @@ range and judges each n that has a Table-B row as verify does; `verify
 --table B` is the sweep over the Table-B n at the default m cap.  Exclusion
 sources are switched with a database file (`--db`), for example one written
 by `default_db().with_sources(disable=("Miranda",)).save(path)`; verify
-reads it for table B only, since table A uses no database.
+reads it for table B only, since table A uses no database.  Every command
+uses n's default specialization, the only one proved to exclude one-sidedly.
 
 Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (cache of the
 reports of bound, sweep and verify --table B, which alone open it, keyed by
-(n, d, r, database JSON, m-cap, package version)).
+(n, d, r, database JSON, m-cap, package version), with n's default d and r).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget-
 limited bound under --strict.
@@ -32,14 +33,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .bounds import (
-    DEFAULT_M_BUDGET_CAP,
-    BoundReport,
-    all_formula_bounds,
-    best_known,
-    bounds_for_ns,
-    compute_bound,
-)
+from .bounds import DEFAULT_M_BUDGET_CAP, BoundReport, all_formula_bounds, best_known, bounds_for_ns
 from .candidates import e_value, enumerate_szcor
 from .effectivity import (
     SpecializationConfig,
@@ -84,11 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("alpha", help="certified lower bounds for the degree of a fat-point curve")
     a.add_argument("--n", type=int, required=True)
-    a.add_argument("--m", type=int, default=None)
-    a.add_argument("--k", type=int, default=0)
-    a.add_argument("--mults", type=str, default=None, help="comma-separated multiplicities")
-    a.add_argument("--d", type=int, default=None)
-    a.add_argument("--r", type=int, default=None)
+    vector = a.add_mutually_exclusive_group(required=True)
+    vector.add_argument("--m", type=int, help="the semiuniform vector of C(t, m, k)")
+    vector.add_argument("--mults", type=str, help="comma-separated multiplicities")
+    a.add_argument("--k", type=int, help="k of the --m vector (default 0)")
     a.add_argument("--trace", action="store_true", help="dump the unloading trace of the witness degree")
     a.set_defaults(run=_cmd_alpha)
 
@@ -96,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--db", default=None, help="path to an exclusion database (JSON)")
     b.add_argument("--m-cap", type=int, default=DEFAULT_M_BUDGET_CAP)
-    b.add_argument("--d", type=int, default=None)
-    b.add_argument("--r", type=int, default=None)
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")
     b.add_argument("--strict", action="store_true", help="exit 3 if the bound is budget-limited")
     b.set_defaults(run=_cmd_bound)
@@ -127,20 +118,15 @@ def _load_db(path: str | None) -> ExclusionDb:
     return ExclusionDb.load(path)
 
 
-def _make_cfg(n: int, d: int | None, r: int | None) -> SpecializationConfig:
-    base = SpecializationConfig.default(n)
-    return SpecializationConfig(n=n, d=base.d if d is None else d, r=base.r if r is None else r)
-
-
 class _Cache:
     """Single-writer JSON cache of the bound reports of one database.
 
     A file that is not a JSON object is ignored with a warning on stderr, so
     every report is recomputed.  An entry is ignored the same way, and the
     recomputed report replaces it, unless it decodes as a report for its
-    key's n, configuration and m cap that passes BoundReport.check.  Keys
-    carry the package version, so a report cached by another release is
-    recomputed, not served.
+    key's n and m cap that passes BoundReport.check, which requires n's
+    default specialization.  Keys carry the package version, so a report
+    cached by another release is recomputed, not served.
 
     A key holds the database itself, as the compact, key-sorted JSON of its
     to_json_dict, so reports cached under one database are never served
@@ -173,21 +159,22 @@ class _Cache:
             except ValueError as exc:
                 sys.stderr.write(f"warning: ignoring corrupt cache {path} ({exc}); recomputing\n")
 
-    def key(self, n: int, cfg: SpecializationConfig, cap: int) -> str:
+    def key(self, n: int, cap: int) -> str:
+        cfg = SpecializationConfig.default(n)
         return f"n={n}|d={cfg.d}|r={cfg.r}|db={self.db_text}|cap={cap}|v={__version__}"
 
-    def get(self, n: int, cfg: SpecializationConfig, cap: int) -> BoundReport | None:
-        """The report cached for (n, cfg, cap), or None when there is none
-        or it is malformed."""
+    def get(self, n: int, cap: int) -> BoundReport | None:
+        """The report cached for (n, cap), or None when there is none or it
+        is malformed."""
         if not self.data:
             return None
-        key = self.key(n, cfg, cap)
+        key = self.key(n, cap)
         if key not in self.data:
             return None
         try:
             rep = report_from_json_dict(self.data[key])
-            if (rep.n, rep.cfg, rep.m_budget_cap) != (n, cfg, cap):
-                raise ValueError(f"entry is for n={rep.n}, {rep.cfg}, cap={rep.m_budget_cap}")
+            if (rep.n, rep.m_budget_cap) != (n, cap):
+                raise ValueError(f"entry is for n={rep.n}, cap={rep.m_budget_cap}")
             rep.check()
             return rep
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -196,10 +183,10 @@ class _Cache:
             return None
 
     def put(self, rep: BoundReport) -> None:
-        """Cache rep under the key of its own n, configuration and m cap."""
+        """Cache rep under the key of its own n and m cap."""
         if not self.path:
             return
-        self.data[self.key(rep.n, rep.cfg, rep.m_budget_cap)] = report_to_json_dict(rep)
+        self.data[self.key(rep.n, rep.m_budget_cap)] = report_to_json_dict(rep)
         self.dirty = True
 
     def flush(self) -> None:
@@ -224,19 +211,19 @@ def _cmd_candidates(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    cfg = _make_cfg(args.n, args.d, args.r)
+    cfg = SpecializationConfig.default(args.n)
     closed: int | None = None
     if args.mults is not None:
+        if args.k is not None:
+            raise InvalidInput("--k applies to --m, not to --mults")
         mults = tuple(int(x) for x in args.mults.split(","))
-    elif args.m is not None:
-        mults = semiuniformize(args.n, args.m, args.k)
-        if cfg.is_default():
-            try:
-                closed = alpha_lb_closed(args.m, args.k, cfg)
-            except DomainError:
-                closed = None
     else:
-        raise InvalidInput("need --m (with optional --k) or --mults")
+        k = args.k or 0
+        mults = semiuniformize(args.n, args.m, k)
+        try:
+            closed = alpha_lb_closed(args.m, k, cfg)
+        except DomainError:
+            closed = None
     bound = alpha_lower_bound(mults, cfg)
     sys.stdout.write(f"n = {cfg.n}, d = {cfg.d}, r = {cfg.r}, g = {cfg.g}\n")
     sys.stdout.write(f"mults = {','.join(str(x) for x in mults)}\n")
@@ -251,15 +238,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    db = _load_db(args.db)
-    cache = _Cache(args.cache, db)
-    cfg = _make_cfg(args.n, args.d, args.r)
-    rep = cache.get(args.n, cfg, args.m_cap)
-    if rep is None:
-        rep = compute_bound(args.n, db=db, cfg=cfg, m_budget_cap=args.m_cap)
-        cache.put(rep)
+    rep = _cached_reports(args, [args.n], _load_db(args.db), args.m_cap)[args.n]
     sys.stdout.write(render_report(rep, args.format))
-    cache.flush()
     if rep.budget_limited and args.strict:
         return EXIT_BUDGET_LIMITED
     return EXIT_OK
@@ -289,23 +269,24 @@ def _cmd_formulas(args) -> int:
 def _cmd_sweep(args) -> int:
     ns = [n for n in _parse_range(args.n) if not is_square(n)]
     db = _load_db(args.db)
-    return _cached_sweep(args, ns, db, args.m_cap)
+    return _print_sweep(ns, _cached_reports(args, ns, db, args.m_cap), db)
 
 
 def _cmd_verify(args) -> int:
     if args.table == "A":
         return _verify_table_a()
-    return _cached_sweep(args, [row.n for row in TABLE_B], _load_db(args.db), DEFAULT_M_BUDGET_CAP)
+    ns, db = [row.n for row in TABLE_B], _load_db(args.db)
+    return _print_sweep(ns, _cached_reports(args, ns, db, DEFAULT_M_BUDGET_CAP), db)
 
 
-def _cached_sweep(args, ns: list[int], db: ExclusionDb, cap: int) -> int:
-    """_print_sweep over the default-configuration reports for ns: cached ones
-    are read, and the misses computed by one bounds_for_ns call and cached."""
+def _cached_reports(args, ns: list[int], db: ExclusionDb, cap: int) -> dict[int, BoundReport]:
+    """The reports for ns: cached ones are read, and the misses computed by
+    one bounds_for_ns call, cached and flushed to the --cache file."""
     cache = _Cache(args.cache, db)
     reports: dict[int, BoundReport] = {}
     missing = []
     for n in ns:
-        rep = cache.get(n, SpecializationConfig.default(n), cap)
+        rep = cache.get(n, cap)
         if rep is None:
             missing.append(n)
         else:
@@ -314,9 +295,8 @@ def _cached_sweep(args, ns: list[int], db: ExclusionDb, cap: int) -> int:
         for n, rep in bounds_for_ns(missing, db=db, m_budget_cap=cap, jobs=args.jobs).items():
             reports[n] = rep
             cache.put(rep)
-    code = _print_sweep(ns, reports, db)
     cache.flush()
-    return code
+    return reports
 
 
 def _verify_table_a() -> int:

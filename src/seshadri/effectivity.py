@@ -99,10 +99,9 @@ m*sqrt(n) - d > t - d, so a class with B < t <= A exceeds B by less than d,
 and m > m_0 does not follow for it.  So B stays in the closed form until a
 proof shows that it never binds.
 
-So exclusions.is_excluded decides a k = 0 class under the default
-configuration by alpha_lb_closed, in O(1), with the walk's verdict.  The
-walk stays for k != 0, where the closed form is weaker, and for every other
-configuration.
+So exclusions.is_excluded decides a k = 0 class by alpha_lb_closed, in
+O(1), with the walk's verdict.  The walk serves k != 0, where the closed
+form is weaker, and the alpha command's --mults and --trace.
 """
 from __future__ import annotations
 
@@ -122,10 +121,12 @@ class UnloadingDiverged(RuntimeError):
 class SpecializationConfig(namedtuple("SpecializationConfig", "n d r")):
     """Parameters (n, d, r) of the specialization curve, and its genus g.
 
-    Defaults are d = floor(sqrt(n)) and r = floor(d*sqrt(n)).  Any d >= 1
-    and 1 <= r <= n are accepted (the CLI's --d and --r), but only the
-    default configuration is proved to give one-sided exclusions; the
-    hypotheses of the others are open (ROADMAP item 7).
+    The default, d = floor(sqrt(n)) and r = floor(d*sqrt(n)), is the only
+    configuration proved to give one-sided exclusions, so it is the only
+    one the bounds, the exclusions, the cache and the CLI use.  Any d >= 1
+    and 1 <= r <= n are still accepted, so that a stored report decodes
+    (and its check refuses it) and the walk can be studied under other
+    configurations; their hypotheses are open (ROADMAP item 7).
     """
 
     __slots__ = ()
@@ -152,10 +153,6 @@ class SpecializationConfig(namedtuple("SpecializationConfig", "n d r")):
     def default(cls, n: int) -> "SpecializationConfig":
         d = isqrt(n)
         return cls(n=n, d=d, r=isqrt(d * d * n))
-
-    def is_default(self) -> bool:
-        d = isqrt(self.n)
-        return self.d == d and self.r == isqrt(d * d * self.n)
 
 
 Runs = list[tuple[int, int]]
@@ -429,16 +426,14 @@ def alpha_lb_closed(m: int, k: int, cfg: SpecializationConfig) -> int:
     for the semi-uniform vector of n = cfg.n points.
 
     cfg must be the default specialization of n, the only one the form is
-    proved for; the callers check cfg.is_default(), since is_excluded needs
-    that test anyway to choose between this and the walk.  Requires
-    k^2 <= m and m < n when k != 0 (the uniform k = 0 case is valid for
-    every m >= 1).  u and rho split the
-    total multiplicity as m*n + k = u*r + rho with 0 < rho <= r, and s is
-    the largest integer with (s+1)(s+2) <= 2*rho and 0 <= s < d, that is
-    min(d - 1, floor((sqrt(8*rho + 1) - 3) / 2)).  When k < 0 and
-    Delta = n - d^2 is even and positive, mr + g - 1 replaces mr + k + g - 1.
-    For k = 0 the value equals alpha_lower_bound((m,)*n, cfg) (see the
-    module docstring).
+    proved for and the only one its callers build.  Requires k^2 <= m and
+    m < n when k != 0 (the uniform k = 0 case is valid for every m >= 1).
+    u and rho split the total multiplicity as m*n + k = u*r + rho with
+    0 < rho <= r, and s is the largest integer with (s+1)(s+2) <= 2*rho and
+    0 <= s < d, that is min(d - 1, floor((sqrt(8*rho + 1) - 3) / 2)).
+    When k < 0 and Delta = n - d^2 is even and positive, mr + g - 1
+    replaces mr + k + g - 1.  For k = 0 the value equals
+    alpha_lower_bound((m,)*n, cfg) (see the module docstring).
     """
     n, d, r, g = cfg.n, cfg.d, cfg.r, cfg.g
     if m < 1 or k * k > m or (k != 0 and m >= n):

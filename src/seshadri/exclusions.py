@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .candidates import CandidateTriple
 from .effectivity import SpecializationConfig, alpha_lb_closed, alpha_lower_bound, semiuniformize
-from .lattice import DomainError, InvalidInput
+from .lattice import InvalidInput
 
 
 class UniformBound(namedtuple("UniformBound", "n_min m_max source")):
@@ -195,26 +195,20 @@ class ExclusionResult(namedtuple("ExclusionResult", "excluded reason", defaults=
     __slots__ = ()
 
 
-def is_excluded(
-    c: CandidateTriple,
-    cfg: SpecializationConfig,
-    db: ExclusionDb,
-) -> ExclusionResult:
+def is_excluded(c: CandidateTriple, db: ExclusionDb) -> ExclusionResult:
     """One-sided non-effectivity decision for a candidate class.
 
     Excluded when a database entry applies, or when the candidate's degree
     falls below the certified lower bound for the degree of any curve with
-    its multiplicities.  Never claims effectiveness.  A uniform (k = 0)
-    class under the default configuration gets that bound in closed form,
-    equal to the walk's (see the effectivity module docstring).  Raises
-    DomainError when cfg is the specialization of another n.
+    its multiplicities, under the default specialization of c.n.  Never
+    claims effectiveness.  A uniform (k = 0) class gets that bound in closed
+    form, equal to the walk's (see the effectivity module docstring).
     """
-    if c.n != cfg.n:
-        raise DomainError(f"the specialization is configured for n = {cfg.n}, not n = {c.n}")
     source = db.ruling(c)
     if source is not None:
         return ExclusionResult(True, source)
-    if c.k == 0 and cfg.is_default():
+    cfg = SpecializationConfig.default(c.n)
+    if c.k == 0:
         bound = alpha_lb_closed(c.m, 0, cfg)
     else:
         bound = alpha_lower_bound(semiuniformize(c.n, c.m, c.k), cfg)

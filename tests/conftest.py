@@ -132,7 +132,6 @@ def interior_lows_list(sums: Sequence[int], d: int) -> list[int]:
 def compute_bound_literal(
     n: int,
     db: Optional[ExclusionDb] = None,
-    cfg: Optional[SpecializationConfig] = None,
     m_budget_cap: int = DEFAULT_M_BUDGET_CAP,
 ) -> BoundReport:
     """Reference round driver: every round re-enumerates m from 1 and sorts
@@ -145,8 +144,6 @@ def compute_bound_literal(
         raise DomainError(f"m_budget_cap must be >= 1, got {m_budget_cap}")
     if db is None:
         db = default_db()
-    if cfg is None:
-        cfg = SpecializationConfig.default(n)
 
     verdicts: dict[CandidateTriple, ExclusionResult] = {}
     m_max = min(16, m_budget_cap)
@@ -158,7 +155,7 @@ def compute_bound_literal(
         for c in cands:
             res = verdicts.get(c)
             if res is None:
-                res = is_excluded(c, cfg, db)
+                res = is_excluded(c, db)
                 verdicts[c] = res
             if res.excluded:
                 excluded.append((c, res.reason))
@@ -189,7 +186,7 @@ def compute_bound_literal(
         blocker=blocker,
         exclusions_used=tuple(excluded),
         coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
-        cfg=cfg,
+        cfg=SpecializationConfig.default(n),
         budget_limited=budget_limited,
         m_budget_cap=m_budget_cap,
     )

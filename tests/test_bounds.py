@@ -10,7 +10,6 @@ import pytest
 import seshadri.bounds as bounds
 from conftest import (
     ceil_frac,
-    ceil_r_config,
     compute_bound_literal,
     theoremone_weak_c,
     theoremone_weak_d,
@@ -26,7 +25,6 @@ from seshadri.bounds import (
     mu_n,
 )
 from seshadri.candidates import e_value, enumerate_szcor
-from seshadri.effectivity import SpecializationConfig
 from seshadri.exclusions import default_db, is_excluded
 from seshadri.lattice import DomainError, QuadraticExpr, compare_values, is_square, sign_of
 from seshadri.render import value_to_json
@@ -81,13 +79,6 @@ class TestComputeBound:
         with pytest.raises(DomainError):
             compute_bound(9)
 
-    def test_config_for_another_n_rejected(self):
-        with pytest.raises(DomainError, match="configured for n = 40, not n = 41"):
-            compute_bound(41, cfg=SpecializationConfig.default(40))
-        # no class has m <= 1, so no ruling would see the configuration
-        with pytest.raises(DomainError, match="configured for n = 13, not n = 12"):
-            compute_bound(12, cfg=SpecializationConfig.default(13), m_budget_cap=1)
-
     def test_budget_limited_report(self):
         rep = compute_bound(10, m_budget_cap=5)
         assert rep.budget_limited
@@ -117,7 +108,7 @@ class TestComputeBound:
             for c in enumerate_szcor(n, rep.coverage.m_checked_k0):
                 if e_value(c) < mu:
                     assert (c.t, c.m, c.k) in excluded, (n, c)
-                    assert is_excluded(c, rep.cfg, db).excluded, (n, c)
+                    assert is_excluded(c, db).excluded, (n, c)
 
     def test_database_monotonicity(self):
         # switching a source on never decreases the certified f: Miranda off
@@ -157,12 +148,6 @@ class TestRoundDriverOracle:
     @pytest.mark.parametrize("n, cap", [(527, 5000), (3001, 512), (10, 5), (10, 30)])
     def test_budget_points(self, n, cap):
         assert compute_bound(n, m_budget_cap=cap) == compute_bound_literal(n, m_budget_cap=cap)
-
-    def test_nondefault_configs(self):
-        cfgs = [SpecializationConfig(n=41, d=5, r=32)]
-        cfgs += [ceil_r_config(n) for n in nonsquares(10, 40)]
-        for cfg in cfgs:
-            assert compute_bound(cfg.n, cfg=cfg) == compute_bound_literal(cfg.n, cfg=cfg), cfg
 
     @pytest.mark.parametrize("change", [{"disable": ("Miranda",)}, {"enable": ("Dumnicki",)}])
     def test_toggled_databases(self, change):

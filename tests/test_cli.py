@@ -16,7 +16,6 @@ from seshadri import __version__, cli
 from seshadri.bounds import DEFAULT_M_BUDGET_CAP, compute_bound
 from seshadri.candidates import CandidateTriple
 from seshadri.cli import _Cache, main
-from seshadri.effectivity import SpecializationConfig
 from seshadri.exclusions import _ENTRY_KINDS, ExclusionDb, ExplicitClass, default_db
 from seshadri.render import (
     candidate_to_json,
@@ -190,23 +189,6 @@ class TestAlphaCommand:
             "j = 2, omega' = 3\n"
         )
 
-    def test_trace_with_r_equal_to_n(self, capsys):
-        code, out, _ = run_cli(capsys, "alpha", "--n", "20", "--m", "4", "--k", "-2",
-                               "--d", "4", "--r", "20", "--trace")
-        assert code == 0
-        assert out == (
-            "n = 20, d = 4, r = 20, g = 3\n"
-            "mults = 4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,4,2\n"
-            "alpha >= 16   (specialization criterion)\n"
-            "   i    t_i   D_i.C  multiplicities\n"
-            "   0     15     -18  (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2)\n"
-            "   1     11     -14  (3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1)\n"
-            "   2      7     -10  (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0)\n"
-            "   3      3      -7  (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)\n"
-            "   4     -1      -4  (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
-            "j = 3, omega' = 4\n"
-        )
-
     def test_closed_form_of_the_configured_n(self, capsys):
         code, out, err = run_cli(capsys, "alpha", "--n", "12", "--m", "5")
         assert (code, err) == (0, "")
@@ -216,12 +198,6 @@ class TestAlphaCommand:
             "alpha >= 17   (specialization criterion)\n"
             "alpha >= 17   (closed form)\n"
         )
-
-    def test_custom_parameters(self, capsys):
-        code, out, _ = run_cli(capsys, "alpha", "--n", "14", "--m", "1", "--k", "1",
-                               "--d", "3", "--r", "12")
-        assert code == 0
-        assert "r = 12" in out
 
 
 class TestBoundCommand:
@@ -390,9 +366,9 @@ class TestCacheRobustness:
         c.flush()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
         again = _Cache(str(cache), default_db())
-        key = again.key(11, SpecializationConfig.default(11), DEFAULT_M_BUDGET_CAP)
+        key = again.key(11, DEFAULT_M_BUDGET_CAP)
         assert set(again.data) == {key}
-        assert again.get(11, SpecializationConfig.default(11), DEFAULT_M_BUDGET_CAP) == compute_bound(11)
+        assert again.get(11, DEFAULT_M_BUDGET_CAP) == compute_bound(11)
 
     def test_failed_flush_keeps_the_old_file(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache.json"
@@ -439,7 +415,6 @@ class TestCacheRobustness:
             raise AssertionError("a report was recomputed on a warm cache")
 
         monkeypatch.setattr(cli, "bounds_for_ns", no_compute)
-        monkeypatch.setattr(cli, "compute_bound", no_compute)
         assert run_cli(capsys, "--cache", str(cache), *argv) == (0, cold, "")
         assert cache.read_bytes() == indented
 
@@ -462,7 +437,7 @@ class TestCacheRobustness:
         def no_compute(*args, **kwargs):
             raise AssertionError("a report was recomputed on a warm cache")
 
-        monkeypatch.setattr(cli, "compute_bound", no_compute)
+        monkeypatch.setattr(cli, "bounds_for_ns", no_compute)
         assert run_cli(capsys, "--cache", str(cache), "bound", "--n", "12", "--db", str(db)) == (0, cold, "")
         assert len(json.loads(cache.read_text())) == 1
 
@@ -495,15 +470,15 @@ class TestCacheKeyText:
 
     def test_once_per_new_database(self, tmp_path, encodes):
         # a cache encodes its database when it opens, and only with a path
-        cfg, cap = SpecializationConfig.default(12), DEFAULT_M_BUDGET_CAP
+        cap = DEFAULT_M_BUDGET_CAP
         db, other = default_db(), default_db().with_sources(disable=("Miranda",))
         path = str(tmp_path / "cache.json")
         _Cache(None, db)
         assert encodes == []
         cache, other_cache = _Cache(path, db), _Cache(path, other)
         assert encodes == [db, other]
-        keys = [cache.key(12, cfg, cap), cache.key(12, cfg, cap), other_cache.key(12, cfg, cap),
-                _Cache(path, db).key(12, cfg, cap)]
+        keys = [cache.key(12, cap), cache.key(12, cap), other_cache.key(12, cap),
+                _Cache(path, db).key(12, cap)]
         assert len(encodes) == 3
         assert keys[0] == keys[1] == keys[3] != keys[2]
 
@@ -513,7 +488,7 @@ class TestCacheKeyText:
         entry = ExplicitClass(n=10, t=79, m=25, k=0, source='x"}|cap=1|v=0')
         db = ExclusionDb(entries=(entry,), enabled_sources=frozenset({entry.source}))
         cache = _Cache(str(tmp_path / "cache.json"), db)
-        key = cache.key(12, SpecializationConfig.default(12), DEFAULT_M_BUDGET_CAP)
+        key = cache.key(12, DEFAULT_M_BUDGET_CAP)
         text = key.split("|db=", 1)[1].rsplit("|cap=", 1)[0]
         assert ExclusionDb.from_json(text) == db
 
@@ -521,14 +496,14 @@ class TestCacheKeyText:
 class TestCacheVersion:
     def test_key_carries_the_package_version(self, tmp_path):
         cache = _Cache(str(tmp_path / "cache.json"), default_db())
-        key = cache.key(12, SpecializationConfig.default(12), 5000)
+        key = cache.key(12, 5000)
         assert key.endswith(f"|v={__version__}")
 
     def test_key_of_the_default_database_is_pinned(self, tmp_path):
         # the database's text is part of every cache key: a new encoding of
         # the same database must not move every key
         cache = _Cache(str(tmp_path / "cache.json"), default_db())
-        key = cache.key(12, SpecializationConfig.default(12), DEFAULT_M_BUDGET_CAP)
+        key = cache.key(12, DEFAULT_M_BUDGET_CAP)
         assert key == (
             'n=12|d=3|r=10|db={"enabled_sources":["CCMO","Miranda","unique-cubic"],"entries":['
             '{"kind":"uniform_bound","m_max":20,"n_min":10,"source":"CCMO"},'
@@ -782,6 +757,9 @@ def test_docstring_names_every_subcommand():
     assert documented == list(sub.choices)
 
 
+_MULTS = "2,2,2,2,2,2,2,2,2,1"
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["bogus-subcommand"]) == 2
@@ -797,6 +775,20 @@ class TestExitCodes:
     def test_m_cap_below_one(self, capsys):
         code, out, err = run_cli(capsys, "bound", "--n", "12", "--m-cap", "0")
         assert (code, out, err) == (2, "", "error: m_budget_cap must be >= 1, got 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("bound", "--n", "41", "--d", "5", "--r", "32"), id="bound-d-r"),
+        pytest.param(("bound", "--n", "41", "--r", "32"), id="bound-r"),
+        pytest.param(("alpha", "--n", "20", "--m", "4", "--d", "4"), id="alpha-d"),
+        pytest.param(("alpha", "--n", "20", "--m", "4", "--r", "20"), id="alpha-r"),
+        pytest.param(("alpha", "--n", "10", "--m", "5", "--mults", _MULTS), id="alpha-m-and-mults"),
+        pytest.param(("alpha", "--n", "10", "--mults", _MULTS, "--k", "3"), id="alpha-k-with-mults"),
+        pytest.param(("alpha", "--n", "10", "--k", "1"), id="alpha-no-vector"),
+    ])
+    def test_flags_that_would_be_ignored_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err and "Traceback" not in err
 
 
 def test_report_json_dict_round_trip():

@@ -20,7 +20,6 @@ from conftest import (
     step_normal_form_literal,
     unload_literal,
 )
-from seshadri import cli
 from seshadri.bounds import compute_bound
 from seshadri.candidates import CandidateTriple
 from seshadri.effectivity import (
@@ -44,6 +43,7 @@ from seshadri.exclusions import (
     is_excluded,
 )
 from seshadri.lattice import DomainError, InvalidInput, is_square
+from seshadri.render import render_trace
 from seshadri.tables import TABLE_B
 
 
@@ -134,6 +134,22 @@ class TestDSequence:
         tr = d_sequence(20, (5,) * 11, cfg)
         for a, b in zip(tr.steps, tr.steps[1:]):
             assert b.t == a.t - cfg.d
+
+    def test_trace_with_r_equal_to_n(self):
+        # the witness degree of alpha >= 16 for C(t, 4, -2) at n = 20, with
+        # the curve through all n points
+        cfg = SpecializationConfig(20, 4, 20)
+        mults = semiuniformize(20, 4, -2)
+        assert alpha_lower_bound(mults, cfg) == 16
+        assert render_trace(d_sequence(15, mults, cfg)) == (
+            "   i    t_i   D_i.C  multiplicities\n"
+            "   0     15     -18  (4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 2)\n"
+            "   1     11     -14  (3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 1)\n"
+            "   2      7     -10  (2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 0)\n"
+            "   3      3      -7  (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0)\n"
+            "   4     -1      -4  (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
+            "j = 3, omega' = 4\n"
+        )
 
     def test_requires_normal_form(self):
         cfg = SpecializationConfig.default(10)
@@ -680,10 +696,9 @@ class TestClosedFormRouting:
     def test_uniform_default_class_never_walks(self, monkeypatch):
         monkeypatch.setattr(exclusions, "alpha_lower_bound", _refuse_walk)
         empty = ExclusionDb(entries=(), enabled_sources=frozenset())
-        cfg = SpecializationConfig.default(10)
-        res = is_excluded(CandidateTriple(10, 3, 1, 0), cfg, empty)
+        res = is_excluded(CandidateTriple(10, 3, 1, 0), empty)
         assert res == (True, "specialization-criterion(d=3,r=9)")
-        assert is_excluded(CandidateTriple(10, 177, 56, 0), cfg, empty).excluded is False
+        assert is_excluded(CandidateTriple(10, 177, 56, 0), empty).excluded is False
 
     def test_the_driver_walks_exactly_its_nonzero_k_decisions(self, monkeypatch):
         walks = []
@@ -694,10 +709,10 @@ class TestClosedFormRouting:
             walks.append(mults)
             return real_walk(mults, cfg)
 
-        def decide(c, cfg, db):
+        def decide(c, db):
             if db.ruling(c) is None:
                 to_walk.append(c.k != 0)
-            return real_decide(c, cfg, db)
+            return real_decide(c, db)
 
         monkeypatch.setattr(exclusions, "alpha_lower_bound", walk)
         monkeypatch.setattr(bounds, "is_excluded", decide)
@@ -709,53 +724,28 @@ class TestClosedFormRouting:
         monkeypatch.setattr(exclusions, "alpha_lower_bound", _refuse_walk)
         empty = ExclusionDb(entries=(), enabled_sources=frozenset())
         with pytest.raises(AssertionError, match="walk called"):
-            is_excluded(CandidateTriple(14, 4, 1, 1), SpecializationConfig.default(14), empty)
-
-    def test_nondefault_config_reaches_the_walk(self, monkeypatch, capsys):
-        walked = []
-        real = exclusions.alpha_lower_bound
-
-        def spy(mults, cfg):
-            walked.append((len(set(mults)), cfg))
-            return real(mults, cfg)
-
-        monkeypatch.setattr(exclusions, "alpha_lower_bound", spy)
-        assert cli.main(["bound", "--n", "41", "--d", "5", "--r", "32", "--format", "json"]) == 0
-        assert (1, SpecializationConfig(41, 5, 32)) in walked
-        assert '"blocker"' in capsys.readouterr().out
+            is_excluded(CandidateTriple(14, 4, 1, 1), empty)
 
 
 class TestExclusionDb:
     def test_default_rulings(self):
         db = default_db()
-        cfg = SpecializationConfig.default(10)
-        assert is_excluded(CandidateTriple(10, 22, 7, 0), cfg, db).reason == "CCMO"
-        assert is_excluded(CandidateTriple(10, 79, 25, 0), cfg, db).reason == "Miranda"
-        assert is_excluded(CandidateTriple(10, 6, 2, -1), cfg, db).reason == "unique-cubic"
+        assert is_excluded(CandidateTriple(10, 22, 7, 0), db).reason == "CCMO"
+        assert is_excluded(CandidateTriple(10, 79, 25, 0), db).reason == "Miranda"
+        assert is_excluded(CandidateTriple(10, 6, 2, -1), db).reason == "unique-cubic"
 
     def test_blocker_is_never_excluded(self):
         db = default_db()
-        cfg = SpecializationConfig.default(10)
-        assert is_excluded(CandidateTriple(10, 177, 56, 0), cfg, db).excluded is False
-
-    def test_config_for_another_n_rejected(self):
-        # k = 0 under a default configuration takes the closed form, which
-        # would otherwise mix c.n with the other n's d and r
-        cfg = SpecializationConfig.default(40)
-        for c in (CandidateTriple(41, 6, 1, 0), CandidateTriple(41, 22, 7, 0)):
-            with pytest.raises(DomainError, match="configured for n = 40, not n = 41"):
-                is_excluded(c, cfg, default_db())
+        assert is_excluded(CandidateTriple(10, 177, 56, 0), db).excluded is False
 
     def test_engine_cannot_rule_out_the_miranda_class(self):
         db = ExclusionDb(entries=(), enabled_sources=frozenset())
-        cfg = SpecializationConfig.default(10)
-        res = is_excluded(CandidateTriple(10, 79, 25, 0), cfg, db)
+        res = is_excluded(CandidateTriple(10, 79, 25, 0), db)
         assert res.excluded is False
 
     def test_engine_reason_names_parameters(self):
         db = ExclusionDb(entries=(), enabled_sources=frozenset())
-        cfg = SpecializationConfig.default(14)
-        res = is_excluded(CandidateTriple(14, 4, 1, 1), cfg, db)
+        res = is_excluded(CandidateTriple(14, 4, 1, 1), db)
         assert res.excluded and res.reason == "specialization-criterion(d=3,r=11)"
 
     def test_uniform_entry_never_touches_nonzero_k(self):
@@ -805,5 +795,4 @@ class TestExclusionDb:
             if s * s <= row.n * row.t * row.t:
                 continue  # nef-side rows are not candidates at all
             c = CandidateTriple(row.n, row.t, row.m, 0)
-            cfg = SpecializationConfig.default(row.n)
-            assert is_excluded(c, cfg, db).excluded is False, row
+            assert is_excluded(c, db).excluded is False, row

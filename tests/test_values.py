@@ -63,7 +63,11 @@ def _report(rep, **fields):
      InvalidInput, "every exclusion entry needs a nonempty source"),
     # a report holds what compute_bound guarantees, one row per invariant
     pytest.param(lambda: _report(_REPORT, cfg=SpecializationConfig.default(13)), DomainError,
-                 "the specialization is configured for n = 13, not n = 12", id="report-cfg-of-another-n"),
+                 "the specialization (13, 3, 10) is not the default (12, 3, 10)",
+                 id="report-cfg-of-another-n"),
+    pytest.param(lambda: _report(compute_bound(41), cfg=SpecializationConfig(41, 5, 32)), DomainError,
+                 "the specialization (41, 5, 32) is not the default (41, 6, 38)",
+                 id="report-cfg-not-the-default"),
     pytest.param(lambda: _report(_REPORT, f=Fraction(300)), ValueError,
                  "f = 300 is not n*mu = 6912/23", id="report-f-not-n-mu"),
     pytest.param(lambda: _report(_REPORT, blocker=CandidateTriple(13, 83, 24, 0)), ValueError,
