@@ -47,22 +47,21 @@ class Coverage(namedtuple("Coverage", "m_checked_k0 m_checked_knz")):
     __slots__ = ()
 
 
-class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used coverage cfg "
+class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used coverage "
                                             "budget_limited m_budget_cap")):
     """Certified bound for one n, with its exclusion certificate: f = n*mu
     as Fractions, the blocker (None when the budget ran out first) and the
-    (candidate, reason) pairs excluded below mu.  Building one does not
-    check; check re-tests what compute_bound guarantees on a decoded one."""
+    (candidate, reason) pairs excluded below mu.  Its specialization is
+    n's default, SpecializationConfig.default(n), so no field holds it.
+    Building one does not check; check re-tests what compute_bound
+    guarantees on a decoded one."""
 
     __slots__ = ()
 
     def check(self) -> None:
-        """Raise ValueError (DomainError for a cfg other than the default of
-        n) unless this report holds what compute_bound guarantees."""
-        n, f, mu, blocker, _, coverage, cfg, budget_limited, cap = self
-        default = SpecializationConfig.default(n)
-        if cfg != default:
-            raise DomainError(f"the specialization {tuple(cfg)} is not the default {tuple(default)}")
+        """Raise ValueError unless this report holds what compute_bound
+        guarantees."""
+        n, f, mu, blocker, _, coverage, budget_limited, cap = self
         if f != n * mu:
             raise ValueError(f"f = {f} is not n*mu = {n * mu}")
         if blocker is not None and (blocker.n != n or e_value(blocker) != mu):
@@ -149,7 +148,6 @@ def compute_bound(
         blocker=blocker,
         exclusions_used=tuple((c, why) for key, c, why in ruled_out if best is None or key < best[0]),
         coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
-        cfg=SpecializationConfig.default(n),
         budget_limited=budget_limited,
         m_budget_cap=m_budget_cap,
     )

@@ -20,7 +20,7 @@ uses n's default specialization, the only one proved to exclude one-sidedly.
 
 Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (cache of the
 reports of bound, sweep and verify --table B, which alone open it, keyed by
-(n, d, r, database JSON, m-cap, package version), with n's default d and r).
+(n, database JSON, m-cap, package version)).  No flag may be abbreviated.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget-
 limited bound under --strict.
@@ -65,18 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="seshadri",
         description="Certified lower bounds for multi-point Seshadri constants of the plane.",
+        allow_abbrev=False,
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel workers across values of n")
     p.add_argument("--cache", default=None, help="JSON report cache of bound, sweep and verify --table B")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("candidates", help="enumerate prospective abnormal classes")
+    c = sub.add_parser("candidates", help="enumerate prospective abnormal classes", allow_abbrev=False)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--m-max", type=int, required=True)
     c.add_argument("--format", choices=("text", "csv", "json"), default="text")
     c.set_defaults(run=_cmd_candidates)
 
-    a = sub.add_parser("alpha", help="certified lower bounds for the degree of a fat-point curve")
+    a = sub.add_parser("alpha", help="certified lower bounds for the degree of a fat-point curve",
+                       allow_abbrev=False)
     a.add_argument("--n", type=int, required=True)
     vector = a.add_mutually_exclusive_group(required=True)
     vector.add_argument("--m", type=int, help="the semiuniform vector of C(t, m, k)")
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--trace", action="store_true", help="dump the unloading trace of the witness degree")
     a.set_defaults(run=_cmd_alpha)
 
-    b = sub.add_parser("bound", help="certified f(n) via the exclusion fixpoint")
+    b = sub.add_parser("bound", help="certified f(n) via the exclusion fixpoint", allow_abbrev=False)
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--db", default=None, help="path to an exclusion database (JSON)")
     b.add_argument("--m-cap", type=int, default=DEFAULT_M_BUDGET_CAP)
@@ -93,19 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--strict", action="store_true", help="exit 3 if the bound is budget-limited")
     b.set_defaults(run=_cmd_bound)
 
-    f = sub.add_parser("formulas", help="closed-form f(n) bounds")
+    f = sub.add_parser("formulas", help="closed-form f(n) bounds", allow_abbrev=False)
     f.add_argument("--n", type=str, required=True, help="single n or range A..B, A >= 10")
     f.add_argument("--db", default=None)
     f.add_argument("--format", choices=("text", "csv", "json"), default="text")
     f.set_defaults(run=_cmd_formulas)
 
-    s = sub.add_parser("sweep", help="certified f(n) over a range of n, judged against table B")
+    s = sub.add_parser("sweep", help="certified f(n) over a range of n, judged against table B",
+                       allow_abbrev=False)
     s.add_argument("--n", type=str, required=True, help="single n or range A..B, A >= 10")
     s.add_argument("--db", default=None, help="path to an exclusion database (JSON)")
     s.add_argument("--m-cap", type=int, default=DEFAULT_M_BUDGET_CAP)
     s.set_defaults(run=_cmd_sweep)
 
-    v = sub.add_parser("verify", help="check the build against the embedded reference tables")
+    v = sub.add_parser("verify", help="check the build against the embedded reference tables",
+                       allow_abbrev=False)
     v.add_argument("--table", choices=("A", "B"), required=True)
     v.add_argument("--db", default=None, help="exclusion database of table B")
     v.set_defaults(run=_cmd_verify)
@@ -124,9 +128,10 @@ class _Cache:
     A file that is not a JSON object is ignored with a warning on stderr, so
     every report is recomputed.  An entry is ignored the same way, and the
     recomputed report replaces it, unless it decodes as a report for its
-    key's n and m cap that passes BoundReport.check, which requires n's
-    default specialization.  Keys carry the package version, so a report
-    cached by another release is recomputed, not served.
+    key's n and m cap that passes BoundReport.check; decoding refuses any
+    specialization but n's default.  Keys carry the package version, so a
+    report cached by another release is recomputed, not served.  A key
+    holds no d or r: n alone fixes them.
 
     A key holds the database itself, as the compact, key-sorted JSON of its
     to_json_dict, so reports cached under one database are never served
@@ -160,8 +165,7 @@ class _Cache:
                 sys.stderr.write(f"warning: ignoring corrupt cache {path} ({exc}); recomputing\n")
 
     def key(self, n: int, cap: int) -> str:
-        cfg = SpecializationConfig.default(n)
-        return f"n={n}|d={cfg.d}|r={cfg.r}|db={self.db_text}|cap={cap}|v={__version__}"
+        return f"n={n}|db={self.db_text}|cap={cap}|v={__version__}"
 
     def get(self, n: int, cap: int) -> BoundReport | None:
         """The report cached for (n, cap), or None when there is none or it

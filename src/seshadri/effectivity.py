@@ -124,9 +124,8 @@ class SpecializationConfig(namedtuple("SpecializationConfig", "n d r")):
     The default, d = floor(sqrt(n)) and r = floor(d*sqrt(n)), is the only
     configuration proved to give one-sided exclusions, so it is the only
     one the bounds, the exclusions, the cache and the CLI use.  Any d >= 1
-    and 1 <= r <= n are still accepted, so that a stored report decodes
-    (and its check refuses it) and the walk can be studied under other
-    configurations; their hypotheses are open (ROADMAP item 7).
+    and 1 <= r <= n are still accepted, so that the walk can be studied
+    under other configurations; their hypotheses are open (ROADMAP item 7).
     """
 
     __slots__ = ()

@@ -16,7 +16,7 @@ from math import isqrt, lcm
 from .bounds import BoundReport, Coverage, FormulaBound
 from .candidates import CandidateTriple, e_value
 from .effectivity import SpecializationConfig, UnloadingTrace
-from .lattice import QuadraticExpr, Value
+from .lattice import DomainError, QuadraticExpr, Value
 
 
 def truncate2(x: Value) -> str:
@@ -92,16 +92,6 @@ def cfg_to_json(cfg: SpecializationConfig) -> dict:
     return {"n": cfg.n, "d": cfg.d, "r": cfg.r, "g": cfg.g}
 
 
-def cfg_from_json(d: dict) -> SpecializationConfig:
-    """Inverse of cfg_to_json.  g is derived from d, so a stored g that
-    differs raises ValueError."""
-    cfg = SpecializationConfig(n=_int_from_json(d["n"]), d=_int_from_json(d["d"]),
-                               r=_int_from_json(d["r"]))
-    if _int_from_json(d["g"]) != cfg.g:
-        raise ValueError(f"g = {d['g']} is not (d-1)(d-2)/2 = {cfg.g}")
-    return cfg
-
-
 def report_to_json_dict(rep: BoundReport) -> dict:
     return {
         "n": rep.n,
@@ -114,7 +104,7 @@ def report_to_json_dict(rep: BoundReport) -> dict:
         ],
         "coverage": {"m_checked_k0": rep.coverage.m_checked_k0,
                      "m_checked_knz": rep.coverage.m_checked_knz},
-        "cfg": cfg_to_json(rep.cfg),
+        "cfg": cfg_to_json(SpecializationConfig.default(rep.n)),
         "budget_limited": rep.budget_limited,
         "m_budget_cap": rep.m_budget_cap,
     }
@@ -123,12 +113,21 @@ def report_to_json_dict(rep: BoundReport) -> dict:
 def report_from_json_dict(d: dict) -> BoundReport:
     """Inverse of report_to_json_dict.  Values are type-checked, not coerced:
     a wrong-typed field raises TypeError, so a mistyped cache entry is
-    recomputed rather than served."""
+    recomputed rather than served.  The stored "cfg" must be n's default,
+    the only specialization a report is computed under: another raises
+    DomainError, and a g other than (d-1)(d-2)/2 raises ValueError."""
+    n = _int_from_json(d["n"])
+    cfg, default = d["cfg"], SpecializationConfig.default(n)
+    stored = tuple(_int_from_json(cfg[field]) for field in ("n", "d", "r"))
+    if stored != default:
+        raise DomainError(f"the specialization {stored} is not the default {tuple(default)}")
+    if _int_from_json(cfg["g"]) != default.g:
+        raise ValueError(f"g = {cfg['g']} is not (d-1)(d-2)/2 = {default.g}")
     budget_limited = d["budget_limited"]
     if not isinstance(budget_limited, bool):
         raise TypeError(f"budget_limited must be a bool, got {budget_limited!r}")
     return BoundReport(
-        n=_int_from_json(d["n"]),
+        n=n,
         f=fraction_from_json(d["f"]),
         mu=fraction_from_json(d["mu"]),
         blocker=candidate_from_json(d["blocker"]) if d["blocker"] is not None else None,
@@ -140,7 +139,6 @@ def report_from_json_dict(d: dict) -> BoundReport:
             m_checked_k0=_int_from_json(d["coverage"]["m_checked_k0"]),
             m_checked_knz=_int_from_json(d["coverage"]["m_checked_knz"]),
         ),
-        cfg=cfg_from_json(d["cfg"]),
         budget_limited=budget_limited,
         m_budget_cap=_int_from_json(d["m_budget_cap"]),
     )

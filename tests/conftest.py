@@ -186,7 +186,6 @@ def compute_bound_literal(
         blocker=blocker,
         exclusions_used=tuple(excluded),
         coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
-        cfg=SpecializationConfig.default(n),
         budget_limited=budget_limited,
         m_budget_cap=m_budget_cap,
     )

@@ -239,7 +239,7 @@ class TestBoundCommand:
         run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
         data = json.loads(cache.read_text())
         (key, payload), = data.items()
-        assert key.startswith("n=12|d=3|r=10|db=")
+        assert key.startswith("n=12|db=")
         # an entry that fits its key is served as stored: only the cached
         # report carries this reason
         payload["exclusions_used"][0]["reason"] = "from-the-cache"
@@ -281,6 +281,7 @@ class TestCacheRobustness:
         pytest.param(lambda p: dict(p, f="x"), id="f-string"),
         pytest.param(lambda p: dict(p, coverage=None), id="coverage-null"),
         pytest.param(lambda p: dict(p, cfg=dict(p["cfg"], d="three")), id="cfg-d-string"),
+        pytest.param(lambda p: dict(p, cfg=list(p["cfg"].values())), id="cfg-list"),
         pytest.param(lambda p: dict(p, f={"num": "1", "den": "0"}), id="zero-denominator"),
         pytest.param(lambda p: dict(p, budget_limited="no"), id="budget-limited-string"),
         pytest.param(lambda p: dict(p, m_budget_cap="7"), id="m-budget-cap-string"),
@@ -320,6 +321,19 @@ class TestCacheRobustness:
         code, warm, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
         assert code == 0 and err == ""
         assert warm == plain
+
+    def test_entry_of_another_specialization_is_replaced(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        _, plain, _ = run_cli(capsys, "bound", "--n", "41")
+        run_cli(capsys, "--cache", str(cache), "bound", "--n", "41")
+        (key, payload), = json.loads(cache.read_text()).items()
+        assert payload["cfg"] == {"n": 41, "d": 6, "r": 38, "g": 10}
+        cache.write_text(json.dumps({key: dict(payload, cfg={"n": 41, "d": 5, "r": 32, "g": 6})}))
+        code, out, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "41")
+        assert (code, out) == (0, plain)
+        assert err == (f"warning: ignoring malformed cache entry {key} (DomainError: the specialization "
+                       "(41, 5, 32) is not the default (41, 6, 38)); recomputing\n")
+        assert json.loads(cache.read_text()) == {key: payload}
 
     def test_budget_limited_entry_is_served(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
@@ -505,7 +519,7 @@ class TestCacheVersion:
         cache = _Cache(str(tmp_path / "cache.json"), default_db())
         key = cache.key(12, DEFAULT_M_BUDGET_CAP)
         assert key == (
-            'n=12|d=3|r=10|db={"enabled_sources":["CCMO","Miranda","unique-cubic"],"entries":['
+            'n=12|db={"enabled_sources":["CCMO","Miranda","unique-cubic"],"entries":['
             '{"kind":"uniform_bound","m_max":20,"n_min":10,"source":"CCMO"},'
             '{"kind":"uniform_bound","m_max":42,"n_min":10,"source":"Dumnicki"},'
             '{"k":0,"kind":"explicit_class","m":1,"n":10,"source":"unique-cubic","t":3},'
@@ -520,10 +534,11 @@ class TestCacheVersion:
         run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
         (key, payload), = json.loads(cache.read_text()).items()
         payload["f"] = {"num": "999", "den": "1"}
-        # another release's key, and this release's key in the layout that
-        # named the database by a digest
+        # another release's key, and this release's key in the layouts that
+        # named the database by a digest and that spelled out n's d and r
         for old_key in (key.rsplit("|v=", 1)[0] + "|v=0.0.0-other",
-                        f"n=12|d=3|r=10|db=8138c457c9f753a7|cap=5000|v={__version__}"):
+                        f"n=12|d=3|r=10|db=8138c457c9f753a7|cap=5000|v={__version__}",
+                        key.replace("n=12|", "n=12|d=3|r=10|", 1)):
             cache.write_text(json.dumps({old_key: payload}))
             code, out, err = run_cli(capsys, "--cache", str(cache), "bound", "--n", "12")
             assert code == 0 and err == ""
@@ -784,8 +799,13 @@ class TestExitCodes:
         pytest.param(("alpha", "--n", "10", "--m", "5", "--mults", _MULTS), id="alpha-m-and-mults"),
         pytest.param(("alpha", "--n", "10", "--mults", _MULTS, "--k", "3"), id="alpha-k-with-mults"),
         pytest.param(("alpha", "--n", "10", "--k", "1"), id="alpha-no-vector"),
+        # no flag is read by a prefix of its name
+        pytest.param(("bound", "--n", "12", "--m", "5"), id="bound-m-for-m-cap"),
+        pytest.param(("--cach", "c.json", "bound", "--n", "12"), id="cach-for-cache"),
+        pytest.param(("sweep", "--n", "10..12", "--m", "3"), id="sweep-m-for-m-cap"),
     ])
-    def test_flags_that_would_be_ignored_exit_2(self, capsys, argv):
+    def test_flags_that_would_be_ignored_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err and "Traceback" not in err
@@ -797,8 +817,9 @@ def test_report_json_dict_round_trip():
 
 
 def test_report_that_breaks_its_invariants_decodes_and_fails_its_check():
-    # Decoding checks types only, so a golden comparison sees an unequal
-    # report; the cache serves an entry only after BoundReport.check.
+    # Decoding checks types and the specialization only, so a golden
+    # comparison sees an unequal report; the cache serves an entry only
+    # after BoundReport.check.
     d = report_to_json_dict(compute_bound(11))
     d["f"]["num"] = str(int(d["f"]["num"]) + 1)
     rep = report_from_json_dict(d)

@@ -29,6 +29,7 @@ from seshadri.exclusions import (
     default_db,
 )
 from seshadri.lattice import DomainError, InvalidInput, QuadraticExpr
+from seshadri.render import report_from_json_dict, report_to_json_dict
 from seshadri.tables import TABLE_A, TABLE_B, TableARow, TableBRow
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,6 +43,11 @@ _LIMITED = compute_bound(10, m_budget_cap=5)  # budget-limited: mu = 6, no block
 def _report(rep, **fields):
     """Check rep with these fields."""
     rep._replace(**fields).check()
+
+
+def _decode(rep, cfg):
+    """Decode rep's JSON with this "cfg"."""
+    report_from_json_dict(dict(report_to_json_dict(rep), cfg=cfg))
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -61,13 +67,21 @@ def _report(rep, **fields):
     (lambda: QuadraticExpr(1, 2, Fraction(-1, 3)), DomainError, "radicand must be >= 0, got -1/3"),
     (lambda: ExclusionDb((UniformBound(10, 20, "CCMO"), ExplicitClass(10, 3, 1, 0, "")), frozenset()),
      InvalidInput, "every exclusion entry needs a nonempty source"),
-    # a report holds what compute_bound guarantees, one row per invariant
-    pytest.param(lambda: _report(_REPORT, cfg=SpecializationConfig.default(13)), DomainError,
+    # a stored report decodes only under n's default specialization, and a
+    # malformed "cfg" raises what _Cache.get catches
+    pytest.param(lambda: _decode(_REPORT, {"n": 13, "d": 3, "r": 10, "g": 1}), DomainError,
                  "the specialization (13, 3, 10) is not the default (12, 3, 10)",
                  id="report-cfg-of-another-n"),
-    pytest.param(lambda: _report(compute_bound(41), cfg=SpecializationConfig(41, 5, 32)), DomainError,
+    pytest.param(lambda: _decode(compute_bound(41), {"n": 41, "d": 5, "r": 32, "g": 6}), DomainError,
                  "the specialization (41, 5, 32) is not the default (41, 6, 38)",
                  id="report-cfg-not-the-default"),
+    pytest.param(lambda: _decode(_REPORT, [12, 3, 10, 1]), TypeError,
+                 "list indices must be integers or slices, not str", id="report-cfg-list"),
+    pytest.param(lambda: _decode(_REPORT, {"n": 12, "d": 3.0, "r": 10, "g": 1}), TypeError,
+                 "expected an integer, got 3.0", id="report-cfg-d-float"),
+    pytest.param(lambda: _decode(_REPORT, {"n": 12, "d": 3, "r": 10, "g": 2}), ValueError,
+                 "g = 2 is not (d-1)(d-2)/2 = 1", id="report-cfg-g-not-derived-from-d"),
+    # a report holds what compute_bound guarantees, one row per invariant
     pytest.param(lambda: _report(_REPORT, f=Fraction(300)), ValueError,
                  "f = 300 is not n*mu = 6912/23", id="report-f-not-n-mu"),
     pytest.param(lambda: _report(_REPORT, blocker=CandidateTriple(13, 83, 24, 0)), ValueError,
@@ -179,7 +193,7 @@ FIELDS = [
     (ExclusionDb, ("entries", "enabled_sources"), {}),
     (ExclusionResult, ("excluded", "reason"), {"reason": None}),
     (Coverage, ("m_checked_k0", "m_checked_knz"), {}),
-    (BoundReport, ("n", "f", "mu", "blocker", "exclusions_used", "coverage", "cfg", "budget_limited",
+    (BoundReport, ("n", "f", "mu", "blocker", "exclusions_used", "coverage", "budget_limited",
                    "m_budget_cap"), {}),
     (FormulaBound, ("name", "value", "source"), {}),
     (BestKnown, ("f_best", "source"), {}),
