@@ -47,32 +47,37 @@ class Coverage(namedtuple("Coverage", "m_checked_k0 m_checked_knz")):
     __slots__ = ()
 
 
-class BoundReport(namedtuple("BoundReport", "n f mu blocker exclusions_used coverage "
-                                            "budget_limited m_budget_cap")):
-    """Certified bound for one n, with its exclusion certificate: f = n*mu
-    as Fractions, the blocker (None when the budget ran out first) and the
-    (candidate, reason) pairs excluded below mu.  Its specialization is
-    n's default, SpecializationConfig.default(n), so no field holds it.
-    Building one does not check; check re-tests what compute_bound
-    guarantees on a decoded one."""
+class BoundReport(namedtuple("BoundReport", "n mu blocker exclusions_used coverage m_budget_cap")):
+    """Certified bound for one n, with its exclusion certificate: mu, the
+    blocker (None when the budget ran out first) and the (candidate, reason)
+    pairs excluded below mu.  f = n*mu, budget_limited and the specialization
+    (n's default) follow from these, so no field holds them.  Building one
+    does not check; check re-tests what compute_bound guarantees on a
+    decoded one."""
 
     __slots__ = ()
 
+    @property
+    def f(self) -> Fraction:
+        return self.n * self.mu
+
+    @property
+    def budget_limited(self) -> bool:
+        """mu lies above the coverage: the m budget ran out first."""
+        return self.mu > min(self.coverage)
+
     def check(self) -> None:
         """Raise ValueError unless this report holds what compute_bound
-        guarantees."""
-        n, f, mu, blocker, _, coverage, budget_limited, cap = self
-        if f != n * mu:
-            raise ValueError(f"f = {f} is not n*mu = {n * mu}")
+        guarantees: a blocker of this n gives e = mu, no blocker means
+        budget-limited at mu = cap + 1, and budget-limited means coverage
+        (cap, cap) and mu <= cap + 1."""
+        n, mu, blocker, _, coverage, cap = self
         if blocker is not None and (blocker.n != n or e_value(blocker) != mu):
             raise ValueError(f"blocker {blocker.label()} does not give mu = {mu}")
-        if blocker is None and not (budget_limited and mu == cap + 1):
+        if blocker is None and not (self.budget_limited and mu == cap + 1):
             raise ValueError(f"no blocker, yet not budget-limited at mu = {cap + 1}")
-        covered = (coverage.m_checked_k0, coverage.m_checked_knz)
-        if budget_limited and (covered != (cap, cap) or mu > cap + 1):
-            raise ValueError(f"budget-limited at cap {cap}, yet coverage {covered}, mu = {mu}")
-        if not budget_limited and mu > min(covered):
-            raise ValueError(f"mu = {mu} is above the coverage {covered}")
+        if self.budget_limited and (coverage != (cap, cap) or mu > cap + 1):
+            raise ValueError(f"budget-limited at cap {cap}, yet coverage {tuple(coverage)}, mu = {mu}")
 
 
 def compute_bound(
@@ -84,8 +89,8 @@ def compute_bound(
 
     Candidates are walked in increasing e; the first one that cannot be
     excluded is the blocker and fixes mu.  If the enumeration budget is
-    exhausted before coverage, the report is flagged budget_limited and f is
-    computed from the largest covered level, min(mu, m_max + 1).
+    exhausted before coverage, mu is the least of the survivor's e and the
+    first uncovered level, m_max + 1, and the report is budget-limited.
 
     The budget grows in rounds (16, 32, 64, ..., capped by ceil(mu)), and
     each round enumerates only the new m, those above the previous budget.
@@ -125,14 +130,10 @@ def compute_bound(
             ruled_out.append((key, c, res.reason))
         mu, blocker = (best[0][0], best[1]) if best else (None, None)
         if mu is not None and m_max >= mu:
-            budget_limited = False
             break
         if m_max >= m_budget_cap:
-            budget_limited = True
-            cover = Fraction(m_max + 1)
-            if mu is None or cover < mu:
-                mu = cover
-                blocker = None
+            if mu is None or m_max + 1 < mu:
+                mu, blocker = Fraction(m_max + 1), None
             break
         grown = 2 * m_max
         if mu is not None:
@@ -143,12 +144,10 @@ def compute_bound(
     ruled_out.sort(key=itemgetter(0))
     return BoundReport(
         n=n,
-        f=n * mu,
         mu=mu,
         blocker=blocker,
         exclusions_used=tuple((c, why) for key, c, why in ruled_out if best is None or key < best[0]),
         coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
-        budget_limited=budget_limited,
         m_budget_cap=m_budget_cap,
     )
 

@@ -128,10 +128,10 @@ class _Cache:
     A file that is not a JSON object is ignored with a warning on stderr, so
     every report is recomputed.  An entry is ignored the same way, and the
     recomputed report replaces it, unless it decodes as a report for its
-    key's n and m cap that passes BoundReport.check; decoding refuses any
-    specialization but n's default.  Keys carry the package version, so a
-    report cached by another release is recomputed, not served.  A key
-    holds no d or r: n alone fixes them.
+    key's n and m cap that passes BoundReport.check; decoding refuses an f,
+    flag or specialization that the other fields contradict.  Keys carry the
+    package version, so a report cached by another release is recomputed,
+    not served.  A key holds no d or r: n alone fixes them.
 
     A key holds the database itself, as the compact, key-sorted JSON of its
     to_json_dict, so reports cached under one database are never served
@@ -335,7 +335,9 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
         rep = reports[n]
         row = TABLE_B_BY_N.get(n)
         survivor = rep.blocker.label() if rep.blocker else "none"
-        head = f"n={n:3d} f={truncate2(rep.f):>9} table={row.f_str if row else '-':>9}"
+        f = rep.f
+        f_str = truncate2(f)
+        head = f"n={n:3d} f={f_str:>9} table={row.f_str if row else '-':>9}"
         if row is None:
             bk = best_known(n, rep, db)
             line = (f"{head} no table row, blocker {survivor}; "
@@ -344,10 +346,10 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
             rows += 1
             target = implied_f(row)
             note = f"  [{row.note}]" if row.note else ""
-            if rep.f > target:
+            if f > target:
                 line = f"{head} EXCESS (hard failure)"
                 hard_fail = True
-            elif truncate2(rep.f) == truncate2(target):
+            elif f_str == truncate2(target):
                 matches += 1
                 line = f"{head} match{note}"
             else:

@@ -133,9 +133,11 @@ def compute_bound_literal(
     n: int,
     db: Optional[ExclusionDb] = None,
     m_budget_cap: int = DEFAULT_M_BUDGET_CAP,
-) -> BoundReport:
+) -> tuple[BoundReport, Fraction, bool]:
     """Reference round driver: every round re-enumerates m from 1 and sorts
-    all candidates by (e, sort_key) afresh."""
+    all candidates by (e, sort_key) afresh.  Returns the report with the f
+    and the budget-limited flag that this loop finds on its own, to compare
+    with the report's derived f and budget_limited."""
     if n < 10:
         raise DomainError(f"bounds are computed for n >= 10, got {n}")
     if is_square(n):
@@ -179,16 +181,15 @@ def compute_bound_literal(
             # smaller-e candidate is still hiding between m_max and the target
             grown = min(grown, ceil_frac(mu.numerator, mu.denominator))
         m_max = min(m_budget_cap, grown)
-    return BoundReport(
+    report = BoundReport(
         n=n,
-        f=n * mu,
         mu=mu,
         blocker=blocker,
         exclusions_used=tuple(excluded),
         coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
-        budget_limited=budget_limited,
         m_budget_cap=m_budget_cap,
     )
+    return report, n * mu, budget_limited
 
 
 def brute_force_candidates(n, m_max):

@@ -143,17 +143,33 @@ class TestRoundDriverOracle:
 
     def test_table_b(self):
         for row in TABLE_B:
-            assert compute_bound(row.n) == compute_bound_literal(row.n), row.n
+            assert compute_bound(row.n) == compute_bound_literal(row.n)[0], row.n
 
     @pytest.mark.parametrize("n, cap", [(527, 5000), (3001, 512), (10, 5), (10, 30)])
     def test_budget_points(self, n, cap):
-        assert compute_bound(n, m_budget_cap=cap) == compute_bound_literal(n, m_budget_cap=cap)
+        assert compute_bound(n, m_budget_cap=cap) == compute_bound_literal(n, m_budget_cap=cap)[0]
 
     @pytest.mark.parametrize("change", [{"disable": ("Miranda",)}, {"enable": ("Dumnicki",)}])
     def test_toggled_databases(self, change):
         db = default_db().with_sources(**change)
         for n in nonsquares(10, 60):
-            assert compute_bound(n, db=db) == compute_bound_literal(n, db=db), n
+            assert compute_bound(n, db=db) == compute_bound_literal(n, db=db)[0], n
+
+    @pytest.mark.parametrize("cap", [1, 5, 16, 17, 64, 512, 5000])
+    def test_f_and_budget_limited_are_the_oracles(self, cap):
+        # the report derives f = n*mu and budget_limited from mu and the
+        # coverage; the oracle keeps its own f and flag from its own loop
+        bare = default_db().with_sources(disable=("CCMO", "Miranda", "unique-cubic"))
+        flags = set()
+        for db in (default_db(), bare):
+            for n in [*nonsquares(10, 99), 527, 1000, 3001]:
+                rep = compute_bound(n, db=db, m_budget_cap=cap)
+                want, f, limited = compute_bound_literal(n, db=db, m_budget_cap=cap)
+                assert (rep, rep.f, rep.budget_limited) == (want, f, limited), (n, db.enabled_sources)
+                flags.add(limited)
+        # none of these reports has mu <= 5, so caps 1 and 5 limit them all;
+        # at every larger cap some are budget-limited and some are not
+        assert flags == ({True} if cap <= 5 else {True, False})
 
     @pytest.mark.parametrize("n, cap", [(10, 5000), (10, 30), (41, 5000), (527, 5000), (3001, 512)])
     def test_each_m_is_enumerated_once(self, monkeypatch, n, cap):

@@ -335,6 +335,20 @@ class TestCacheRobustness:
                        "(41, 5, 32) is not the default (41, 6, 38)); recomputing\n")
         assert json.loads(cache.read_text()) == {key: payload}
 
+    def test_entry_with_a_flipped_budget_limited_flag_is_replaced(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        argv = ("bound", "--n", "10", "--m-cap", "5")
+        _, plain, _ = run_cli(capsys, *argv)
+        run_cli(capsys, "--cache", str(cache), *argv)
+        (key, payload), = json.loads(cache.read_text()).items()
+        assert payload["budget_limited"] is True
+        cache.write_text(json.dumps({key: dict(payload, budget_limited=False)}))
+        code, out, err = run_cli(capsys, "--cache", str(cache), *argv)
+        assert (code, out) == (0, plain)
+        assert err == (f"warning: ignoring malformed cache entry {key} (ValueError: budget_limited is "
+                       "False, yet mu = 6 and the coverage is (5, 5)); recomputing\n")
+        assert json.loads(cache.read_text()) == {key: payload}
+
     def test_budget_limited_entry_is_served(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         argv = ("bound", "--n", "10", "--m-cap", "5")
@@ -730,7 +744,7 @@ class TestSweepCommand:
 
         def raised(ns, **kwargs):
             reps = bounds_for_ns(ns, **kwargs)
-            return {n: rep._replace(f=rep.f + Q(1, 10**10)) for n, rep in reps.items()}
+            return {n: rep._replace(mu=rep.mu + Q(1, n * 10**10)) for n, rep in reps.items()}
 
         monkeypatch.setattr(cli, "bounds_for_ns", raised)
         code, out, err = run_cli(capsys, "sweep", "--n", "10..10")
@@ -817,15 +831,19 @@ def test_report_json_dict_round_trip():
 
 
 def test_report_that_breaks_its_invariants_decodes_and_fails_its_check():
-    # Decoding checks types and the specialization only, so a golden
-    # comparison sees an unequal report; the cache serves an entry only
-    # after BoundReport.check.
+    # Decoding checks types and the stored copies of f, budget_limited and
+    # the specialization, so a golden comparison sees an unequal report;
+    # the cache serves an entry only after BoundReport.check.
     d = report_to_json_dict(compute_bound(11))
-    d["f"]["num"] = str(int(d["f"]["num"]) + 1)
+    d["blocker"]["n"] = 12
     rep = report_from_json_dict(d)
     assert rep != compute_bound(11)
-    with pytest.raises(ValueError, match=r"f = 2817/7 is not n\*mu = 2816/7"):
+    with pytest.raises(ValueError, match=r"blocker C\(106,32,0\) does not give mu = 256/7"):
         rep.check()
+    d = report_to_json_dict(compute_bound(11))
+    d["f"]["num"] = str(int(d["f"]["num"]) + 1)
+    with pytest.raises(ValueError, match=r"f = 2817/7 is not n\*mu = 2816/7"):
+        report_from_json_dict(d)
 
 
 class TestReferenceTables:

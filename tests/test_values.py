@@ -29,7 +29,7 @@ from seshadri.exclusions import (
     default_db,
 )
 from seshadri.lattice import DomainError, InvalidInput, QuadraticExpr
-from seshadri.render import report_from_json_dict, report_to_json_dict
+from seshadri.render import fraction_to_json, report_from_json_dict, report_to_json_dict
 from seshadri.tables import TABLE_A, TABLE_B, TableARow, TableBRow
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,9 +45,9 @@ def _report(rep, **fields):
     rep._replace(**fields).check()
 
 
-def _decode(rep, cfg):
-    """Decode rep's JSON with this "cfg"."""
-    report_from_json_dict(dict(report_to_json_dict(rep), cfg=cfg))
+def _decode(rep, **fields):
+    """Decode rep's JSON with these fields."""
+    report_from_json_dict(dict(report_to_json_dict(rep), **fields))
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -69,36 +69,44 @@ def _decode(rep, cfg):
      InvalidInput, "every exclusion entry needs a nonempty source"),
     # a stored report decodes only under n's default specialization, and a
     # malformed "cfg" raises what _Cache.get catches
-    pytest.param(lambda: _decode(_REPORT, {"n": 13, "d": 3, "r": 10, "g": 1}), DomainError,
+    pytest.param(lambda: _decode(_REPORT, cfg={"n": 13, "d": 3, "r": 10, "g": 1}), DomainError,
                  "the specialization (13, 3, 10) is not the default (12, 3, 10)",
                  id="report-cfg-of-another-n"),
-    pytest.param(lambda: _decode(compute_bound(41), {"n": 41, "d": 5, "r": 32, "g": 6}), DomainError,
+    pytest.param(lambda: _decode(compute_bound(41), cfg={"n": 41, "d": 5, "r": 32, "g": 6}), DomainError,
                  "the specialization (41, 5, 32) is not the default (41, 6, 38)",
                  id="report-cfg-not-the-default"),
-    pytest.param(lambda: _decode(_REPORT, [12, 3, 10, 1]), TypeError,
+    pytest.param(lambda: _decode(_REPORT, cfg=[12, 3, 10, 1]), TypeError,
                  "list indices must be integers or slices, not str", id="report-cfg-list"),
-    pytest.param(lambda: _decode(_REPORT, {"n": 12, "d": 3.0, "r": 10, "g": 1}), TypeError,
+    pytest.param(lambda: _decode(_REPORT, cfg={"n": 12, "d": 3.0, "r": 10, "g": 1}), TypeError,
                  "expected an integer, got 3.0", id="report-cfg-d-float"),
-    pytest.param(lambda: _decode(_REPORT, {"n": 12, "d": 3, "r": 10, "g": 2}), ValueError,
+    pytest.param(lambda: _decode(_REPORT, cfg={"n": 12, "d": 3, "r": 10, "g": 2}), ValueError,
                  "g = 2 is not (d-1)(d-2)/2 = 1", id="report-cfg-g-not-derived-from-d"),
-    # a report holds what compute_bound guarantees, one row per invariant
-    pytest.param(lambda: _report(_REPORT, f=Fraction(300)), ValueError,
+    # the stored f and budget_limited are copies of what mu and the coverage
+    # give, and decoding refuses one that contradicts them
+    pytest.param(lambda: _decode(_REPORT, f=fraction_to_json(Fraction(300))), ValueError,
                  "f = 300 is not n*mu = 6912/23", id="report-f-not-n-mu"),
+    pytest.param(lambda: _decode(_REPORT, budget_limited=0), TypeError,
+                 "budget_limited must be a bool, got 0", id="report-budget-limited-not-a-bool"),
+    pytest.param(lambda: _decode(_REPORT, budget_limited=True), ValueError,
+                 "budget_limited is True, yet mu = 576/23 and the coverage is (32, 32)",
+                 id="report-limited-mu-within-the-coverage"),
+    pytest.param(lambda: _decode(_REPORT, coverage={"m_checked_k0": 32, "m_checked_knz": 25}), ValueError,
+                 "budget_limited is False, yet mu = 576/23 and the coverage is (32, 25)",
+                 id="report-mu-above-the-coverage"),
+    # a report holds what compute_bound guarantees, one row per invariant
     pytest.param(lambda: _report(_REPORT, blocker=CandidateTriple(13, 83, 24, 0)), ValueError,
                  "blocker C(83,24,0) does not give mu = 576/23", id="report-blocker-of-another-n"),
-    pytest.param(lambda: _report(_REPORT, f=Fraction(300), mu=Fraction(25)), ValueError,
+    pytest.param(lambda: _report(_REPORT, mu=Fraction(25)), ValueError,
                  "blocker C(83,24,0) does not give mu = 25", id="report-mu-not-the-blocker-e"),
     pytest.param(lambda: _report(_REPORT, blocker=None), ValueError,
                  "no blocker, yet not budget-limited at mu = 5001", id="report-no-blocker-not-limited"),
-    pytest.param(lambda: _report(_LIMITED, f=Fraction(50), mu=Fraction(5)), ValueError,
+    pytest.param(lambda: _report(_LIMITED, mu=Fraction(5)), ValueError,
                  "no blocker, yet not budget-limited at mu = 6", id="report-no-blocker-mu-not-cap-plus-one"),
     pytest.param(lambda: _report(_LIMITED, coverage=Coverage(4, 5)), ValueError,
                  "budget-limited at cap 5, yet coverage (4, 5), mu = 6", id="report-limited-below-the-cap"),
-    pytest.param(lambda: _report(_REPORT, budget_limited=True, m_budget_cap=24, coverage=Coverage(24, 24)),
+    pytest.param(lambda: _report(_REPORT, m_budget_cap=24, coverage=Coverage(24, 24)),
                  ValueError, "budget-limited at cap 24, yet coverage (24, 24), mu = 576/23",
                  id="report-limited-mu-above-cap-plus-one"),
-    pytest.param(lambda: _report(_REPORT, coverage=Coverage(32, 25)), ValueError,
-                 "mu = 576/23 is above the coverage (32, 25)", id="report-mu-above-the-coverage"),
 ])
 def test_validation_keeps_its_exception_and_message(make, error, message):
     with pytest.raises(error) as info:
@@ -193,8 +201,7 @@ FIELDS = [
     (ExclusionDb, ("entries", "enabled_sources"), {}),
     (ExclusionResult, ("excluded", "reason"), {"reason": None}),
     (Coverage, ("m_checked_k0", "m_checked_knz"), {}),
-    (BoundReport, ("n", "f", "mu", "blocker", "exclusions_used", "coverage", "budget_limited",
-                   "m_budget_cap"), {}),
+    (BoundReport, ("n", "mu", "blocker", "exclusions_used", "coverage", "m_budget_cap"), {}),
     (FormulaBound, ("name", "value", "source"), {}),
     (BestKnown, ("f_best", "source"), {}),
     (TableARow, ("t", "m", "k", "e_str"), {}),
