@@ -45,6 +45,7 @@ from .effectivity import (
 from .exclusions import ExclusionDb, default_db
 from .lattice import DomainError, InvalidInput, is_square
 from .render import (
+    check_stored_copies,
     render_candidates,
     render_formulas,
     render_report,
@@ -128,10 +129,11 @@ class _Cache:
     A file that is not a JSON object is ignored with a warning on stderr, so
     every report is recomputed.  An entry is ignored the same way, and the
     recomputed report replaces it, unless it decodes as a report for its
-    key's n and m cap that passes BoundReport.check; decoding refuses an f,
-    flag or specialization that the other fields contradict.  Keys carry the
-    package version, so a report cached by another release is recomputed,
-    not served.  A key holds no d or r: n alone fixes them.
+    key's n and m cap whose stored f and budget-limited flag equal what it
+    derives and that passes BoundReport.check; decoding refuses any
+    specialization but n's default.  Keys carry the package version, so a
+    report cached by another release is recomputed, not served.  A key
+    holds no d or r: n alone fixes them.
 
     A key holds the database itself, as the compact, key-sorted JSON of its
     to_json_dict, so reports cached under one database are never served
@@ -176,9 +178,11 @@ class _Cache:
         if key not in self.data:
             return None
         try:
-            rep = report_from_json_dict(self.data[key])
+            entry = self.data[key]
+            rep = report_from_json_dict(entry)
             if (rep.n, rep.m_budget_cap) != (n, cap):
                 raise ValueError(f"entry is for n={rep.n}, cap={rep.m_budget_cap}")
+            check_stored_copies(entry, rep)
             rep.check()
             return rep
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -88,8 +88,11 @@ def candidate_from_json(d: dict) -> CandidateTriple:
                            m=_int_from_json(d["m"]), k=_int_from_json(d["k"]))
 
 
+def cfg_to_json(cfg: SpecializationConfig) -> dict:
+    return {"n": cfg.n, "d": cfg.d, "r": cfg.r, "g": cfg.g}
+
+
 def report_to_json_dict(rep: BoundReport) -> dict:
-    cfg = SpecializationConfig.default(rep.n)
     return {
         "n": rep.n,
         "f": fraction_to_json(rep.f),
@@ -99,8 +102,9 @@ def report_to_json_dict(rep: BoundReport) -> dict:
             {"candidate": candidate_to_json(c), "reason": reason}
             for c, reason in rep.exclusions_used
         ],
-        "coverage": rep.coverage._asdict(),
-        "cfg": {**cfg._asdict(), "g": cfg.g},
+        "coverage": {"m_checked_k0": rep.coverage.m_checked_k0,
+                     "m_checked_knz": rep.coverage.m_checked_knz},
+        "cfg": cfg_to_json(SpecializationConfig.default(rep.n)),
         "budget_limited": rep.budget_limited,
         "m_budget_cap": rep.m_budget_cap,
     }
@@ -109,10 +113,11 @@ def report_to_json_dict(rep: BoundReport) -> dict:
 def report_from_json_dict(d: dict) -> BoundReport:
     """Inverse of report_to_json_dict.  Values are type-checked, not coerced:
     a wrong-typed field raises TypeError, so a mistyped cache entry is
-    recomputed rather than served.  "f", "budget_limited" and "cfg" are
-    copies that must equal what the other fields give: a "cfg" other than
-    n's default, the only specialization a report is computed under, raises
-    DomainError, and any other mismatch raises ValueError."""
+    recomputed rather than served.  The stored "cfg" must be n's default,
+    the only specialization a report is computed under: another raises
+    DomainError, and a g other than (d-1)(d-2)/2 raises ValueError.  "f" and
+    "budget_limited" are not read, since the report derives both;
+    check_stored_copies compares them with it."""
     n = _int_from_json(d["n"])
     cfg, default = d["cfg"], SpecializationConfig.default(n)
     stored = tuple(_int_from_json(cfg[field]) for field in ("n", "d", "r"))
@@ -120,10 +125,7 @@ def report_from_json_dict(d: dict) -> BoundReport:
         raise DomainError(f"the specialization {stored} is not the default {tuple(default)}")
     if _int_from_json(cfg["g"]) != default.g:
         raise ValueError(f"g = {cfg['g']} is not (d-1)(d-2)/2 = {default.g}")
-    budget_limited = d["budget_limited"]
-    if not isinstance(budget_limited, bool):
-        raise TypeError(f"budget_limited must be a bool, got {budget_limited!r}")
-    rep = BoundReport(
+    return BoundReport(
         n=n,
         mu=fraction_from_json(d["mu"]),
         blocker=candidate_from_json(d["blocker"]) if d["blocker"] is not None else None,
@@ -131,15 +133,26 @@ def report_from_json_dict(d: dict) -> BoundReport:
             (candidate_from_json(e["candidate"]), _str_from_json(e["reason"]))
             for e in d["exclusions_used"]
         ),
-        coverage=Coverage(*(_int_from_json(d["coverage"][field]) for field in Coverage._fields)),
+        coverage=Coverage(
+            m_checked_k0=_int_from_json(d["coverage"]["m_checked_k0"]),
+            m_checked_knz=_int_from_json(d["coverage"]["m_checked_knz"]),
+        ),
         m_budget_cap=_int_from_json(d["m_budget_cap"]),
     )
+
+
+def check_stored_copies(d: dict, rep: BoundReport) -> None:
+    """Raise unless the "f" and "budget_limited" stored in d equal what rep,
+    d decoded, derives: TypeError for a wrong type, ValueError for a copy
+    that mu and the coverage contradict."""
+    budget_limited = d["budget_limited"]
+    if not isinstance(budget_limited, bool):
+        raise TypeError(f"budget_limited must be a bool, got {budget_limited!r}")
     if (f := fraction_from_json(d["f"])) != rep.f:
         raise ValueError(f"f = {f} is not n*mu = {rep.f}")
     if budget_limited != rep.budget_limited:
         raise ValueError(f"budget_limited is {budget_limited}, yet mu = {rep.mu} "
                          f"and the coverage is {tuple(rep.coverage)}")
-    return rep
 
 
 def _csv_text(header: Sequence[str], rows) -> str:

@@ -19,6 +19,7 @@ from seshadri.cli import _Cache, main
 from seshadri.exclusions import _ENTRY_KINDS, ExclusionDb, ExplicitClass, default_db
 from seshadri.render import (
     candidate_to_json,
+    check_stored_copies,
     fraction_to_json,
     report_from_json_dict,
     report_to_json_dict,
@@ -831,19 +832,24 @@ def test_report_json_dict_round_trip():
 
 
 def test_report_that_breaks_its_invariants_decodes_and_fails_its_check():
-    # Decoding checks types and the stored copies of f, budget_limited and
-    # the specialization, so a golden comparison sees an unequal report;
-    # the cache serves an entry only after BoundReport.check.
+    # Decoding checks types and the specialization only, so a golden
+    # comparison sees an unequal report; the cache serves an entry only
+    # after check_stored_copies and BoundReport.check.
     d = report_to_json_dict(compute_bound(11))
     d["blocker"]["n"] = 12
     rep = report_from_json_dict(d)
     assert rep != compute_bound(11)
     with pytest.raises(ValueError, match=r"blocker C\(106,32,0\) does not give mu = 256/7"):
         rep.check()
+    # f is derived from mu, so a bumped stored f decodes to the computed
+    # report; its rendering differs from the stored JSON, and
+    # check_stored_copies refuses it
     d = report_to_json_dict(compute_bound(11))
     d["f"]["num"] = str(int(d["f"]["num"]) + 1)
+    rep = report_from_json_dict(d)
+    assert rep == compute_bound(11) and report_to_json_dict(rep) != d
     with pytest.raises(ValueError, match=r"f = 2817/7 is not n\*mu = 2816/7"):
-        report_from_json_dict(d)
+        check_stored_copies(d, rep)
 
 
 class TestReferenceTables:

@@ -29,7 +29,7 @@ from seshadri.exclusions import (
     default_db,
 )
 from seshadri.lattice import DomainError, InvalidInput, QuadraticExpr
-from seshadri.render import fraction_to_json, report_from_json_dict, report_to_json_dict
+from seshadri.render import check_stored_copies, fraction_to_json, report_from_json_dict, report_to_json_dict
 from seshadri.tables import TABLE_A, TABLE_B, TableARow, TableBRow
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,9 +45,15 @@ def _report(rep, **fields):
     rep._replace(**fields).check()
 
 
-def _decode(rep, **fields):
-    """Decode rep's JSON with these fields."""
-    report_from_json_dict(dict(report_to_json_dict(rep), **fields))
+def _decode(rep, cfg):
+    """Decode rep's JSON with this "cfg"."""
+    report_from_json_dict(dict(report_to_json_dict(rep), cfg=cfg))
+
+
+def _stored(rep, **fields):
+    """Check the stored copies of rep's JSON with these fields."""
+    d = dict(report_to_json_dict(rep), **fields)
+    check_stored_copies(d, report_from_json_dict(d))
 
 
 @pytest.mark.parametrize("make, error, message", [
@@ -69,28 +75,28 @@ def _decode(rep, **fields):
      InvalidInput, "every exclusion entry needs a nonempty source"),
     # a stored report decodes only under n's default specialization, and a
     # malformed "cfg" raises what _Cache.get catches
-    pytest.param(lambda: _decode(_REPORT, cfg={"n": 13, "d": 3, "r": 10, "g": 1}), DomainError,
+    pytest.param(lambda: _decode(_REPORT, {"n": 13, "d": 3, "r": 10, "g": 1}), DomainError,
                  "the specialization (13, 3, 10) is not the default (12, 3, 10)",
                  id="report-cfg-of-another-n"),
-    pytest.param(lambda: _decode(compute_bound(41), cfg={"n": 41, "d": 5, "r": 32, "g": 6}), DomainError,
+    pytest.param(lambda: _decode(compute_bound(41), {"n": 41, "d": 5, "r": 32, "g": 6}), DomainError,
                  "the specialization (41, 5, 32) is not the default (41, 6, 38)",
                  id="report-cfg-not-the-default"),
-    pytest.param(lambda: _decode(_REPORT, cfg=[12, 3, 10, 1]), TypeError,
+    pytest.param(lambda: _decode(_REPORT, [12, 3, 10, 1]), TypeError,
                  "list indices must be integers or slices, not str", id="report-cfg-list"),
-    pytest.param(lambda: _decode(_REPORT, cfg={"n": 12, "d": 3.0, "r": 10, "g": 1}), TypeError,
+    pytest.param(lambda: _decode(_REPORT, {"n": 12, "d": 3.0, "r": 10, "g": 1}), TypeError,
                  "expected an integer, got 3.0", id="report-cfg-d-float"),
-    pytest.param(lambda: _decode(_REPORT, cfg={"n": 12, "d": 3, "r": 10, "g": 2}), ValueError,
+    pytest.param(lambda: _decode(_REPORT, {"n": 12, "d": 3, "r": 10, "g": 2}), ValueError,
                  "g = 2 is not (d-1)(d-2)/2 = 1", id="report-cfg-g-not-derived-from-d"),
     # the stored f and budget_limited are copies of what mu and the coverage
-    # give, and decoding refuses one that contradicts them
-    pytest.param(lambda: _decode(_REPORT, f=fraction_to_json(Fraction(300))), ValueError,
+    # give, and check_stored_copies refuses one that contradicts them
+    pytest.param(lambda: _stored(_REPORT, f=fraction_to_json(Fraction(300))), ValueError,
                  "f = 300 is not n*mu = 6912/23", id="report-f-not-n-mu"),
-    pytest.param(lambda: _decode(_REPORT, budget_limited=0), TypeError,
+    pytest.param(lambda: _stored(_REPORT, budget_limited=0), TypeError,
                  "budget_limited must be a bool, got 0", id="report-budget-limited-not-a-bool"),
-    pytest.param(lambda: _decode(_REPORT, budget_limited=True), ValueError,
+    pytest.param(lambda: _stored(_REPORT, budget_limited=True), ValueError,
                  "budget_limited is True, yet mu = 576/23 and the coverage is (32, 32)",
                  id="report-limited-mu-within-the-coverage"),
-    pytest.param(lambda: _decode(_REPORT, coverage={"m_checked_k0": 32, "m_checked_knz": 25}), ValueError,
+    pytest.param(lambda: _stored(_REPORT, coverage={"m_checked_k0": 32, "m_checked_knz": 25}), ValueError,
                  "budget_limited is False, yet mu = 576/23 and the coverage is (32, 25)",
                  id="report-mu-above-the-coverage"),
     # a report holds what compute_bound guarantees, one row per invariant
