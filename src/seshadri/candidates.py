@@ -16,11 +16,24 @@ and, when 0 < m < n and k != 0, the sharper almost-uniform constraints
 
        m + k > 0,  k^2 <= m,  2mk = t^2 - m^2*n,  m*sqrt(n)-1 < t < m*sqrt(n)+1.
 
-For k = 0 the window m^2*n - m <= t^2 < m^2*n holds at most one t, namely
-t = isqrt(m^2*n - 1).  Any t in it has t^2 >= 10m^2 - m > (3m - 1)^2, so
-t >= 3m, and consecutive squares there lie 2t + 1 > m apart, farther than
-the width m of the window; the largest t with t^2 < m^2*n is the only one
-that can reach it.
+Each m costs one integer square root: t = isqrt(m^2*n) and the remainder
+r = m^2*n - t^2, so 0 <= r <= 2t.  r = 0 exactly when m^2*n is a square,
+that is when n is (m^2*n = s^2 makes n = (s/m)^2 a rational square, hence
+an integer one).
+
+For k = 0 the window m^2*n - m <= t^2 < m^2*n holds at most one t.  Any t
+in it has t^2 >= 10m^2 - m > (3m - 1)^2, so t >= 3m, and consecutive squares
+there lie 2t + 1 > m apart, farther than the width m of the window; the
+largest t with t^2 < m^2*n is the only one that can reach it.  For nonsquare
+n that is t = isqrt(m^2*n), and the window reads 0 < r <= m.  For square n,
+r = 0 and the largest such t is m*sqrt(n) - 1, whose square lies
+2m*sqrt(n) - 1 > m below m^2*n: there is no k = 0 class.
+
+For 0 < m < n and k != 0, the pinned degree is t or t + 1, with t'^2 - m^2*n
+equal to -r or 2t + 1 - r, and 2mk must equal it.  So degree t needs r != 0
+and 2m | r (then k = -r/(2m)), and degree t + 1 needs 2m | 2t + 1 - r (then
+k = (2t + 1 - r)/(2m) > 0).  For square n, r = 0 and 2t + 1 is odd, so below
+m = n there is no class at all.
 
 For m >= n and k != 0 the enumeration runs over t, with one k per t.  By (b)
 the nonzero k lie in [k_min, k_max] with k_max = isqrt((nm-1)//(n-1)) and
@@ -127,18 +140,21 @@ def lemaaa_conditions(n: int, t: int, m: int, k: int) -> bool:
 def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:
     """All candidates with m_min <= m <= m_max, sorted by (m, k=0 first, k, t).
 
-    For k = 0 the degree window m^2*n - m <= t^2 < m^2*n holds at most
-    t = isqrt(m^2*n - 1) (see the module docstring).  For k != 0 and
-    m < n the almost-uniform constraints pin t to one of the at most two
-    integers adjacent to m*sqrt(n) and force k = (t^2 - m^2*n) / (2m).  For
+    Each m starts from t = isqrt(m^2*n) and r = m^2*n - t^2 (see the
+    module docstring).  For k = 0 the degree window m^2*n - m <= t^2 < m^2*n
+    holds a class only at this t and only when 0 < r <= m; r = 0 means n is
+    a square, with no k = 0 class.  For k != 0 and m < n the almost-uniform
+    constraints pin the degree to t or t + 1 and force
+    k = (t'^2 - m^2*n) / (2m), that is -r/(2m) or (2t + 1 - r)/(2m), so
+    only a divisibility test by 2m runs before the conditions.  For
     m >= n the scan runs over t, not k: condition (c) over the k range of
     condition (b) bounds t, and each t in that window admits only
     k = floor((t^2 - m^2*n) / (2m)), which `szcor_conditions` then checks
     (see the module docstring).  O(sqrt(m/n) + 1) work per m >= n.
 
     The order needs no sort.  m increases and each m emits its k = 0 class
-    first.  Below m = n, k = (t^2 - m^2*n) / (2m) grows with t over
-    t = tm, tm + 1.  From m = n on, every t in the window has
+    first.  Below m = n, the degree t gives k < 0 and t + 1 gives k > 0.
+    From m = n on, every t in the window has
     t^2 >= m^2*n + 2m*k_min > m^2*(n - 2) >= 8m^2, so t > 2m and each step
     t -> t + 1 adds 2t + 1 > 2m to t^2: k = floor((t^2 - m^2*n) / (2m))
     strictly increases with t.
@@ -152,23 +168,24 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
     out: list[CandidateTriple] = []
     for m in range(m_min, m_max + 1):
         base = m * m * n
-        # k = 0: the one t with t^2 < base that can reach base - m
-        t = isqrt(base - 1)
-        if t * t >= base - m and szcor_d(n, t, m, 0):
+        t = isqrt(base)
+        r = base - t * t
+        # k = 0: t^2 in [base - m, base); r = 0 (square n) admits none
+        if 0 < r <= m and szcor_d(n, t, m, 0):
             out.append(CandidateTriple(n, t, m, 0))
         if m < n:
-            # k != 0 pinned by the almost-uniform constraints; t >= isqrt(10m^2)
-            # >= 3, and num != 0 with 2m | num makes k nonzero
-            tm = isqrt(base)
-            for t in (tm, tm + 1):
-                num = t * t - base
-                if num == 0 or num % (2 * m) != 0:
-                    continue
-                k = num // (2 * m)
-                if not lemaaa_conditions(n, t, m, k):
-                    continue
-                if szcor_conditions(n, t, m, k):
+            # k != 0 pinned by the almost-uniform constraints: degree t has
+            # t^2 - base = -r, degree t + 1 has 2t + 1 - r > 0 (r <= 2t), and
+            # 2mk must equal it; t >= isqrt(10m^2) >= 3
+            if r and r % (2 * m) == 0:
+                k = -(r // (2 * m))
+                if lemaaa_conditions(n, t, m, k) and szcor_conditions(n, t, m, k):
                     out.append(CandidateTriple(n, t, m, k))
+            num = 2 * t + 1 - r
+            if num % (2 * m) == 0:
+                k = num // (2 * m)
+                if lemaaa_conditions(n, t + 1, m, k) and szcor_conditions(n, t + 1, m, k):
+                    out.append(CandidateTriple(n, t + 1, m, k))
         else:
             # k != 0: one k per degree t
             k_lo, k_hi = _k_bounds(n, m)

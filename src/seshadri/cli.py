@@ -20,7 +20,8 @@ uses n's default specialization, the only one proved to exclude one-sidedly.
 
 Global flags: --jobs J >= 1 (parallelism across n), --cache PATH (cache of the
 reports of bound, sweep and verify --table B, which alone open it, keyed by
-(n, database JSON, m-cap, package version)).  No flag may be abbreviated.
+(n, database JSON, m-cap, package version)).  No flag may be abbreviated,
+and a usage error names the unknown flag, before the subcommand too.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget-
 limited bound under --strict.
@@ -383,9 +384,31 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
     return EXIT_OK
 
 
+def _unknown_global_flag(argv: list[str]) -> str | None:
+    """The first flag before the subcommand that is not a global flag.
+
+    argparse skips such a flag and reads the word after it as the
+    subcommand, so `--cach x.json bound` would be refused for `x.json`.
+    """
+    words = iter(argv)
+    for word in words:
+        if word in ("--jobs", "--cache"):
+            next(words, None)
+        elif not word.startswith("-"):
+            return None
+        elif word.split("=", 1)[0] not in ("--jobs", "--cache", "-h", "--help"):
+            return word
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
+        flag = _unknown_global_flag(argv)
+        if flag is not None:
+            parser.error(f"unrecognized arguments: {flag}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -39,6 +39,19 @@ class TestFinitenessTest:
             passes_testlem((1,) * 10, 3, 0)
 
 
+@st.composite
+def _n_and_window_below_or_across_n(draw):
+    """(n, m_lo, m_hi): n in 10..20000, square or not, and a window of at
+    most 200 m that lies below n or straddles it."""
+    n = draw(st.one_of(st.integers(10, 20000), st.integers(4, 141).map(lambda s: s * s)))
+    width = draw(st.integers(0, 199))
+    if width and draw(st.booleans()):
+        m_lo = draw(st.integers(max(1, n - width), n - 1))
+    else:
+        m_lo = draw(st.integers(1, max(1, n - 1 - width)))
+    return n, m_lo, m_lo + width
+
+
 class TestEnumeration:
     def test_reproduces_embedded_table(self):
         cands = enumerate_szcor(10, 182)
@@ -107,6 +120,20 @@ class TestEnumeration:
         for a in (512, n - 1, n):
             joined = enumerate_szcor(n, a) + enumerate_szcor(n, m_max, a + 1)
             assert sorted(joined, key=CandidateTriple.sort_key) == want, a
+
+    @pytest.mark.parametrize("n", [16, 25, 36, 100, 10000])
+    def test_matches_literal_scan_for_square_n(self, n):
+        # m^2*n = (m*sqrt(n))^2 leaves the remainder r = 0 at every m: no
+        # k = 0 class, and degree t = m*sqrt(n) gives no k != 0 class
+        for m_max in (n // 2, n - 1, n, n + min(n, 100)):
+            assert enumerate_szcor(n, m_max) == enumerate_szcor_literal(n, m_max), (n, m_max)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_n_and_window_below_or_across_n())
+    def test_window_matches_literal_scan(self, case):
+        n, m_lo, m_hi = case
+        want = [c for c in enumerate_szcor_literal(n, m_hi) if c.m >= m_lo]
+        assert enumerate_szcor(n, m_hi, m_lo) == want
 
     def test_ranges_concatenate_to_the_full_scan(self):
         # the seeded grid above, each m_max split at a random point

@@ -825,6 +825,19 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(("--cach", "c.json", "bound", "--n", "12"), "--cach", id="cach"),
+        pytest.param(("--cach=c.json", "bound", "--n", "12"), "--cach=c.json", id="cach-equals"),
+        pytest.param(("--jobs", "2", "--jo", "2", "sweep", "--n", "10..12"), "--jo", id="jo-after-jobs"),
+    ])
+    def test_unknown_global_flag_is_named(self, capsys, tmp_path, monkeypatch, argv, flag):
+        # argparse alone names the word after the flag as an invalid subcommand
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"seshadri: error: unrecognized arguments: {flag}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_report_json_dict_round_trip():
     rep = compute_bound(10)
