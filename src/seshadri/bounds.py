@@ -14,6 +14,7 @@ consequences f = 21(n-2), 42(n-2), (n^2 - 5n*sqrt(n))/2 and f = 21n.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
@@ -99,6 +100,27 @@ def compute_bound(
     first survivor.  No candidate list or verdict cache carries over between
     rounds; the exclusions keyed below the final survivor, in key order, are
     the walk a full sort of every m would give.
+
+    A round decides only classes with e <= cap + 1 (cap = m_budget_cap);
+    the rest wait on one list.  If no class with e <= cap + 1 survives the
+    run, that list is walked in key order, up to its first survivor, after
+    the last round; otherwise it is dropped undecided.  The reports are
+    those of deciding every class in its round:
+    - A run ends either at m_max >= mu, so mu <= m_max <= cap, or at
+      m_max = cap with mu = min(least survivor's e, cap + 1).  So the
+      blocker and mu never come from a class with e > cap + 1.
+    - Let a survivor with e > cap + 1 be the least so far.  Every class
+      with e <= cap + 1 is keyed below it, so each round still decides
+      them all.  The next budget is min(cap, 2*m_max, ceil(mu)), and
+      ceil(mu) > cap, so the rounds grow as with no survivor; the stop
+      test m_max >= mu fails as with none, and at m_max = cap mu becomes
+      cap + 1 with no blocker, as with none.
+    - So such a class reaches the report only through exclusions_used,
+      and only in a budget-limited report with no blocker: there the
+      classes with e > cap + 1 excluded below the least survivor are
+      listed (at the default cap, 23 at n = 527, 57 at n = 574 and 63 at
+      n = 623).  Every round's classes with e > cap + 1 are on the list,
+      so walking it in key order finds that survivor and those exclusions.
     """
     if n < 10:
         raise DomainError(f"bounds are computed for n >= 10, got {n}")
@@ -111,29 +133,28 @@ def compute_bound(
 
     # best is the least survivor so far, with its key.  That key never goes
     # up, so each candidate keyed below the final one was decided in its own
-    # round.
+    # round.  Classes with e above the level get no verdict unless no class
+    # at or below it survives.
+    level = m_budget_cap + 1
     best: tuple[_Key, CandidateTriple] | None = None
     ruled_out: list[tuple[_Key, CandidateTriple, str]] = []
+    beyond: list[tuple[_Key, CandidateTriple]] = []
     m_done = 0
     m_max = min(16, m_budget_cap)
     while True:
         fresh = [((e_value(c), c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1)]
         fresh.sort(key=itemgetter(0))
         m_done = m_max
-        for key, c in fresh:
-            if best is not None and key >= best[0]:
-                break
-            res = is_excluded(c, db)
-            if not res.excluded:
-                best = (key, c)
-                break
-            ruled_out.append((key, c, res.reason))
+        cut = bisect_right(fresh, level, key=lambda item: item[0][0])
+        best = _decide(fresh[:cut], db, best, ruled_out)
+        if best is None:
+            beyond += fresh[cut:]
         mu, blocker = (best[0][0], best[1]) if best else (None, None)
         if mu is not None and m_max >= mu:
             break
         if m_max >= m_budget_cap:
-            if mu is None or m_max + 1 < mu:
-                mu, blocker = Fraction(m_max + 1), None
+            if mu is None:
+                mu = Fraction(level)
             break
         grown = 2 * m_max
         if mu is not None:
@@ -141,6 +162,11 @@ def compute_bound(
             # smaller-e candidate is still hiding between m_max and the target
             grown = min(grown, ceil(mu))
         m_max = min(m_budget_cap, grown)
+    if best is None:
+        # budget-limited with no blocker: the exclusions listed run up to
+        # the least survivor above the level
+        beyond.sort(key=itemgetter(0))
+        best = _decide(beyond, db, None, ruled_out)
     ruled_out.sort(key=itemgetter(0))
     return BoundReport(
         n=n,
@@ -150,6 +176,25 @@ def compute_bound(
         coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
         m_budget_cap=m_budget_cap,
     )
+
+
+def _decide(
+    keyed: Iterable[tuple[_Key, CandidateTriple]],
+    db: ExclusionDb,
+    best: tuple[_Key, CandidateTriple] | None,
+    ruled_out: list[tuple[_Key, CandidateTriple, str]],
+) -> tuple[_Key, CandidateTriple] | None:
+    """Decide keyed candidates in key order, those keyed below best, up to
+    the first survivor; append each exclusion to ruled_out and return the
+    least survivor, best or the new one."""
+    for key, c in keyed:
+        if best is not None and key >= best[0]:
+            break
+        res = is_excluded(c, db)
+        if not res.excluded:
+            return key, c
+        ruled_out.append((key, c, res.reason))
+    return best
 
 
 def _worker_count(jobs: int, tasks: int) -> int:

@@ -326,8 +326,9 @@ def _verify_table_a() -> int:
 
 def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb) -> int:
     """One line per n and a table-B summary.  An n with a Table-B row is
-    judged against the f implied by the row's class: above it, by any
-    amount, is EXCESS, a hard failure; below it, a row with a
+    judged against the exact f implied by the row's class: equal to it is
+    a match; above it, by any amount, is EXCESS, a hard failure; below
+    it, a row with a
     reference value must have that value recovered by best_known.  An n
     without a row shows f, the blocker and best_known.  A range with no
     Table-B row ends in "table B: no rows in range" instead of a summary.
@@ -341,8 +342,7 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
         row = TABLE_B_BY_N.get(n)
         survivor = rep.blocker.label() if rep.blocker else "none"
         f = rep.f
-        f_str = truncate2(f)
-        head = f"n={n:3d} f={f_str:>9} table={row.f_str if row else '-':>9}"
+        head = f"n={n:3d} f={truncate2(f):>9} table={row.f_str if row else '-':>9}"
         if row is None:
             bk = best_known(n, rep, db)
             line = (f"{head} no table row, blocker {survivor}; "
@@ -354,7 +354,7 @@ def _print_sweep(ns: list[int], reports: dict[int, BoundReport], db: ExclusionDb
             if f > target:
                 line = f"{head} EXCESS (hard failure)"
                 hard_fail = True
-            elif f_str == truncate2(target):
+            elif f == target:
                 matches += 1
                 line = f"{head} match{note}"
             else:

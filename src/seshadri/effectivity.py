@@ -338,7 +338,12 @@ class UnloadingTrace(namedtuple("UnloadingTrace", "steps j omega_prime")):
 
 
 def _require_normal_form(mults: Sequence[int], n: int) -> tuple[int, ...]:
-    ms = tuple(map(int, mults))
+    """mults as a tuple, or InvalidInput unless it is n ints (bool is not
+    one), nonincreasing and non-negative."""
+    ms = tuple(mults)
+    if not set(map(type, ms)) <= {int}:
+        bad = next(x for x in ms if type(x) is not int)
+        raise InvalidInput(f"multiplicities must be integers, got {bad!r}")
     if len(ms) != n:
         raise InvalidInput(f"expected {n} multiplicities, got {len(ms)}")
     if any(map(lt, ms, ms[1:])):

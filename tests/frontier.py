@@ -7,11 +7,11 @@ blocker is C(t,m,k) or "none", exclusions is the number of exclusions
 used, and sha is the first 16 hex digits of the SHA-256 of the report's
 JSON rendering, so the line pins the whole report.
 
-    PYTHONPATH=src python tests/frontier.py --check [--stride S] [--jobs J]
+    PYTHONPATH=src python tests/frontier.py --check [--jobs J]
     PYTHONPATH=src python tests/frontier.py --write [--jobs J]
 
---check recomputes every S-th n of the golden (all of them by default) and
-exits 1 on any difference; --write recomputes every n and rewrites the file.
+--check recomputes every n and exits 1 on any difference from the golden;
+--write rewrites it.  Tier-1 checks every 10th n, in tests/test_bounds.py.
 """
 from __future__ import annotations
 
@@ -48,19 +48,18 @@ def main(argv=None) -> int:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true", help="compare with the golden file")
     mode.add_argument("--write", action="store_true", help="rewrite the golden file")
-    p.add_argument("--stride", type=int, default=1, help="check every S-th n of the golden")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers across values of n")
     args = p.parse_args(argv)
     if args.write:
         GOLDEN.write_text("\n".join(frontier_lines(NS, args.jobs)) + "\n", encoding="ascii")
         return 0
-    want = golden_lines()[::args.stride]
-    got = frontier_lines([int(line.split()[0]) for line in want], args.jobs)
+    want = golden_lines()
+    got = frontier_lines(NS, args.jobs)
     bad = [(w, g) for w, g in zip(want, got) if w != g]
     for w, g in bad:
         print(f"golden: {w}\n   now: {g}")
     print(f"{len(want) - len(bad)} of {len(want)} lines match {GOLDEN.name}")
-    return 1 if bad else 0
+    return 0 if want == got else 1
 
 
 if __name__ == "__main__":

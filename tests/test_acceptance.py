@@ -134,7 +134,7 @@ def test_criterion_4_reference_sweep(sweep_reports, capsys):
             hard_ok = False
             deficit_lines.append(f"n={row.n}: EXCESS {truncate2(rep.f)} > {row.f_str}")
             continue
-        if truncate2(rep.f) == truncate2(target):
+        if rep.f == target:
             matches += 1
             continue
         # every non-match must be a shortfall with a named surviving class
@@ -155,7 +155,7 @@ def test_criterion_4_reference_sweep(sweep_reports, capsys):
             deficit_lines.append(f"n={n}: best-known misses the reference value")
     deficit_ns = sorted(
         row.n for row in TABLE_B
-        if truncate2(reports[row.n].f) != truncate2(implied_f(row))
+        if reports[row.n].f != implied_f(row)
     )
     unexplained = [n for n in deficit_ns if n not in attributed]
     with capsys.disabled():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import frontier
 import seshadri.bounds as bounds
 from conftest import (
     ceil_frac,
@@ -148,6 +149,42 @@ class TestRoundDriverOracle:
     @pytest.mark.parametrize("n, cap", [(527, 5000), (3001, 512), (10, 5), (10, 30)])
     def test_budget_points(self, n, cap):
         assert compute_bound(n, m_budget_cap=cap) == compute_bound_literal(n, m_budget_cap=cap)[0]
+
+    @pytest.mark.parametrize("cap", [3, 16, 64, 200])
+    def test_caps_that_cut_mid_run(self, cap):
+        # classes above cap + 1 wait for the end of the run; at these caps
+        # the cut falls inside the run for many n
+        for n in nonsquares(10, 60):
+            assert compute_bound(n, m_budget_cap=cap) == compute_bound_literal(n, m_budget_cap=cap)[0], n
+
+    @pytest.mark.parametrize("n", [574, 623])
+    def test_budget_limited_without_blocker(self, n):
+        # the exclusions listed run past cap + 1, up to the least survivor
+        rep = compute_bound(n)
+        assert rep.blocker is None and any(e_value(c) > rep.mu for c, _ in rep.exclusions_used)
+        assert rep == compute_bound_literal(n)[0]
+
+    @pytest.mark.parametrize("n, cap", [(58, 168), (218, 288), (338, 168)])
+    def test_blocker_at_the_level(self, n, cap):
+        # the blocker's e is exactly cap + 1, so it is decided in its round
+        rep = compute_bound(n, m_budget_cap=cap)
+        assert rep.blocker is not None and rep.mu == cap + 1
+        assert rep == compute_bound_literal(n, m_budget_cap=cap)[0]
+
+    def test_no_class_above_the_level_is_decided_when_one_below_survives(self, monkeypatch):
+        decided = []
+        decide = bounds.is_excluded
+
+        def recording(c, db):
+            decided.append(c)
+            return decide(c, db)
+
+        monkeypatch.setattr(bounds, "is_excluded", recording)
+        for n in [*(row.n for row in TABLE_B), 1000, 2000]:
+            decided.clear()
+            rep = compute_bound(n)
+            assert rep.blocker is not None, n
+            assert max(e_value(c) for c in decided) <= DEFAULT_M_BUDGET_CAP + 1, n
 
     @pytest.mark.parametrize("change", [{"disable": ("Miranda",)}, {"enable": ("Dumnicki",)}])
     def test_toggled_databases(self, change):
@@ -375,3 +412,15 @@ class TestBestKnown:
                 if fb.applicable and fb.name != "reference-table"
             ]
             assert all(compare_values(Q(value), v) > 0 for v in derived), n
+
+class TestFrontierGolden:
+    """tests/golden/frontier-10..3001.txt pins the default report of every
+    nonsquare n in 10..3001.  Tier-1 recomputes every 10th line for run
+    time; `python tests/frontier.py --check --jobs 2` checks them all."""
+
+    def test_golden_lists_every_nonsquare_n(self):
+        assert [int(line.split()[0]) for line in frontier.golden_lines()] == frontier.NS
+
+    def test_every_tenth_n(self):
+        want = frontier.golden_lines()[::10]
+        assert frontier.frontier_lines([int(line.split()[0]) for line in want]) == want

@@ -204,6 +204,16 @@ class TestAlphaBounds:
         with pytest.raises(InvalidInput):
             alpha_lower_bound((0,) * 10, cfg)
 
+    @pytest.mark.parametrize("bad", [2.5, "3", True])
+    def test_non_integer_multiplicities_rejected(self, bad):
+        # int() would read (2.5,) * 10 as (2,) * 10 and return its bound, 7
+        cfg = SpecializationConfig.default(10)
+        mults = (5,) * 9 + (bad,)
+        with pytest.raises(InvalidInput, match="integers"):
+            alpha_lower_bound(mults, cfg)
+        with pytest.raises(InvalidInput, match="integers"):
+            d_sequence(3, mults, cfg)
+
     def test_closed_form_goldens(self):
         cfg = SpecializationConfig.default(10)
         assert alpha_lb_closed(1, 0, cfg) == 4
