@@ -413,6 +413,7 @@ class TestBestKnown:
             ]
             assert all(compare_values(Q(value), v) > 0 for v in derived), n
 
+
 class TestFrontierGolden:
     """tests/golden/frontier-10..3001.txt pins the default report of every
     nonsquare n in 10..3001.  Tier-1 recomputes every 10th line for run

@@ -206,7 +206,7 @@ class TestAlphaBounds:
 
     @pytest.mark.parametrize("bad", [2.5, "3", True])
     def test_non_integer_multiplicities_rejected(self, bad):
-        # int() would read (2.5,) * 10 as (2,) * 10 and return its bound, 7
+        # these were truncated by int(): (2.5,) * 10 gave 7, the bound of (2,) * 10
         cfg = SpecializationConfig.default(10)
         mults = (5,) * 9 + (bad,)
         with pytest.raises(InvalidInput, match="integers"):
