@@ -27,6 +27,7 @@ from .effectivity import SpecializationConfig
 from .exclusions import ExclusionDb, default_db, is_excluded
 from .lattice import (
     DomainError,
+    InvalidInput,
     Q,
     QuadraticExpr,
     Rational,
@@ -126,8 +127,7 @@ def compute_bound(
         raise DomainError(f"bounds are computed for n >= 10, got {n}")
     if is_square(n):
         raise DomainError(f"n = {n} is a square: eps(n) = 1/sqrt(n) exactly, no f(n)")
-    if m_budget_cap < 1:
-        raise DomainError(f"m_budget_cap must be >= 1, got {m_budget_cap}")
+    _require_cap(m_budget_cap)
     if db is None:
         db = default_db()
 
@@ -178,6 +178,15 @@ def compute_bound(
     )
 
 
+def _require_cap(m_budget_cap: int) -> None:
+    """InvalidInput unless the cap is an int (bool is not one), DomainError
+    unless it is at least 1."""
+    if type(m_budget_cap) is not int:
+        raise InvalidInput(f"m_budget_cap must be an integer, got {m_budget_cap!r}")
+    if m_budget_cap < 1:
+        raise DomainError(f"m_budget_cap must be >= 1, got {m_budget_cap}")
+
+
 def _decide(
     keyed: Iterable[tuple[_Key, CandidateTriple]],
     db: ExclusionDb,
@@ -214,6 +223,7 @@ def bounds_for_ns(
     Every n uses its own default specialization; inputs are immutable, so
     workers share nothing.
     """
+    _require_cap(m_budget_cap)
     if db is None:
         db = default_db()
     ns = sorted(set(ns))

@@ -87,21 +87,38 @@ which is alpha_lb_closed(m, 0, cfg):
   the scanned window [0, ceil(m*sqrt(n)) + d], and the scan from the top
   stops there.
 
-Where the blockers sit.  Take a k = 0 class C(t, m), so t < m*sqrt(n),
-under a configuration with d^2 <= r and r^2 <= n*d^2 (the default is one).
-Then t > A exactly when d*t - r*m >= g: t > floor((m*r + g - 1)/d) means
-d*t > m*r + g - 1, and both sides are integers.  A class the criterion
-cannot exclude has t > min(A, B).  If the interior condition fails
-(t > A), then g <= d*t - r*m < m*(d*sqrt(n) - r), where d*sqrt(n) - r > 0
-for nonsquare n, so m > m_0 = g/(d*sqrt(n) - r).  The final condition could
-bind instead: m*n = u*r + rho with rho <= r gives u*d >= (m*n/r - 1)*d >=
-m*sqrt(n) - d > t - d, so a class with B < t <= A exceeds B by less than d,
-and m > m_0 does not follow for it.  So B stays in the closed form until a
-proof shows that it never binds.
+B never binds.  Take a k = 0 class C(t, m), so 0 <= t < m*sqrt(n), under
+the default configuration.  Then t <= B:
 
-So exclusions.is_excluded decides a k = 0 class by alpha_lb_closed, in
-O(1), with the walk's verdict.  The walk serves k != 0, where the closed
-form is weaker, and the alpha command's --mults and --trace.
+* Since r <= d*sqrt(n), d*m*n/r >= m*sqrt(n), so u*d = (m*n - rho)*d/r >=
+  m*sqrt(n) - d*rho/r, and w = t - u*d < d*rho/r <= d.
+* If w < 0, then t < u*d <= B, as s >= 0.
+* Otherwise put c = ceil(d*rho/r).  Then 0 <= w <= c - 1 <= d - 1, so
+  (w+1)(w+2) <= c(c+1).  If c = 1, c(c+1) = 2 <= 2*rho.  If c >= 2, then
+  rho > (c-1)*r/d >= (c-1)*d, as r >= d^2, so 2*rho >= 2(c-1)d + 2 >=
+  c(c+1): the gap 2(c-1)d + 2 - c(c+1) is concave in c, 2d - 4 >= 0 at
+  c = 2 and (d-1)(d-2) >= 0 at c = d, so nonnegative for 2 <= c <= d.
+* So (w+1)(w+2) <= 2*rho with 0 <= w <= d - 1, that is w <= s, and
+  t = u*d + w <= u*d + s = B.
+
+The proof uses only d^2 <= r <= d*sqrt(n), so it holds for square n too.
+It needs t < m*sqrt(n): above it B binds often (for nonsquare n < 400
+and m < 300, B < t <= A at 22,138 of the 197,008 triples with
+m*sqrt(n) < t <= A).
+
+So the criterion excludes C(t, m, 0) exactly when t <= min(A, B) = A, that
+is when d*t - r*m < g: t <= floor((m*r + g - 1)/d) means d*t <= m*r + g - 1,
+and both sides are integers.  exclusions.is_excluded decides every k = 0
+class by that one inequality, in O(1) with the walk's verdict, and refuses
+a class with t^2 >= m^2*n, which is not abnormal and which no enumeration
+yields.  alpha_lb_closed keeps both bounds for the alpha command and as the
+tests' oracle.  The walk serves k != 0, where the closed form is weaker,
+and the alpha command's --mults and --trace.
+
+Where the blockers sit.  A k = 0 class that survives has t > A, so
+g <= d*t - r*m < m*(d*sqrt(n) - r), where d*sqrt(n) - r > 0 for nonsquare
+n.  So every surviving k = 0 class has m > m_0 = g/(d*sqrt(n) - r),
+unconditionally.
 """
 from __future__ import annotations
 
@@ -438,6 +455,11 @@ def alpha_lb_closed(m: int, k: int, cfg: SpecializationConfig) -> int:
     When k < 0 and Delta = n - d^2 is even and positive, mr + g - 1
     replaces mr + k + g - 1.  For k = 0 the value equals
     alpha_lower_bound((m,)*n, cfg) (see the module docstring).
+
+    The k != 0 branch, the even-Delta numerator included, has no proof:
+    tests only check that it never exceeds the walk's bound.  So the alpha
+    command's "(closed form)" line is certified for k = 0 only (ROADMAP
+    item 10).
     """
     n, d, r, g = cfg.n, cfg.d, cfg.r, cfg.g
     if m < 1 or k * k > m or (k != 0 and m >= n):

@@ -24,8 +24,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .candidates import CandidateTriple
-from .effectivity import SpecializationConfig, alpha_lb_closed, alpha_lower_bound, semiuniformize
-from .lattice import InvalidInput
+from .effectivity import SpecializationConfig, alpha_lower_bound, semiuniformize
+from .lattice import DomainError, InvalidInput
 
 
 class UniformBound(namedtuple("UniformBound", "n_min m_max source")):
@@ -52,7 +52,12 @@ Entry = UniformBound | ExplicitClass
 
 
 class ExclusionDb(namedtuple("ExclusionDb", "entries enabled_sources")):
-    """Immutable collection of exclusion entries with a source on/off switch."""
+    """Immutable collection of exclusion entries with a source on/off switch.
+
+    An enabled source that no entry carries raises InvalidInput, so a
+    misspelt name cannot switch its rulings off silently, whether the
+    database comes from JSON, with_sources or _replace.
+    """
 
     __slots__ = ()
 
@@ -60,6 +65,9 @@ class ExclusionDb(namedtuple("ExclusionDb", "entries enabled_sources")):
         for e in entries:
             if not e.source:
                 raise InvalidInput("every exclusion entry needs a nonempty source")
+        orphans = sorted(set(enabled_sources) - {e.source for e in entries})
+        if orphans:
+            raise _invalid(f"no entry carries the enabled source(s) {orphans}")
         return super().__new__(cls, entries, enabled_sources)
 
     # _replace builds through _make, so both validate as the constructor does.
@@ -100,9 +108,9 @@ class ExclusionDb(namedtuple("ExclusionDb", "entries enabled_sources")):
     def from_json_dict(cls, data: object) -> "ExclusionDb":
         """Decode a database, checked by hand against
         docs/exclusion_db.schema.json: required keys and no others, JSON
-        integers with their minimums, nonempty unique source names.  An
-        enabled source that no entry carries is rejected too, so a misspelt
-        name cannot switch its rulings off silently.  Raises InvalidInput.
+        integers with their minimums, nonempty unique source names, and
+        (checked by the constructor) no enabled source that no entry
+        carries.  Raises InvalidInput.
         """
         _check_keys(data, {"entries", "enabled_sources"}, "the top level")
         raw_entries, sources = data["entries"], data["enabled_sources"]
@@ -114,9 +122,6 @@ class ExclusionDb(namedtuple("ExclusionDb", "entries enabled_sources")):
             _check_source(source, f"enabled_sources[{i}]")
         if len(set(sources)) != len(sources):
             raise _invalid("enabled_sources has duplicates")
-        orphans = sorted(set(sources) - {e.source for e in entries})
-        if orphans:
-            raise _invalid(f"no entry carries the enabled source(s) {orphans}")
         return cls(entries=entries, enabled_sources=frozenset(sources))
 
     @classmethod
@@ -201,17 +206,21 @@ def is_excluded(c: CandidateTriple, db: ExclusionDb) -> ExclusionResult:
     Excluded when a database entry applies, or when the candidate's degree
     falls below the certified lower bound for the degree of any curve with
     its multiplicities, under the default specialization of c.n.  Never
-    claims effectiveness.  A uniform (k = 0) class gets that bound in closed
-    form, equal to the walk's (see the effectivity module docstring).
+    claims effectiveness.  A uniform (k = 0) class is decided by
+    d*t - r*m < g, which is the walk's verdict when t^2 < m^2*n (see the
+    effectivity module docstring); one with t^2 >= m^2*n is not abnormal,
+    so no database ruling covers it, and it raises DomainError.
     """
+    if c.k == 0 and c.t * c.t >= c.m * c.m * c.n:
+        raise DomainError(f"{c.label()} is not abnormal for n={c.n}")
     source = db.ruling(c)
     if source is not None:
         return ExclusionResult(True, source)
     cfg = SpecializationConfig.default(c.n)
     if c.k == 0:
-        bound = alpha_lb_closed(c.m, 0, cfg)
+        excluded = cfg.d * c.t - cfg.r * c.m < cfg.g
     else:
-        bound = alpha_lower_bound(semiuniformize(c.n, c.m, c.k), cfg)
-    if c.t < bound:
+        excluded = c.t < alpha_lower_bound(semiuniformize(c.n, c.m, c.k), cfg)
+    if excluded:
         return ExclusionResult(True, f"specialization-criterion(d={cfg.d},r={cfg.r})")
     return ExclusionResult(False, None)

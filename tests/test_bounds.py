@@ -27,7 +27,7 @@ from seshadri.bounds import (
 )
 from seshadri.candidates import e_value, enumerate_szcor
 from seshadri.exclusions import default_db, is_excluded
-from seshadri.lattice import DomainError, QuadraticExpr, compare_values, is_square, sign_of
+from seshadri.lattice import DomainError, InvalidInput, QuadraticExpr, compare_values, is_square, sign_of
 from seshadri.render import value_to_json
 from seshadri.tables import REFERENCE_F, TABLE_B
 
@@ -222,6 +222,18 @@ class TestRoundDriverOracle:
         covered = [m for lo, hi in ranges for m in range(lo, hi + 1)]
         assert covered == list(range(1, rep.coverage.m_checked_k0 + 1))
         assert all(lo <= hi for lo, hi in ranges)
+
+
+@pytest.mark.parametrize("cap", [True, 100.5, "5"])
+@pytest.mark.parametrize("run", [lambda cap: compute_bound(41, m_budget_cap=cap),
+                                 lambda cap: bounds_for_ns([41], m_budget_cap=cap)],
+                         ids=["compute_bound", "bounds_for_ns"])
+def test_a_cap_that_is_not_an_int_is_refused(run, cap):
+    # True once gave mu = 2 with coverage (True, True), and 100.5 a report
+    # carrying cap 100.5
+    with pytest.raises(InvalidInput) as info:
+        run(cap)
+    assert str(info.value) == f"m_budget_cap must be an integer, got {cap!r}"
 
 
 class TestWorkerCount:

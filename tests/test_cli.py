@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -523,6 +524,13 @@ class TestCacheKeyText:
 
 
 class TestCacheVersion:
+    def test_pyproject_version_is_the_package_version(self):
+        # cache keys carry __version__, so the two must move together; read
+        # with a regex, as Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        assert re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, re.M) == [__version__]
+
     def test_key_carries_the_package_version(self, tmp_path):
         cache = _Cache(str(tmp_path / "cache.json"), default_db())
         key = cache.key(12, 5000)

@@ -21,7 +21,7 @@ from conftest import (
     unload_literal,
 )
 from seshadri.bounds import compute_bound
-from seshadri.candidates import CandidateTriple
+from seshadri.candidates import CandidateTriple, enumerate_szcor
 from seshadri.effectivity import (
     SpecializationConfig,
     _balanced,
@@ -695,13 +695,50 @@ class TestUniformClosedForm:
                     assert alpha_lb_closed(m, k, cfg) == closed_with_loop(n, m, k), (n, m, k)
 
 
+def _final_bound(m, cfg):
+    """B = u*d + s of the effectivity docstring, with s found by search."""
+    u, rho = divmod(m * cfg.n, cfg.r)
+    if rho == 0:
+        u, rho = u - 1, cfg.r
+    return u * cfg.d + max(s for s in range(cfg.d) if (s + 1) * (s + 2) <= 2 * rho)
+
+
+class TestUniformInequality:
+    """B never binds below m*sqrt(n), so a k = 0 class is excluded exactly
+    when d*t - r*m < g (proof in the effectivity docstring)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(10, 10**6).filter(lambda n: not is_square(n)), st.integers(1, 10**6))
+    @example(10, 1)
+    @example(12, 5)  # B = t with ceil(d*rho/r) = 3
+    @example(10**6 - 1, 10**6)
+    def test_b_never_binds(self, n, m):
+        cfg = SpecializationConfig.default(n)
+        t = isqrt(m * m * n)
+        assert _final_bound(m, cfg) >= t
+        assert (alpha_lb_closed(m, 0, cfg) > t) == (cfg.d * t - cfg.r * m < cfg.g)
+
+    def test_every_enumerated_class_gets_the_walk_verdict(self):
+        empty = ExclusionDb(entries=(), enabled_sources=frozenset())
+        checked = 0
+        for n in nonsquare_range(10, 399):
+            cfg = SpecializationConfig.default(n)
+            for c in enumerate_szcor(n, 3 * n):
+                if c.k != 0:
+                    continue
+                walk = c.t < alpha_lower_bound((c.m,) * n, cfg)
+                assert walk == (c.t < alpha_lb_closed(c.m, 0, cfg)) == is_excluded(c, empty).excluded, c
+                checked += 1
+        assert checked == 7218
+
+
 def _refuse_walk(mults, cfg):
     raise AssertionError(f"walk called for {mults[:3]}... under {cfg}")
 
 
 class TestClosedFormRouting:
-    """is_excluded decides k = 0 under the default configuration in closed
-    form, and sends everything else to the walk."""
+    """is_excluded decides k = 0 under the default configuration by one
+    inequality, and sends everything else to the walk."""
 
     def test_uniform_default_class_never_walks(self, monkeypatch):
         monkeypatch.setattr(exclusions, "alpha_lower_bound", _refuse_walk)
@@ -729,6 +766,15 @@ class TestClosedFormRouting:
         for n in (10, 11, 12, 47, 98, 1000):
             compute_bound(n)
         assert 0 < len(walks) == sum(to_walk) < len(to_walk)
+
+    @pytest.mark.parametrize("n, t, m", [(10, 4, 1), (10, 80, 25), (99, 995, 100), (1000, 31623, 1000)])
+    @pytest.mark.parametrize("db", [default_db(), ExclusionDb(entries=(), enabled_sources=frozenset())])
+    def test_refuses_a_uniform_class_at_or_above_m_sqrt_n(self, n, t, m, db):
+        # the inequality is the walk's verdict only below m*sqrt(n); above
+        # it no class is abnormal, so no database ruling covers it either
+        assert t * t >= m * m * n
+        with pytest.raises(DomainError, match=rf"^C\({t},{m},0\) is not abnormal for n={n}$"):
+            is_excluded(CandidateTriple(n, t, m, 0), db)
 
     def test_nonzero_k_reaches_the_walk(self, monkeypatch):
         monkeypatch.setattr(exclusions, "alpha_lower_bound", _refuse_walk)
@@ -780,6 +826,17 @@ class TestExclusionDb:
     def test_with_sources_rejects_a_source_no_entry_carries(self, enable, disable):
         with pytest.raises(InvalidInput, match=r"no entry carries the source\(s\) \['Mirand'\]"):
             default_db().with_sources(enable=enable, disable=disable)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ExclusionDb(default_db().entries, frozenset({"CCMO", "unique-cubic", "Mirand"})),
+        lambda: default_db()._replace(enabled_sources=frozenset({"CCMO", "unique-cubic", "Mirand"})),
+        lambda: ExclusionDb._make((default_db().entries, frozenset({"Mirand"}))),
+    ], ids=["constructor", "replace", "make"])
+    def test_every_path_rejects_an_enabled_source_no_entry_carries(self, make):
+        # accepted, the typo would turn Miranda off: n = 10's f drops from
+        # 31360/31 to 6250/9
+        with pytest.raises(InvalidInput, match=r"no entry carries the enabled source\(s\) \['Mirand'\]"):
+            make()
 
     def test_json_round_trip(self):
         db = default_db()
