@@ -14,7 +14,6 @@ consequences f = 21(n-2), 42(n-2), (n^2 - 5n*sqrt(n))/2 and f = 21n.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
@@ -102,20 +101,23 @@ def compute_bound(
     rounds; the exclusions keyed below the final survivor, in key order, are
     the walk a full sort of every m would give.
 
-    A round decides only classes with e <= cap + 1 (cap = m_budget_cap);
-    the rest wait on one list.  If no class with e <= cap + 1 survives the
-    run, that list is walked in key order, up to its first survivor, after
-    the last round; otherwise it is dropped undecided.  The reports are
-    those of deciding every class in its round:
+    best, the least survivor so far, starts as a phantom survivor at the
+    level cap + 1 (cap = m_budget_cap) with no class, so mu starts at
+    cap + 1 and only classes with e <= cap + 1 are keyed below it.  A round
+    therefore decides only those; while the phantom is best, the rest wait
+    on one list.  If the phantom is still best after the last round, that
+    list is walked in key order, up to its first survivor; otherwise it is
+    dropped undecided.  The reports are those of deciding every class in
+    its round:
     - A run ends either at m_max >= mu, so mu <= m_max <= cap, or at
       m_max = cap with mu = min(least survivor's e, cap + 1).  So the
       blocker and mu never come from a class with e > cap + 1.
     - Let a survivor with e > cap + 1 be the least so far.  Every class
       with e <= cap + 1 is keyed below it, so each round still decides
       them all.  The next budget is min(cap, 2*m_max, ceil(mu)), and
-      ceil(mu) > cap, so the rounds grow as with no survivor; the stop
-      test m_max >= mu fails as with none, and at m_max = cap mu becomes
-      cap + 1 with no blocker, as with none.
+      ceil(mu) > cap, so the rounds grow as with the phantom; the stop
+      test m_max >= min(mu, cap) holds only at m_max = cap, as with the
+      phantom, and there mu is cap + 1 with no blocker, the phantom's.
     - So such a class reaches the report only through exclusions_used,
       and only in a budget-limited report with no blocker: there the
       classes with e > cap + 1 excluded below the least survivor are
@@ -131,12 +133,16 @@ def compute_bound(
     if db is None:
         db = default_db()
 
-    # best is the least survivor so far, with its key.  That key never goes
-    # up, so each candidate keyed below the final one was decided in its own
-    # round.  Classes with e above the level get no verdict unless no class
-    # at or below it survives.
+    # best is the least survivor so far, with its key; it starts as the
+    # phantom at the level.  A round's classes have m <= cap, so the
+    # phantom's key sorts above exactly those with e <= cap + 1.  The key
+    # (level, (cap,)) would do as well: it differs only at a class with
+    # e = cap + 1 and m = cap, and there is none, since a k = 0 class has
+    # e = m^2/rho with 1 <= rho <= m (and cap + 1 does not divide cap^2),
+    # and a k != 0 class has e > m(n - 1).  best's key never goes up, so
+    # each candidate keyed below the final one was decided in its own round.
     level = m_budget_cap + 1
-    best: tuple[_Key, CandidateTriple] | None = None
+    best: tuple[_Key, CandidateTriple | None] = ((Fraction(level), (level,)), None)
     ruled_out: list[tuple[_Key, CandidateTriple, str]] = []
     beyond: list[tuple[_Key, CandidateTriple]] = []
     m_done = 0
@@ -145,24 +151,16 @@ def compute_bound(
         fresh = [((e_value(c), c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1)]
         fresh.sort(key=itemgetter(0))
         m_done = m_max
-        cut = bisect_right(fresh, level, key=lambda item: item[0][0])
-        best = _decide(fresh[:cut], db, best, ruled_out)
-        if best is None:
-            beyond += fresh[cut:]
-        mu, blocker = (best[0][0], best[1]) if best else (None, None)
-        if mu is not None and m_max >= mu:
+        best = _decide(fresh, db, best, ruled_out)
+        (mu, _), blocker = best
+        if blocker is None:
+            beyond += [item for item in fresh if item[0] > best[0]]
+        if m_max >= min(mu, m_budget_cap):
             break
-        if m_max >= m_budget_cap:
-            if mu is None:
-                mu = Fraction(level)
-            break
-        grown = 2 * m_max
-        if mu is not None:
-            # grow toward ceil(mu), geometrically to avoid overshooting when a
-            # smaller-e candidate is still hiding between m_max and the target
-            grown = min(grown, ceil(mu))
-        m_max = min(m_budget_cap, grown)
-    if best is None:
+        # grow toward ceil(mu), geometrically to avoid overshooting when a
+        # smaller-e candidate is still hiding between m_max and the target
+        m_max = min(m_budget_cap, 2 * m_max, ceil(mu))
+    if blocker is None:
         # budget-limited with no blocker: the exclusions listed run up to
         # the least survivor above the level
         beyond.sort(key=itemgetter(0))
@@ -190,12 +188,13 @@ def _require_cap(m_budget_cap: int) -> None:
 def _decide(
     keyed: Iterable[tuple[_Key, CandidateTriple]],
     db: ExclusionDb,
-    best: tuple[_Key, CandidateTriple] | None,
+    best: tuple[_Key, CandidateTriple | None] | None,
     ruled_out: list[tuple[_Key, CandidateTriple, str]],
-) -> tuple[_Key, CandidateTriple] | None:
-    """Decide keyed candidates in key order, those keyed below best, up to
-    the first survivor; append each exclusion to ruled_out and return the
-    least survivor, best or the new one."""
+) -> tuple[_Key, CandidateTriple | None] | None:
+    """Decide keyed candidates in key order, those keyed below best (all of
+    them when best is None), up to the first survivor; append each
+    exclusion to ruled_out and return the least survivor, best or the new
+    one."""
     for key, c in keyed:
         if best is not None and key >= best[0]:
             break

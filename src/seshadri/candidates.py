@@ -36,12 +36,15 @@ k = (2t + 1 - r)/(2m) > 0).  For square n, r = 0 and 2t + 1 is odd, so below
 m = n there is no class at all.
 
 For m >= n and k != 0 the enumeration runs over t, with one k per t.  By (b)
-the nonzero k lie in [k_min, k_max] with k_max = isqrt((nm-1)//(n-1)) and
-k_min = -j, j the largest integer with j^2*(n-1) + n*j < n*m (that forces
-j < m), or k_min = 1 when j = 0.  The lower bound of (c) is at least
+every admissible k has |k| <= K = isqrt((nm - 1) // (n - 1)): for k > 0,
+k^2*(n-1) < nm, and for k < 0, k^2*(n-1) < n(m + k) < nm.  K < m, since
+m^2*(n-1) > nm - 1 for m >= 2.  The lower bound of (c) is at least
 m^2*n + 2mk and its upper bound grows with k, so every admissible t satisfies
 
-       m^2*n + 2m*k_min <= t^2 <= (n*(m^2*n + 2m*k_max) + k_max^2 - 1) // n.
+       m^2*n - 2mK <= t^2 <= (n*(m^2*n + 2mK) + K^2 - 1) // n.
+
+The window may hold a t whose k breaks (b); (b) is checked on every
+candidate, so such a t yields nothing.
 
 For a fixed t, the lower bound of (c) gives 2mk <= t^2 - m^2*n.  The upper
 bound gives 2mk > t^2 - m^2*n - k^2/n, and k^2/n < m/(n-1) < 2m by (b), so
@@ -147,16 +150,16 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
     constraints pin the degree to t or t + 1 and force
     k = (t'^2 - m^2*n) / (2m), that is -r/(2m) or (2t + 1 - r)/(2m), so
     only a divisibility test by 2m runs before the conditions.  For
-    m >= n the scan runs over t, not k: condition (c) over the k range of
-    condition (b) bounds t, and each t in that window admits only
+    m >= n the scan runs over t, not k: condition (c), with |k| <= K from
+    condition (b), bounds t, and each t in that window admits only
     k = floor((t^2 - m^2*n) / (2m)), which `szcor_conditions` then checks
     (see the module docstring).  O(sqrt(m/n) + 1) work per m >= n.
 
     The order needs no sort.  m increases and each m emits its k = 0 class
     first.  Below m = n, the degree t gives k < 0 and t + 1 gives k > 0.
     From m = n on, every t in the window has
-    t^2 >= m^2*n + 2m*k_min > m^2*(n - 2) >= 8m^2, so t > 2m and each step
-    t -> t + 1 adds 2t + 1 > 2m to t^2: k = floor((t^2 - m^2*n) / (2m))
+    t^2 >= m^2*n - 2mK > m^2*(n - 2) >= 8m^2 (K < m), so t > 2m and each
+    step t -> t + 1 adds 2t + 1 > 2m to t^2: k = floor((t^2 - m^2*n) / (2m))
     strictly increases with t.
     """
     if n < 10:
@@ -187,30 +190,14 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
                 if lemaaa_conditions(n, t + 1, m, k) and szcor_conditions(n, t + 1, m, k):
                     out.append(CandidateTriple(n, t + 1, m, k))
         else:
-            # k != 0: one k per degree t
-            k_lo, k_hi = _k_bounds(n, m)
-            t_hi2 = (n * (base + 2 * m * k_hi) + k_hi * k_hi - 1) // n
-            for t in range(ceil_sqrt(base + 2 * m * k_lo), isqrt(t_hi2) + 1):
+            # k != 0: one k per degree t, with |k| <= K by condition (b)
+            k_max = isqrt((n * m - 1) // (n - 1))
+            t_hi2 = (n * (base + 2 * m * k_max) + k_max * k_max - 1) // n
+            for t in range(ceil_sqrt(base - 2 * m * k_max), isqrt(t_hi2) + 1):
                 k = (t * t - base) // (2 * m)
                 if k != 0 and szcor_conditions(n, t, m, k):
                     out.append(CandidateTriple(n, t, m, k))
     return out
-
-
-def _k_bounds(n: int, m: int) -> tuple[int, int]:
-    """Least and greatest nonzero k admitted by condition (b), for m >= 1.
-
-    The admitted k are exactly the nonzero integers between the two.  The
-    greatest is isqrt((nm - 1) // (n - 1)).  The least is -j for the largest
-    j with j^2*(n-1) + n*j < n*m (such j is below m), or 1 when j = 0.
-    """
-    k_hi = isqrt((n * m - 1) // (n - 1))
-    # floor of the positive root of (n-1)j^2 + nj - nm; one step down when
-    # that root is itself an integer
-    j = (isqrt(n * n + 4 * (n - 1) * n * m) - n) // (2 * (n - 1))
-    while j * j * (n - 1) + n * j >= n * m:
-        j -= 1
-    return (-j if j else 1), k_hi
 
 
 def e_value(c: CandidateTriple) -> Fraction:

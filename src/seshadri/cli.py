@@ -140,18 +140,21 @@ class _Cache:
     to_json_dict, so reports cached under one database are never served
     under another.  The text is made once, when a cache with a path opens;
     a cache with no path neither keys nor stores anything, so it never
-    loads json.  A path in a directory that does not exist raises OSError
-    at once, before any work.  flush replaces the file atomically with
-    sorted compact JSON, written by json.dumps's C encoder.  A file with
-    this release's keys is served in any JSON layout.
+    loads json.  An empty path raises ValueError, and a path in a
+    directory that does not exist OSError, at once, before any work.
+    flush replaces the file atomically with sorted compact JSON, written by
+    json.dumps's C encoder.  A file with this release's keys is served in
+    any JSON layout.
     """
 
     def __init__(self, path: str | None, db: ExclusionDb):
         self.path = path
         self.data: dict = {}
         self.dirty = False
-        if not path:
+        if path is None:
             return
+        if not path:
+            raise ValueError("--cache needs a file path, got an empty one")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise OSError(f"cannot write the cache {path}: no such directory")
         import json

