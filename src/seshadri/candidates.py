@@ -29,11 +29,12 @@ n that is t = isqrt(m^2*n), and the window reads 0 < r <= m.  For square n,
 r = 0 and the largest such t is m*sqrt(n) - 1, whose square lies
 2m*sqrt(n) - 1 > m below m^2*n: there is no k = 0 class.
 
-For 0 < m < n and k != 0, the pinned degree is t or t + 1, with t'^2 - m^2*n
-equal to -r or 2t + 1 - r, and 2mk must equal it.  So degree t needs r != 0
-and 2m | r (then k = -r/(2m)), and degree t + 1 needs 2m | 2t + 1 - r (then
-k = (2t + 1 - r)/(2m) > 0).  For square n, r = 0 and 2t + 1 is odd, so below
-m = n there is no class at all.
+For 0 < m < n and k != 0, the almost-uniform constraints force m | t^2.
+With m = a^2*s, s squarefree, the degree is t = a*s*j for j = isqrt(a^2*n)
+or one more, so each m has at most two classes, and one loop over
+a <= isqrt(n - 1) finds them all: the table of `pinned_classes` (proof in
+`enumerate_szcor`).  For square n the table is empty: below m = n there is
+no class at all.
 
 For m >= n and k != 0 the enumeration runs over t, with one k per t.  By (b)
 every admissible k has |k| <= K = isqrt((nm - 1) // (n - 1)): for k > 0,
@@ -140,24 +141,81 @@ def lemaaa_conditions(n: int, t: int, m: int, k: int) -> bool:
     return (t + 1) ** 2 > m * m * n and (t - 1) ** 2 < m * m * n
 
 
-def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:
+class PinnedClasses(namedtuple("PinnedClasses", "n m_top by_m")):
+    """The k != 0 classes of n with m <= m_top < n, built by
+    `pinned_classes`: by_m maps each m that has a class to its classes in
+    increasing k."""
+
+    __slots__ = ()
+
+
+def _squarefree(s: int) -> bool:
+    return all(s % (p * p) for p in range(2, isqrt(s) + 1))
+
+
+def pinned_classes(n: int, m_top: int) -> PinnedClasses:
+    """Every k != 0 class of n with m <= min(m_top, n - 1).
+
+    By the lemma in `enumerate_szcor`, each is (t, m, k) = (a*s*j, a^2*s,
+    s*(j^2 - a^2*n)/2) with s squarefree, j = isqrt(a^2*n) or one more and
+    s*(j^2 - a^2*n)^2 <= 4a^2; each such triple is checked against the
+    constraints as written.
+    """
+    m_top = min(m_top, n - 1)
+    by_m: dict[int, list[CandidateTriple]] = {}
+    for a in range(1, isqrt(m_top) + 1):
+        a2 = a * a
+        j0 = isqrt(a2 * n)
+        for j in (j0, j0 + 1):
+            g = j * j - a2 * n
+            if g == 0:
+                continue
+            # k^2 <= m reads s*g^2 <= 4a^2
+            for s in range(1, min(4 * a2 // (g * g), m_top // a2) + 1):
+                if s * g % 2 or not _squarefree(s):
+                    continue
+                t, m, k = a * s * j, a2 * s, s * g // 2
+                if lemaaa_conditions(n, t, m, k) and szcor_conditions(n, t, m, k):
+                    by_m.setdefault(m, []).append(CandidateTriple(n, t, m, k))
+    return PinnedClasses(n, m_top, by_m)
+
+
+def enumerate_szcor(
+    n: int, m_max: int, m_min: int = 1, pinned: PinnedClasses | None = None
+) -> list[CandidateTriple]:
     """All candidates with m_min <= m <= m_max, sorted by (m, k=0 first, k, t).
 
     Each m starts from t = isqrt(m^2*n) and r = m^2*n - t^2 (see the
     module docstring).  For k = 0 the degree window m^2*n - m <= t^2 < m^2*n
     holds a class only at this t and only when 0 < r <= m; r = 0 means n is
-    a square, with no k = 0 class.  For k != 0 and m < n the almost-uniform
-    constraints pin the degree to t or t + 1 and force
-    k = (t'^2 - m^2*n) / (2m), that is -r/(2m) or (2t + 1 - r)/(2m), so
-    only a divisibility test by 2m runs before the conditions.  For
-    m >= n the scan runs over t, not k: condition (c), with |k| <= K from
-    condition (b), bounds t, and each t in that window admits only
+    a square, with no k = 0 class.
+
+    For k != 0 and m < n the classes are read from pinned, a table of n
+    that must cover m <= min(m_max, n - 1); without one, the call builds
+    its own with `pinned_classes`.  The lemma behind the table: the
+    almost-uniform constraints give 2mk = t^2 - m^2*n, so m | t^2.  Write
+    m = a^2*s with s squarefree.  Each prime p has v_p(m) = 2v_p(a) + 1 if
+    p | s and 2v_p(a) if not, and 2v_p(t) >= v_p(m), so v_p(t) >= v_p(a) + 1
+    if p | s and v_p(t) >= v_p(a) if not: a*s | t.  With t = a*s*j,
+    dividing 2mk = t^2 - m^2*n by a^2*s gives 2k = s*(j^2 - a^2*n), and
+    k != 0 makes j^2 != a^2*n.  Then k^2 <= m reads
+    s*(j^2 - a^2*n)^2 <= 4a^2, and m*sqrt(n) - 1 < t < m*sqrt(n) + 1,
+    divided by a*s >= 1, gives |j - a*sqrt(n)| < 1, so j is
+    j0 = isqrt(a^2*n) or j0 + 1.  As a^2 <= m < n, a loop over
+    a <= isqrt(n - 1), the two j and the s allowed by the k^2 bound finds
+    every class; that s loop is empty unless |j^2 - a^2*n| <= 2a.  m
+    determines a and s, so no class is found twice.  O(sqrt(n)) work per
+    table, against a test at each of the n - 1 values of m.
+
+    For m >= n the scan runs over t, not k: condition (c), with |k| <= K
+    from condition (b), bounds t, and each t in that window admits only
     k = floor((t^2 - m^2*n) / (2m)), which `szcor_conditions` then checks
     (see the module docstring).  O(sqrt(m/n) + 1) work per m >= n.
 
     The order needs no sort.  m increases and each m emits its k = 0 class
-    first.  Below m = n, the degree t gives k < 0 and t + 1 gives k > 0.
-    From m = n on, every t in the window has
+    first.  Below m = n, one a gives both classes of an m, j0 before
+    j0 + 1: j0^2 < a^2*n makes the first k < 0 and (j0 + 1)^2 > a^2*n the
+    second k > 0.  From m = n on, every t in the window has
     t^2 >= m^2*n - 2mK > m^2*(n - 2) >= 8m^2 (K < m), so t > 2m and each
     step t -> t + 1 adds 2t + 1 > 2m to t^2: k = floor((t^2 - m^2*n) / (2m))
     strictly increases with t.
@@ -168,6 +226,12 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
         raise DomainError(f"m_max must be >= 1, got {m_max}")
     if m_min < 1:
         raise DomainError(f"m_min must be >= 1, got {m_min}")
+    if pinned is None:
+        pinned = pinned_classes(n, m_max)
+    elif pinned.n != n or pinned.m_top < min(m_max, n - 1):
+        raise InvalidInput(f"the pinned table covers m <= {pinned.m_top} at n = {pinned.n}, "
+                           f"not m <= {min(m_max, n - 1)} at n = {n}")
+    by_m = pinned.by_m
     out: list[CandidateTriple] = []
     for m in range(m_min, m_max + 1):
         base = m * m * n
@@ -177,18 +241,8 @@ def enumerate_szcor(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]
         if 0 < r <= m and szcor_d(n, t, m, 0):
             out.append(CandidateTriple(n, t, m, 0))
         if m < n:
-            # k != 0 pinned by the almost-uniform constraints: degree t has
-            # t^2 - base = -r, degree t + 1 has 2t + 1 - r > 0 (r <= 2t), and
-            # 2mk must equal it; t >= isqrt(10m^2) >= 3
-            if r and r % (2 * m) == 0:
-                k = -(r // (2 * m))
-                if lemaaa_conditions(n, t, m, k) and szcor_conditions(n, t, m, k):
-                    out.append(CandidateTriple(n, t, m, k))
-            num = 2 * t + 1 - r
-            if num % (2 * m) == 0:
-                k = num // (2 * m)
-                if lemaaa_conditions(n, t + 1, m, k) and szcor_conditions(n, t + 1, m, k):
-                    out.append(CandidateTriple(n, t + 1, m, k))
+            if m in by_m:
+                out += by_m[m]
         else:
             # k != 0: one k per degree t, with |k| <= K by condition (b)
             k_max = isqrt((n * m - 1) // (n - 1))

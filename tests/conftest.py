@@ -19,6 +19,7 @@ from seshadri.candidates import (
     e_value,
     enumerate_szcor,
     lemaaa_conditions,
+    pinned_classes,
     szcor_conditions,
     szcor_d,
 )
@@ -206,6 +207,38 @@ def brute_force_candidates(n, m_max):
                     continue
                 out.append((t, m, k))
     return sorted(out)
+
+
+def pinned_by_divisibility(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:
+    """Reference k != 0 classes with m_min <= m <= m_max and m < n, in
+    enumeration order: at each m, t = isqrt(m^2*n) and r = m^2*n - t^2, and
+    the pinned degrees t and t + 1 need 2m to divide r != 0 or 2t + 1 - r.
+    The per-m branch `enumerate_szcor` ran before its pinned table."""
+    out: list[CandidateTriple] = []
+    for m in range(m_min, min(m_max, n - 1) + 1):
+        base = m * m * n
+        t = isqrt(base)
+        r = base - t * t
+        # k != 0 pinned by the almost-uniform constraints: degree t has
+        # t^2 - base = -r, degree t + 1 has 2t + 1 - r > 0 (r <= 2t), and
+        # 2mk must equal it; t >= isqrt(10m^2) >= 3
+        if r and r % (2 * m) == 0:
+            k = -(r // (2 * m))
+            if lemaaa_conditions(n, t, m, k) and szcor_conditions(n, t, m, k):
+                out.append(CandidateTriple(n, t, m, k))
+        num = 2 * t + 1 - r
+        if num % (2 * m) == 0:
+            k = num // (2 * m)
+            if lemaaa_conditions(n, t + 1, m, k) and szcor_conditions(n, t + 1, m, k):
+                out.append(CandidateTriple(n, t + 1, m, k))
+    return out
+
+
+def pinned_table_classes(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:
+    """The classes of `pinned_classes(n, m_max)` with m >= m_min, in
+    enumeration order, to compare with pinned_by_divisibility."""
+    by_m = pinned_classes(n, m_max).by_m
+    return [c for m in sorted(by_m) if m >= m_min for c in by_m[m]]
 
 
 def enumerate_szcor_literal(n: int, m_max: int) -> list[CandidateTriple]:

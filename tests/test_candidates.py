@@ -15,8 +15,17 @@ from conftest import (
     enumerate_szcor_literal,
     k_range_literal,
     passes_testlem,
+    pinned_by_divisibility,
+    pinned_table_classes,
 )
-from seshadri.candidates import CandidateTriple, e_value, enumerate_szcor, szcor_b, szcor_c
+from seshadri.candidates import (
+    CandidateTriple,
+    e_value,
+    enumerate_szcor,
+    pinned_classes,
+    szcor_b,
+    szcor_c,
+)
 from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, is_square
 from seshadri.tables import TABLE_A
 
@@ -92,6 +101,13 @@ class TestEnumeration:
         b = enumerate_szcor(13, 60)
         assert a == b
         assert a == sorted(a, key=CandidateTriple.sort_key)
+
+    def test_condition_b_is_strict(self):
+        # k^2*(n - 1) = n*min(m, m + k) at both, one for each sign of k;
+        # one m further in, both hold
+        assert 10 * 10 * 9 == 10 * min(90, 100) == 10 * min(100, 90)
+        assert not szcor_b(10, 90, 10) and not szcor_b(10, 100, -10)
+        assert szcor_b(10, 91, 10) and szcor_b(10, 101, -10)
 
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
@@ -169,6 +185,59 @@ class TestEnumeration:
                 e = e_value(c)
                 delta = 1 / (2 * e - Q(2, n))
                 assert passes_testlem(candidate_mults(c), c.t, delta), (n, c)
+
+
+@st.composite
+def _n_and_window_across_n(draw):
+    """(n, m_lo, m_hi): n in 10..10^5, square or not, m_lo < n <= m_hi,
+    m_hi at most n + 50 and m_lo anywhere below n or within 2000 of it."""
+    n = draw(st.one_of(st.integers(10, 10**5), st.integers(4, 316).map(lambda s: s * s)))
+    m_lo = draw(st.one_of(st.integers(1, n - 1), st.integers(max(1, n - 2000), n - 1)))
+    return n, m_lo, draw(st.integers(n, n + 50))
+
+
+class TestPinnedTable:
+    """The k != 0 classes below m = n come from pinned_classes; the oracle
+    is the per-m divisibility branch it replaced."""
+
+    def test_matches_divisibility_for_every_n_to_3001(self):
+        total = 0
+        for n in range(10, 3002):
+            want = pinned_by_divisibility(n, n - 1)
+            assert pinned_table_classes(n, n - 1) == want, n
+            total += len(want)
+        assert total == 8837
+
+    @settings(max_examples=100, deadline=None)
+    @given(_n_and_window_across_n())
+    def test_window_across_n_matches_divisibility(self, case):
+        n, m_lo, m_hi = case
+        want = pinned_by_divisibility(n, m_hi, m_lo)
+        got = enumerate_szcor(n, m_hi, m_lo)
+        assert [c for c in got if c.k != 0 and c.m < n] == want
+        assert got == sorted(got, key=CandidateTriple.sort_key)
+        assert pinned_table_classes(n, m_hi, m_lo) == want
+
+    def test_a_covering_table_gives_the_same_list(self):
+        for n, m_lo, m_hi in ((10, 1, 182), (41, 5, 40), (41, 30, 90), (2000, 17, 2100)):
+            want = enumerate_szcor(n, m_hi, m_lo)
+            for top in (min(m_hi, n - 1), n - 1, 5000):
+                assert enumerate_szcor(n, m_hi, m_lo, pinned_classes(n, top)) == want, (n, top)
+
+    @pytest.mark.parametrize("n, m_max, table", [
+        (41, 30, (41, 29)),
+        (41, 90, (41, 39)),
+        (2000, 5000, (2000, 512)),
+        (41, 30, (42, 41)),
+    ])
+    def test_a_table_short_of_the_range_is_refused(self, n, m_max, table):
+        # the table must be of n and reach min(m_max, n - 1), whatever m_min
+        with pytest.raises(InvalidInput):
+            enumerate_szcor(n, m_max, m_max, pinned_classes(*table))
+
+    def test_square_n_has_none(self):
+        for n in (16, 25, 36, 100, 10000):
+            assert pinned_classes(n, n - 1).by_m == {}
 
 
 class TestEValue:
