@@ -30,8 +30,8 @@ r = 0 and the largest such t is m*sqrt(n) - 1, whose square lies
 2m*sqrt(n) - 1 > m below m^2*n: there is no k = 0 class.
 
 For 0 < m < n and k != 0, the almost-uniform constraints force m | t^2.
-With m = a^2*s, s squarefree, the degree is t = a*s*j for j = isqrt(a^2*n)
-or one more, so each m has at most two classes, and one loop over
+With m = a^2*s, s squarefree, the degree is t = a*s*j for one j next to
+a*sqrt(n), so each m has at most one class, and one loop over
 a <= isqrt(n - 1) finds them all: the table of `pinned_classes` (proof in
 `enumerate_szcor`).  For square n the table is empty: below m = n there is
 no class at all.
@@ -143,40 +143,41 @@ def lemaaa_conditions(n: int, t: int, m: int, k: int) -> bool:
 
 class PinnedClasses(namedtuple("PinnedClasses", "n m_top by_m")):
     """The k != 0 classes of n with m <= m_top < n, built by
-    `pinned_classes`: by_m maps each m that has a class to its classes in
-    increasing k."""
+    `pinned_classes`: by_m maps each m that has a class to that class."""
 
     __slots__ = ()
-
-
-def _squarefree(s: int) -> bool:
-    return all(s % (p * p) for p in range(2, isqrt(s) + 1))
 
 
 def pinned_classes(n: int, m_top: int) -> PinnedClasses:
     """Every k != 0 class of n with m <= min(m_top, n - 1).
 
     By the lemma in `enumerate_szcor`, each is (t, m, k) = (a*s*j, a^2*s,
-    s*(j^2 - a^2*n)/2) with s squarefree, j = isqrt(a^2*n) or one more and
-    s*(j^2 - a^2*n)^2 <= 4a^2; each such triple is checked against the
+    s*(j^2 - a^2*n)/2) with s squarefree, j the one of isqrt(a^2*n) and
+    isqrt(a^2*n) + 1 with |j^2 - a^2*n| <= 2a, if either, and
+    s*(j^2 - a^2*n)^2 <= 4a^2.  Every such triple with an even
+    s*(j^2 - a^2*n), s squarefree or not, is checked against the
     constraints as written.
     """
     m_top = min(m_top, n - 1)
-    by_m: dict[int, list[CandidateTriple]] = {}
+    by_m: dict[int, CandidateTriple] = {}
     for a in range(1, isqrt(m_top) + 1):
         a2 = a * a
-        j0 = isqrt(a2 * n)
-        for j in (j0, j0 + 1):
-            g = j * j - a2 * n
-            if g == 0:
+        j = isqrt(a2 * n)
+        g = j * j - a2 * n
+        if g < -2 * a or g == 0:
+            # j0 misses |g| <= 2a, so only j0 + 1 can meet it
+            g += 2 * j + 1
+            j += 1
+            if g > 2 * a:
                 continue
-            # k^2 <= m reads s*g^2 <= 4a^2
-            for s in range(1, min(4 * a2 // (g * g), m_top // a2) + 1):
-                if s * g % 2 or not _squarefree(s):
-                    continue
-                t, m, k = a * s * j, a2 * s, s * g // 2
-                if lemaaa_conditions(n, t, m, k) and szcor_conditions(n, t, m, k):
-                    by_m.setdefault(m, []).append(CandidateTriple(n, t, m, k))
+        # k^2 <= m reads s*g^2 <= 4a^2; an s that is not squarefree only
+        # finds again the one class of its m
+        for s in range(1, min(4 * a2 // (g * g), m_top // a2) + 1):
+            if s * g % 2:
+                continue
+            t, m, k = a * s * j, a2 * s, s * g // 2
+            if lemaaa_conditions(n, t, m, k) and szcor_conditions(n, t, m, k):
+                by_m[m] = CandidateTriple(n, t, m, k)
     return PinnedClasses(n, m_top, by_m)
 
 
@@ -201,11 +202,14 @@ def enumerate_szcor(
     k != 0 makes j^2 != a^2*n.  Then k^2 <= m reads
     s*(j^2 - a^2*n)^2 <= 4a^2, and m*sqrt(n) - 1 < t < m*sqrt(n) + 1,
     divided by a*s >= 1, gives |j - a*sqrt(n)| < 1, so j is
-    j0 = isqrt(a^2*n) or j0 + 1.  As a^2 <= m < n, a loop over
-    a <= isqrt(n - 1), the two j and the s allowed by the k^2 bound finds
-    every class; that s loop is empty unless |j^2 - a^2*n| <= 2a.  m
-    determines a and s, so no class is found twice.  O(sqrt(n)) work per
-    table, against a test at each of the n - 1 values of m.
+    j0 = isqrt(a^2*n) or j0 + 1.  The k^2 bound needs
+    |j^2 - a^2*n| <= 2a, and only one of the two can meet it: their
+    distances a^2*n - j0^2 and (j0 + 1)^2 - a^2*n sum to 2j0 + 1 > 4a, as
+    j0 >= isqrt(10a^2) >= 3a.  So a loop over a <= isqrt(n - 1) (a^2 <= m
+    < n), that j and the s the k^2 bound allows finds every class, and
+    the s loop is empty for most a.  m determines a and s, so each m < n
+    has at most one k != 0 class.  O(sqrt(n)) work per table, against a
+    test at each of the n - 1 values of m.
 
     For m >= n the scan runs over t, not k: condition (c), with |k| <= K
     from condition (b), bounds t, and each t in that window admits only
@@ -213,9 +217,8 @@ def enumerate_szcor(
     (see the module docstring).  O(sqrt(m/n) + 1) work per m >= n.
 
     The order needs no sort.  m increases and each m emits its k = 0 class
-    first.  Below m = n, one a gives both classes of an m, j0 before
-    j0 + 1: j0^2 < a^2*n makes the first k < 0 and (j0 + 1)^2 > a^2*n the
-    second k > 0.  From m = n on, every t in the window has
+    first.  Below m = n, it has at most one k != 0 class.  From m = n on,
+    every t in the window has
     t^2 >= m^2*n - 2mK > m^2*(n - 2) >= 8m^2 (K < m), so t > 2m and each
     step t -> t + 1 adds 2t + 1 > 2m to t^2: k = floor((t^2 - m^2*n) / (2m))
     strictly increases with t.
@@ -242,7 +245,7 @@ def enumerate_szcor(
             out.append(CandidateTriple(n, t, m, 0))
         if m < n:
             if m in by_m:
-                out += by_m[m]
+                out.append(by_m[m])
         else:
             # k != 0: one k per degree t, with |k| <= K by condition (b)
             k_max = isqrt((n * m - 1) // (n - 1))

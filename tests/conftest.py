@@ -238,7 +238,7 @@ def pinned_table_classes(n: int, m_max: int, m_min: int = 1) -> list[CandidateTr
     """The classes of `pinned_classes(n, m_max)` with m >= m_min, in
     enumeration order, to compare with pinned_by_divisibility."""
     by_m = pinned_classes(n, m_max).by_m
-    return [c for m in sorted(by_m) if m >= m_min for c in by_m[m]]
+    return [by_m[m] for m in sorted(by_m) if m >= m_min]
 
 
 def enumerate_szcor_literal(n: int, m_max: int) -> list[CandidateTriple]:
