@@ -100,8 +100,8 @@ def compute_bound(
     first survivor.  The k != 0 classes below m = n come from one
     `pinned_classes` table, built per call for m <= min(n - 1, cap) and
     passed to each round.  No candidate list or verdict cache carries over
-    between rounds; the exclusions keyed below the final survivor, in key order, are
-    the walk a full sort of every m would give.
+    between rounds; the exclusions keyed below the final survivor, in key
+    order, are the walk a full sort of every m would give.
 
     best, the least survivor so far, starts as a phantom survivor at the
     level cap + 1 (cap = m_budget_cap) with no class, so mu starts at

@@ -165,7 +165,7 @@ def pinned_classes(n: int, m_top: int) -> PinnedClasses:
         j = isqrt(a2 * n)
         g = j * j - a2 * n
         if g < -2 * a or g == 0:
-            # j0 misses |g| <= 2a, so only j0 + 1 can meet it
+            # j0 gives k = 0 or misses |g| <= 2a: only j0 + 1 can meet it
             g += 2 * j + 1
             j += 1
             if g > 2 * a:
