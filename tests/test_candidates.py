@@ -235,10 +235,6 @@ class TestPinnedTable:
         with pytest.raises(InvalidInput):
             enumerate_szcor(n, m_max, m_max, pinned_classes(*table))
 
-    def test_square_n_has_none(self):
-        for n in (16, 25, 36, 100, 10000):
-            assert pinned_classes(n, n - 1).by_m == {}
-
 
 class TestEValue:
     def test_unit_level(self):
