@@ -21,7 +21,7 @@ from functools import partial
 from math import ceil, isqrt
 from operator import itemgetter
 
-from .candidates import CandidateTriple, e_value, enumerate_szcor, pinned_classes
+from .candidates import CandidateTriple, class_table, e_value, enumerate_szcor
 from .effectivity import SpecializationConfig
 from .exclusions import ExclusionDb, default_db, is_excluded
 from .lattice import (
@@ -97,11 +97,12 @@ def compute_bound(
     each round enumerates only the new m, those above the previous budget.
     A round sorts only its new candidates by (e, sort_key) and decides, in
     that order, those keyed below the least survivor so far, stopping at the
-    first survivor.  The k != 0 classes below m = n come from one
-    `pinned_classes` table, built per call for m <= min(n - 1, cap) and
-    passed to each round.  No candidate list or verdict cache carries over
-    between rounds; the exclusions keyed below the final survivor, in key
-    order, are the walk a full sort of every m would give.
+    first survivor.  One `class_table` of n, built per call for
+    m <= min(n - 1, cap) and passed to each round, holds the gaps of the
+    k = 0 walk, which each round takes from the least return, and the
+    k != 0 classes below m = n.  No candidate list or verdict cache
+    carries over between rounds; the exclusions keyed below the final
+    survivor, in key order, are the walk a full sort of every m would give.
 
     best, the least survivor so far, starts as a phantom survivor at the
     level cap + 1 (cap = m_budget_cap) with no class, so mu starts at
@@ -147,11 +148,11 @@ def compute_bound(
     best: tuple[_Key, CandidateTriple | None] = ((Fraction(level), (level,)), None)
     ruled_out: list[tuple[_Key, CandidateTriple, str]] = []
     beyond: list[tuple[_Key, CandidateTriple]] = []
-    pinned = pinned_classes(n, m_budget_cap)
+    table = class_table(n, m_budget_cap)
     m_done = 0
     m_max = min(16, m_budget_cap)
     while True:
-        fresh = [((e_value(c), c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1, pinned)]
+        fresh = [((e_value(c), c.sort_key()), c) for c in enumerate_szcor(n, m_max, m_done + 1, table)]
         fresh.sort(key=itemgetter(0))
         m_done = m_max
         best = _decide(fresh, db, best, ruled_out)

@@ -237,8 +237,53 @@ def pinned_by_divisibility(n: int, m_max: int, m_min: int = 1) -> list[Candidate
 def pinned_table_classes(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:
     """The classes of `pinned_classes(n, m_max)` with m >= m_min, in
     enumeration order, to compare with pinned_by_divisibility."""
-    by_m = pinned_classes(n, m_max).by_m
-    return [by_m[m] for m in sorted(by_m) if m >= m_min]
+    return [c for c in pinned_classes(n, m_max) if c.m >= m_min]
+
+
+def k0_by_isqrt(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:
+    """Reference k = 0 classes with m_min <= m <= m_max, in increasing m:
+    one integer square root per m, t = isqrt(m^2*n) and r = m^2*n - t^2,
+    and the window 0 < r <= m.  The per-m test `enumerate_szcor` ran before
+    the three-gap walk of `k0_classes`."""
+    out: list[CandidateTriple] = []
+    for m in range(m_min, m_max + 1):
+        base = m * m * n
+        t = isqrt(base)
+        r = base - t * t
+        # k = 0: t^2 in [base - m, base); r = 0 (square n) admits none
+        if 0 < r <= m and szcor_d(n, t, m, 0):
+            out.append(CandidateTriple(n, t, m, 0))
+    return out
+
+
+def window_returns_by_isqrt(n: int, m_max: int) -> list[tuple[int, int]]:
+    """Reference `window_returns` of nonsquare n: every m <= m_max with
+    t = isqrt(m^2*n) and 4d^2*m^2*n < (2d*t + 1)^2, d = isqrt(n), that is
+    {m*sqrt(n)} < 1/(2d), as (m, t)."""
+    d = isqrt(n)
+    c = 4 * d * d * n
+    return [(m, t) for m in range(1, m_max + 1)
+            if c * m * m < (2 * d * (t := isqrt(m * m * n)) + 1) ** 2]
+
+
+def return_gaps_by_search(n: int) -> tuple[int, int, int, int]:
+    """Reference `return_gaps` of nonsquare n: q = 1, 2, ... in turn, with
+    t = isqrt(q^2*n) and d = isqrt(n), until both the least q with
+    {q*sqrt(n)} < 1/(2d) (4d^2*q^2*n < (2d*t + 1)^2) and the least q with
+    {q*sqrt(n)} > 1 - 1/(2d) (4d^2*q^2*n > (2d*(t + 1) - 1)^2) are found.
+    Returns (a, isqrt(a^2*n), b, isqrt(b^2*n) + 1)."""
+    d = isqrt(n)
+    c = 4 * d * d * n
+    lower = upper = None
+    q = 0
+    while lower is None or upper is None:
+        q += 1
+        t = isqrt(q * q * n)
+        if lower is None and c * q * q < (2 * d * t + 1) ** 2:
+            lower = (q, t)
+        if upper is None and c * q * q > (2 * d * (t + 1) - 1) ** 2:
+            upper = (q, t + 1)
+    return lower + upper
 
 
 def enumerate_szcor_literal(n: int, m_max: int) -> list[CandidateTriple]:

@@ -213,9 +213,9 @@ class TestRoundDriverOracle:
         ranges = []
         enumerate_all = bounds.enumerate_szcor
 
-        def recording(n, m_max, m_min=1, pinned=None):
+        def recording(n, m_max, m_min=1, table=None):
             ranges.append((m_min, m_max))
-            return enumerate_all(n, m_max, m_min, pinned)
+            return enumerate_all(n, m_max, m_min, table)
 
         monkeypatch.setattr(bounds, "enumerate_szcor", recording)
         rep = compute_bound(n, m_budget_cap=cap)

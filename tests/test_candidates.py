@@ -13,18 +13,24 @@ from conftest import (
     brute_force_candidates,
     candidate_mults,
     enumerate_szcor_literal,
+    k0_by_isqrt,
     k_range_literal,
     passes_testlem,
     pinned_by_divisibility,
     pinned_table_classes,
+    return_gaps_by_search,
+    window_returns_by_isqrt,
 )
 from seshadri.candidates import (
     CandidateTriple,
+    class_table,
     e_value,
     enumerate_szcor,
-    pinned_classes,
+    k0_classes,
+    return_gaps,
     szcor_b,
     szcor_c,
+    window_returns,
 )
 from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, is_square
 from seshadri.tables import TABLE_A
@@ -197,8 +203,8 @@ def _n_and_window_across_n(draw):
 
 
 class TestPinnedTable:
-    """The k != 0 classes below m = n come from pinned_classes; the oracle
-    is the per-m divisibility branch it replaced."""
+    """The k != 0 classes below m = n come from pinned_classes, through the
+    class table; the oracle is the per-m divisibility branch it replaced."""
 
     def test_matches_divisibility_for_every_n_to_3001(self):
         total = 0
@@ -222,7 +228,7 @@ class TestPinnedTable:
         for n, m_lo, m_hi in ((10, 1, 182), (41, 5, 40), (41, 30, 90), (2000, 17, 2100)):
             want = enumerate_szcor(n, m_hi, m_lo)
             for top in (min(m_hi, n - 1), n - 1, 5000):
-                assert enumerate_szcor(n, m_hi, m_lo, pinned_classes(n, top)) == want, (n, top)
+                assert enumerate_szcor(n, m_hi, m_lo, class_table(n, top)) == want, (n, top)
 
     @pytest.mark.parametrize("n, m_max, table", [
         (41, 30, (41, 29)),
@@ -233,7 +239,56 @@ class TestPinnedTable:
     def test_a_table_short_of_the_range_is_refused(self, n, m_max, table):
         # the table must be of n and reach min(m_max, n - 1), whatever m_min
         with pytest.raises(InvalidInput):
-            enumerate_szcor(n, m_max, m_max, pinned_classes(*table))
+            enumerate_szcor(n, m_max, m_max, class_table(*table))
+
+
+class TestK0Walk:
+    """The k = 0 classes come from the three-gap walk of k0_classes; the
+    oracle is the per-m square root test it replaced."""
+
+    def test_matches_isqrt_for_every_n_to_3001(self):
+        total = 0
+        for n in range(10, 3002):
+            want = k0_by_isqrt(n, 2 * n + 50)
+            assert k0_classes(n, return_gaps(n), 1, 2 * n + 50) == want, n
+            total += len(want)
+        assert total == 107815
+
+    def test_steps_land_only_on_returns(self):
+        # a walk that steps past no return but lands off the window would
+        # still find every class; here each step must land on the next return
+        for n in range(10, 3002):
+            if not is_square(n):
+                got = list(window_returns(n, return_gaps(n), n + 50))
+                assert got == window_returns_by_isqrt(n, n + 50), n
+
+    def test_consecutive_windows_join_to_the_whole(self):
+        rnd = random.Random(30)
+        for n in [10, 11, 41, 99, 2000, 3001, 9023] + rnd.sample(range(10, 20000), 40):
+            m_max = 3 * n + 50
+            gaps = return_gaps(n)
+            cuts = sorted(rnd.sample(range(1, m_max), 5))
+            joined = []
+            for lo, hi in zip([1] + [c + 1 for c in cuts], cuts + [m_max]):
+                joined += k0_classes(n, gaps, lo, hi)
+            assert joined == k0_by_isqrt(n, m_max), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(10, 10**5), st.integers(4, 316).map(lambda s: s * s)),
+           st.integers(1, 10**6), st.integers(0, 3000))
+    def test_window_matches_isqrt(self, n, m_lo, width):
+        got = k0_classes(n, return_gaps(n), m_lo, m_lo + width)
+        assert got == k0_by_isqrt(n, m_lo + width, m_lo)
+
+
+class TestReturnGaps:
+    """return_gaps reads a and b off the semiconvergents of sqrt(n); the
+    oracle searches q = 1, 2, ... for the least ones."""
+
+    def test_matches_search_for_every_nonsquare_n_to_3001(self):
+        for n in range(10, 3002):
+            if not is_square(n):
+                assert return_gaps(n) == return_gaps_by_search(n), n
 
 
 class TestEValue:
