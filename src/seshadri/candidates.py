@@ -95,11 +95,12 @@ and y_q = 1 - x_q.
     (2d - q_k)*alpha_{k+1} < 2d*j + q_{k-1}.  While the side has no gap
     yet, this fails at j = 0, where the vector is v_{k-1}, the side's last
     semiconvergent so far (or v_{-1}, with |L| = 1).  So
-    w = 2d - q_k > 0, as q_{k-1} >= 1 for k >= 1 and q_0 = 1 < 2d, and
-    the inequality reads j > R = (w*P + sqrt(w^2*n) - Q*q_{k-1})/(2d*Q)
-    with R >= 0.  The least such j is floor(R) + 1, and floor(R) takes
-    isqrt(w^2*n) for the irrational root (adding a fraction below 1 to an
-    integer numerator cannot pass the next multiple of 2d*Q).  The run
+    w = 2d - q_k > 0, as q_{k-1} >= 1 for k >= 1 and q_0 = 1 < 2d.  With
+    P = P_{k+1} and Q = Q_{k+1}, the inequality reads
+    j > R = (w*P + sqrt(w^2*n) - Q*q_{k-1})/(2d*Q), with R >= 0.  The
+    least such j is floor(R) + 1, and floor(R) takes isqrt(w^2*n) for the
+    irrational root (adding a fraction below 1 to an integer numerator
+    cannot pass the next multiple of 2d*Q).  The run
     holds the side's first semiconvergent below delta exactly when that j
     is at most a_{k+1}.
 
