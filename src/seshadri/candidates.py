@@ -151,7 +151,6 @@ m(n - 1) >= e can undercut a level e, whatever its t.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
 from fractions import Fraction
@@ -384,15 +383,15 @@ def enumerate_szcor(
     k = floor((t^2 - m^2*n) / (2m)), which `szcor_conditions` then checks
     (see the module docstring).  O(sqrt(m/n) + 1) work per m >= n.
 
-    The order needs no sort, only a merge.  The walk gives at most one
-    class per m, in increasing m.  The k != 0 list is in increasing m too:
+    The order is one stable sort by m.  The walk gives at most one class
+    per m, in increasing m.  The k != 0 list is in increasing m too:
     the pinned classes, at most one per m < n, then the scan, m by m from
     max(m_min, n).  Within one m >= n, every t in the window has
     t^2 >= m^2*n - 2mK > m^2*(n - 2) >= 8m^2 (K < m), so t > 2m and each
     step t -> t + 1 adds 2t + 1 > 2m to t^2: k = floor((t^2 - m^2*n) / (2m))
-    strictly increases with t, and so does (k, t).  Each k = 0 class goes
-    in where bisect_left by m puts it, before the first k != 0 class of
-    its m or beyond, so each m gives its k = 0 class first and then its
+    strictly increases with t, and so does (k, t).  The k = 0 classes come
+    before the k != 0 list, and a stable sort keeps that order among
+    classes of equal m, so each m gives its k = 0 class first and then its
     k != 0 classes in (k, t) order.
     """
     if n < 10:
@@ -417,19 +416,7 @@ def enumerate_szcor(
             k = (t * t - base) // (2 * m)
             if k != 0 and szcor_conditions(n, t, m, k):
                 knz.append(CandidateTriple(n, t, m, k))
-    zero = k0_classes(n, table.gaps, m_min, m_max)
-    if not knz:
-        return zero
-    # each k = 0 class goes in before the k != 0 classes of its m
-    out: list[CandidateTriple] = []
-    i = 0
-    for c in zero:
-        j = bisect_left(knz, c.m, i, key=_BY_M)
-        out += knz[i:j]
-        out.append(c)
-        i = j
-    out += knz[i:]
-    return out
+    return sorted(k0_classes(n, table.gaps, m_min, m_max) + knz, key=_BY_M)
 
 
 def e_value(c: CandidateTriple) -> Fraction:

@@ -8,7 +8,7 @@ subtracting N_j = E_j - E_{j+1} (and N_n = E_n) whenever the class meets N_j
 negatively, until the multiplicities are nonincreasing with last entry >= 0.
 The rewriting itself is never run: on a normal-form vector the fixpoint of
 one step has a closed form (re-sort, then raise -1 entries to 0), which
-_step_runs applies, and _walk is the one loop that steps D_i -> D_{i+1}.
+_step applies, and _walk is the one loop that steps D_i -> D_{i+1}.
 
 Writing t_i = D_i . L and stopping at the first index j with t_j < d, the
 criterion
@@ -29,8 +29,6 @@ index is j = q, and the criterion reduces to
 
 with s = t_0 mod d (the first condition is empty when t_0 < d).  One walk
 of S_0, S_1, ... and its prefix minima therefore decide every t_0 in O(1).
-The walk is stepped in run-length form [(value, count), ...]: a step
-touches each run once, and semiuniform vectors stay a few runs long.
 
 Once the vector is *balanced* (its entries differ by at most 1) the walk
 has a closed form.  A balanced vector is fixed by its total T: with
@@ -39,7 +37,7 @@ step keeps it balanced with total max(T - r, 0).  Proof: subtracting 1 from
 the first r entries gives (v+1)^[a-r], v^[n-a+r] when a >= r, and
 v^[n-r+a], (v-1)^[r-a] after re-sorting when a < r; the second has an
 entry -1 only when v = 0, and then T = a < r and the clamp leaves the zero
-vector.  So the walk steps runs only until the vector is balanced, and the
+vector.  So the walk steps the vector only until it is balanced, and the
 rest of S_0, S_1, ... follows from T alone.
 
 Only a bounded stretch of the balanced tail needs storing.  Let b be the
@@ -124,7 +122,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import isqrt
 from operator import add, lt
 
@@ -171,73 +169,27 @@ class SpecializationConfig(namedtuple("SpecializationConfig", "n d r")):
         return cls(n=n, d=d, r=isqrt(d * d * n))
 
 
-Runs = list[tuple[int, int]]
-
-
-def _to_runs(mults: Sequence[int]) -> Runs:
-    """Run-length form [(value, count), ...] of a nonincreasing vector."""
-    return [(v, len(list(group))) for v, group in groupby(mults)]
-
-
-def _from_runs(runs: Runs) -> tuple[int, ...]:
-    out: list[int] = []
-    for v, c in runs:
-        out.extend([v] * c)
-    return tuple(out)
-
-
-def _head_sum(runs: Runs, r: int) -> int:
-    """Sum of the first r entries of the vector with these runs."""
-    s = 0
-    for v, c in runs:
-        if c >= r:
-            return s + v * r
-        s += v * c
-        r -= c
-    return s
-
-
-def _step_runs(runs: Runs, r: int) -> Runs:
-    """One specialization step on runs: subtract 1 from the first r entries
-    of a normal-form vector and unload.
+def _step(ms: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """One specialization step: subtract 1 from the first r entries of the
+    normal-form vector ms and unload.
 
     For such inputs the fixpoint has a closed description: the only possible
     interior violation sits at the junction r and differs by exactly one, so
-    unloading just re-sorts the entries; entries driven to -1 (from zeros in
-    the prefix) are raised back to 0 by the tail rule.  On runs that is a
-    merge of two decreasing run lists, linear in the number of runs.
+    each interior move swaps two adjacent entries one apart and unloading
+    just re-sorts the entries; entries driven to -1 (from zeros in the
+    prefix) are raised back to 0 by the tail rule.  Raising them before the
+    sort gives the same vector, as they sort last either way.
     """
-    moved: Runs = []
-    left = r
-    for v, c in runs:
-        if left >= c:
-            moved.append((v - 1, c))
-            left -= c
-        elif left:
-            moved.append((v - 1, left))
-            moved.append((v, c - left))
-            left = 0
-        else:
-            moved.append((v, c))
-    moved.sort(reverse=True)
-    out: Runs = []
-    for v, c in moved:
-        if v < 0:
-            v = 0
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + c)
-        else:
-            out.append((v, c))
-    return out
+    return tuple(sorted([v - 1 if v else 0 for v in ms[:r]] + list(ms[r:]), reverse=True))
 
 
-def _walk(mults: Sequence[int], r: int) -> Iterator[Runs]:
-    """Runs of D_0, D_1, ... for the normal-form vector mults: the one loop
-    that steps D_i -> D_{i+1}.  Endless; the zero vector steps to itself."""
-    runs = _to_runs(mults)
+def _walk(mults: Sequence[int], r: int) -> Iterator[tuple[int, ...]]:
+    """D_0, D_1, ... for the normal-form vector mults: the one loop that
+    steps D_i -> D_{i+1}.  Endless; the zero vector steps to itself."""
+    ms = tuple(mults)
     while True:
-        yield runs
-        runs = _step_runs(runs, r)
+        yield ms
+        ms = _step(ms, r)
 
 
 class _HeadSums(namedtuple("_HeadSums", "sums lows start total zero n r dd")):
@@ -271,16 +223,16 @@ def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _
     """S_0, ..., S_count (the sum of the first r multiplicities of each D_i)
     and their prefix minima of d^2*i + S_i.
 
-    Runs are stepped only until the vector is balanced (entries differ by
-    at most 1: one run, or two runs one apart).  A balanced vector with
-    total T is (v+1)^[a], v^[n-a] with v, a = divmod(T, n), so its head sum
-    is r*v + min(a, r), and one step leaves it balanced with total
-    max(T - r, 0): if a >= r the r largest entries drop to v; if a < r and
-    v >= 1 the vector becomes v^[n-r+a], (v-1)^[r-a]; if a < r and v = 0
-    then T < r and every entry ends at 0.  So the rest of the walk is
+    The vector is stepped only until it is balanced: its entries differ by
+    at most 1, that is D[0] - D[-1] <= 1, as D is nonincreasing.  A balanced
+    vector with total T is (v+1)^[a], v^[n-a] with v, a = divmod(T, n), so
+    its head sum is r*v + min(a, r), and one step leaves it balanced with
+    total max(T - r, 0): if a >= r the r largest entries drop to v; if
+    a < r and v >= 1 the vector becomes v^[n-r+a], (v-1)^[r-a]; if a < r
+    and v = 0 then T < r and every entry ends at 0.  So the rest of the walk is
     S_i = r*(T_i // n) + min(T_i mod n, r) with T_i = max(T - r*(i - b), 0)
-    and b the first balanced index.  The zero vector is balanced (one run),
-    so it needs no special case.
+    and b the first balanced index.  The zero vector is balanced, so it
+    needs no special case.
 
     Past b the entries are stored only while they can lower a prefix
     minimum.  With z = b + ceil(T_b / r) the first zero index and
@@ -295,14 +247,14 @@ def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _
     """
     n, r, dd = cfg.n, cfg.r, cfg.d * cfg.d
     sums: list[int] = []
-    for runs in _walk(mults, r):
-        if len(sums) > count or _balanced(runs):
+    for ms in _walk(mults, r):
+        if len(sums) > count or ms[0] - ms[-1] <= 1:
             break
-        sums.append(_head_sum(runs, r))
+        sums.append(sum(ms[:r]))
     # start is b, or count + 1 when the vector is not balanced by then and
     # every entry is already stored
     start = len(sums)
-    total = sum(v * c for v, c in runs)
+    total = sum(ms)
     zero = start - (-total // r)
     if start <= count:
         last = min(count, zero - 1)
@@ -315,11 +267,6 @@ def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _
         sums += [r * (t // n) + (a if (a := t % n) < r else r) for t in totals]
     lows = list(accumulate(map(add, sums, range(0, dd * len(sums), dd)), min))
     return _HeadSums(sums, lows, start, total, zero, n, r, dd)
-
-
-def _balanced(runs: Runs) -> bool:
-    """Entries differ by at most 1: one run, or two runs one apart."""
-    return len(runs) == 1 or (len(runs) == 2 and runs[0][0] == runs[1][0] + 1)
 
 
 def _passes(t0: int, cfg: SpecializationConfig, walk: _HeadSums) -> bool:
@@ -387,10 +334,10 @@ def d_sequence(degree: int, mults: Sequence[int], cfg: SpecializationConfig) -> 
     cap = sum(ms) + cfg.n + 12 + j
     steps: list[TraceStep] = []
     omega = -1
-    for i, runs in enumerate(_walk(ms, r)):
+    for i, di in enumerate(_walk(ms, r)):
         t = degree - i * d
-        steps.append(TraceStep(i, _from_runs(runs), t, d * t - _head_sum(runs, r)))
-        if omega < 0 and runs[0][0] == 0:
+        steps.append(TraceStep(i, di, t, d * t - sum(di[:r])))
+        if omega < 0 and di[0] == 0:
             omega = i
         if omega >= 0 and i >= j:
             break
@@ -405,8 +352,8 @@ def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
     The window [0, ceil(sum(m)/sqrt(n)) + d] is scanned from the top (the
     criterion is not assumed monotone in t, and the first satisfying t from
     above is the maximum); if no t satisfies the criterion the bound is 1.
-    The multiplicity walk does not depend on t, so it runs once, as runs,
-    up to D_{hi // d}; each scanned t then costs O(1) via the prefix-minimum
+    The multiplicity walk does not depend on t, so it runs once, up to
+    D_{hi // d}; each scanned t then costs O(1) via the prefix-minimum
     form of the criterion (see the module docstring).
     """
     ms = _require_normal_form(mults, cfg.n)

@@ -23,13 +23,7 @@ from seshadri.candidates import (
     szcor_conditions,
     szcor_d,
 )
-from seshadri.effectivity import (
-    SpecializationConfig,
-    _balanced,
-    _head_sum,
-    _step_runs,
-    _to_runs,
-)
+from seshadri.effectivity import SpecializationConfig
 from seshadri.exclusions import ExclusionDb, ExclusionResult, default_db, is_excluded
 from seshadri.lattice import DomainError, InvalidInput, QuadraticExpr, ceil_sqrt, is_square
 
@@ -106,17 +100,18 @@ def alpha_lower_bound_literal(mults, cfg):
 
 
 def head_sums_list(mults: Sequence[int], r: int, count: int) -> list[int]:
-    """Reference S_0, ..., S_count as one full list: runs are stepped until
-    the vector is balanced, and every later entry is built from the
-    balanced closed form S_i = r*(T_i // n) + min(T_i mod n, r) with
-    T_i = max(T - r*(i - b), 0)."""
+    """Reference S_0, ..., S_count as one full list: the list walk of
+    step_normal_form_literal runs until the vector is balanced (its largest
+    and smallest entries differ by at most 1), and every later entry is
+    built from the balanced closed form S_i = r*(T_i // n) + min(T_i mod n, r)
+    with T_i = max(T - r*(i - b), 0)."""
     n = len(mults)
-    runs = _to_runs(mults)
+    b = list(mults)
     sums: list[int] = []
-    while len(sums) <= count and not _balanced(runs):
-        sums.append(_head_sum(runs, r))
-        runs = _step_runs(runs, r)
-    total = sum(v * c for v, c in runs)
+    while len(sums) <= count and max(b) - min(b) > 1:
+        sums.append(sum(b[:r]))
+        step_normal_form_literal(b, r)
+    total = sum(b)
     live = count + 1 - len(sums)
     totals = range(total, max(total - r * live, -1), -r)
     sums += [r * (t // n) + min(t % n, r) for t in totals]

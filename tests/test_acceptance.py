@@ -32,9 +32,7 @@ from seshadri.candidates import CandidateTriple, e_value, enumerate_szcor
 from seshadri.cli import main as cli_main
 from seshadri.effectivity import (
     SpecializationConfig,
-    _from_runs,
-    _step_runs,
-    _to_runs,
+    _step,
     alpha_lb_closed,
     alpha_lower_bound,
     d_sequence,
@@ -185,13 +183,13 @@ def test_criterion_6_property_suites():
     rnd = random.Random(0xACCE97)
     details = []
 
-    # unloading: one step on runs equals the literal rewriting of the
-    # stepped vector, and lands in normal form
+    # unloading: one step equals the literal rewriting of the stepped
+    # vector, and lands in normal form
     for _ in range(1000):
         n = rnd.randint(1, 12)
         r = rnd.randint(1, n)
         b = sorted((rnd.randint(0, 9) for _ in range(n)), reverse=True)
-        out = _from_runs(_step_runs(_to_runs(b), r))
+        out = _step(tuple(b), r)
         assert out == unload_literal([x - 1 for x in b[:r]] + b[r:]), (b, r)
         assert all(a >= c for a, c in zip(out, out[1:]))
         assert out[-1] >= 0

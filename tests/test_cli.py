@@ -154,6 +154,17 @@ def test_formulas_with_none_applicable(capsys, tmp_path):
 
 
 class TestAlphaCommand:
+    # pinned as printed while the walk still stepped a run-length form: 46
+    # steps to balance at n = 574, and a 4-step walk traced in full
+    @pytest.mark.parametrize("argv, golden", [
+        (["alpha", "--n", "574", "--m", "2209", "--k", "-45"], "alpha-n574-m2209-k-45.txt"),
+        (["alpha", "--n", "37", "--m", "30", "--k", "-5", "--trace"], "alpha-n37-m30-k-5-trace.txt"),
+    ])
+    def test_pinned(self, capsys, argv, golden):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
     def test_semiuniform_input(self, capsys):
         code, out, _ = run_cli(capsys, "alpha", "--n", "10", "--m", "2", "--k", "-1")
         assert code == 0

@@ -24,12 +24,9 @@ from seshadri.bounds import compute_bound
 from seshadri.candidates import CandidateTriple, enumerate_szcor
 from seshadri.effectivity import (
     SpecializationConfig,
-    _balanced,
-    _from_runs,
     _head_sums,
     _passes,
-    _step_runs,
-    _to_runs,
+    _step,
     alpha_lb_closed,
     alpha_lower_bound,
     d_sequence,
@@ -42,7 +39,7 @@ from seshadri.exclusions import (
     default_db,
     is_excluded,
 )
-from seshadri.lattice import DomainError, InvalidInput, is_square
+from seshadri.lattice import DomainError, InvalidInput, ceil_sqrt, is_square
 from seshadri.render import render_trace
 from seshadri.tables import TABLE_B
 
@@ -74,11 +71,10 @@ class TestUnload:
             n = rnd.randint(2, 14)
             r = rnd.randint(1, n)
             b = sorted((rnd.randint(0, 8) for _ in range(n)), reverse=True)
-            via_runs = _from_runs(_step_runs(_to_runs(b), r))
             w = list(b)
             for i in range(r):
                 w[i] -= 1
-            assert via_runs == unload_literal(w)
+            assert _step(tuple(b), r) == unload_literal(w)
 
 
 class TestDSequence:
@@ -377,7 +373,7 @@ class TestHeadSumsClosedForm:
                 assert b is not None and b >= 1
                 assert _sums_of(mults, cfg, count) == _walk_sums(mults, cfg.r, count), (mults, cfg)
 
-    def test_large_k_fallback_stays_at_three_runs(self):
+    def test_large_k_fallback_matches_the_list_walk(self):
         rnd = random.Random(22)
         for _ in range(60):
             n = rnd.randint(10, 120)
@@ -386,8 +382,6 @@ class TestHeadSumsClosedForm:
             mults = semiuniformize(n, m, k)
             assert mults == (m + k,) + (m,) * (n - 1)
             for cfg in _configs(n):
-                if cfg.r < n:
-                    assert len(_step_runs(_to_runs(mults), cfg.r)) == 3
                 count = (sum(mults) + n) // cfg.r + 2
                 assert _sums_of(mults, cfg, count) == _walk_sums(mults, cfg.r, count), (mults, cfg)
 
@@ -421,7 +415,6 @@ class TestHeadSumsClosedForm:
                 for total in range(0, 4 * n + 3):
                     v, a = divmod(total, n)
                     mults = (v + 1,) * a + (v,) * (n - a)
-                    assert _balanced(_to_runs(mults))
                     assert _sums_of(mults, cfg, 0) == [r * v + min(a, r)]
                     count = total // r + 2
                     assert _sums_of(mults, cfg, count) == _walk_sums(mults, r, count)
@@ -582,6 +575,49 @@ class TestBoundedWalk:
         walk = _assert_matches_list_oracle(mults, cfg, count)
         walked = _walk_sums(mults, r, min(count, 60))
         assert [walk.at(i) for i in range(len(walked))] == walked
+
+
+def _alpha_count(mults, cfg):
+    """The last index alpha_lower_bound reads: hi // d for the top of its
+    window hi = ceil(sum(m)/sqrt(n)) + d."""
+    total = sum(mults)
+    return (ceil_sqrt(-(-total * total // cfg.n)) + cfg.d) // cfg.d
+
+
+class TestLongWalksAtLargeN:
+    """Walks of tens to hundreds of steps at n in the hundreds and m >= n,
+    the regime of the frontier's longest walks: every S_i and prefix
+    minimum up to the index alpha_lower_bound reads is compared with the
+    list oracle."""
+
+    @pytest.mark.parametrize("n", [527, 574, 623])
+    def test_semiuniform_negative_k(self, n):
+        cfg = SpecializationConfig.default(n)
+        for m in (n, 2 * n + 1, 4 * n - 3):
+            root = isqrt(m)
+            for k in (-root + 1, -(root // 2), -10):
+                mults = semiuniformize(n, m, k)
+                count = _alpha_count(mults, cfg)
+                walk = _assert_matches_list_oracle(mults, cfg, count)
+                assert walk.start == _first_balanced(mults, cfg.r, count) >= -k
+
+    @pytest.mark.parametrize("n", [527, 574, 623])
+    def test_large_k_fallback(self, n):
+        cfg = SpecializationConfig.default(n)
+        for m in (n, 2 * n + 1):
+            k = isqrt(m) + 1
+            mults = semiuniformize(n, m, k)
+            assert mults == (m + k,) + (m,) * (n - 1)
+            count = _alpha_count(mults, cfg)
+            walk = _assert_matches_list_oracle(mults, cfg, count)
+            assert walk.start == _first_balanced(mults, cfg.r, count) > 10 * k
+
+    def test_frontier_walk_of_574(self):
+        # C(52928, 2209, -45) of the frontier, 46 steps to balance
+        cfg = SpecializationConfig.default(574)
+        mults = semiuniformize(574, 2209, -45)
+        walk = _assert_matches_list_oracle(mults, cfg, _alpha_count(mults, cfg))
+        assert walk.start == 46
 
 
 class TestSemiuniformize:
