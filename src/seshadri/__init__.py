@@ -9,7 +9,6 @@ imported non-effectivity facts, and cross-checking every closed-form bound.
 from .bounds import (
     BestKnown,
     BoundReport,
-    Coverage,
     FormulaBound,
     all_formula_bounds,
     best_known,
@@ -45,7 +44,6 @@ __all__ = [
     "BestKnown",
     "BoundReport",
     "CandidateTriple",
-    "Coverage",
     "DomainError",
     "ExclusionDb",
     "ExclusionResult",

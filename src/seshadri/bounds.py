@@ -42,19 +42,14 @@ _Key = tuple[Fraction, tuple[int, ...]]
 DEFAULT_M_BUDGET_CAP = 5000
 
 
-class Coverage(namedtuple("Coverage", "m_checked_k0 m_checked_knz")):
-    """How far the candidate enumeration was pushed, per k-regime."""
-
-    __slots__ = ()
-
-
-class BoundReport(namedtuple("BoundReport", "n mu blocker exclusions_used coverage m_budget_cap")):
+class BoundReport(namedtuple("BoundReport", "n mu blocker exclusions_used m_checked m_budget_cap")):
     """Certified bound for one n, with its exclusion certificate: mu, the
-    blocker (None when the budget ran out first) and the (candidate, reason)
-    pairs excluded below mu.  f = n*mu, budget_limited and the specialization
-    (n's default) follow from these, so no field holds them.  Building one
-    does not check; check re-tests what compute_bound guarantees on a
-    decoded one."""
+    blocker (None when the budget ran out first), the (candidate, reason)
+    pairs excluded below mu, in key order, and m_checked, the largest m the
+    enumeration covered, for every k.  f = n*mu, budget_limited and the
+    specialization (n's default) follow from these, so no field holds them.
+    Building one does not check; check re-tests what compute_bound
+    guarantees on a decoded one."""
 
     __slots__ = ()
 
@@ -64,21 +59,37 @@ class BoundReport(namedtuple("BoundReport", "n mu blocker exclusions_used covera
 
     @property
     def budget_limited(self) -> bool:
-        """mu lies above the coverage: the m budget ran out first."""
-        return self.mu > min(self.coverage)
+        """mu lies above the covered m: the m budget ran out first."""
+        return self.mu > self.m_checked
 
     def check(self) -> None:
         """Raise ValueError unless this report holds what compute_bound
         guarantees: a blocker of this n gives e = mu, no blocker means
-        budget-limited at mu = cap + 1, and budget-limited means coverage
-        (cap, cap) and mu <= cap + 1."""
-        n, mu, blocker, _, coverage, cap = self
+        budget-limited at mu = cap + 1, and budget-limited means
+        m_checked == cap and mu <= cap + 1.  The exclusions are classes of
+        this n with strictly increasing keys (e, sort_key), and with a
+        blocker every key is below the blocker's; with none, the list runs
+        past mu up to the least survivor above the level.  An emptied list
+        still passes: only rulings listed are checked, not that the list is
+        complete."""
+        n, mu, blocker, exclusions, m_checked, cap = self
         if blocker is not None and (blocker.n != n or e_value(blocker) != mu):
             raise ValueError(f"blocker {blocker.label()} does not give mu = {mu}")
         if blocker is None and not (self.budget_limited and mu == cap + 1):
             raise ValueError(f"no blocker, yet not budget-limited at mu = {cap + 1}")
-        if self.budget_limited and (coverage != (cap, cap) or mu > cap + 1):
-            raise ValueError(f"budget-limited at cap {cap}, yet coverage {tuple(coverage)}, mu = {mu}")
+        if self.budget_limited and (m_checked != cap or mu > cap + 1):
+            raise ValueError(f"budget-limited at cap {cap}, yet m_checked = {m_checked}, mu = {mu}")
+        last = None
+        top = None if blocker is None else (mu, blocker.sort_key())
+        for c, _ in exclusions:
+            if c.n != n:
+                raise ValueError(f"exclusion {c.label()} is a class of n = {c.n}, not {n}")
+            key = (e_value(c), c.sort_key())
+            if last is not None and key <= last:
+                raise ValueError(f"exclusion {c.label()} is not keyed above the one before it")
+            if top is not None and key >= top:
+                raise ValueError(f"exclusion {c.label()} is not keyed below the blocker {blocker.label()}")
+            last = key
 
 
 def compute_bound(
@@ -89,9 +100,11 @@ def compute_bound(
     """Run the fixpoint: enumerate, exclude, contract mu, grow m until covered.
 
     Candidates are walked in increasing e; the first one that cannot be
-    excluded is the blocker and fixes mu.  If the enumeration budget is
-    exhausted before coverage, mu is the least of the survivor's e and the
-    first uncovered level, m_max + 1, and the report is budget-limited.
+    excluded is the blocker and fixes mu.  Both k-regimes are enumerated to
+    the same last budget m_max, which the report stores as m_checked.  If
+    the budget is exhausted before coverage, mu is the least of the
+    survivor's e and the first uncovered level, m_max + 1, and the report
+    is budget-limited.
 
     The budget grows in rounds (16, 32, 64, ..., capped by ceil(mu)), and
     each round enumerates only the new m, those above the previous budget.
@@ -175,7 +188,7 @@ def compute_bound(
         mu=mu,
         blocker=blocker,
         exclusions_used=tuple((c, why) for key, c, why in ruled_out if best is None or key < best[0]),
-        coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
+        m_checked=m_max,
         m_budget_cap=m_budget_cap,
     )
 
@@ -224,9 +237,12 @@ def bounds_for_ns(
     """Deterministic map n -> report over a set of n, optionally in parallel.
 
     Every n uses its own default specialization; inputs are immutable, so
-    workers share nothing.
+    workers share nothing.  A jobs that is not an int (bool is not one)
+    raises InvalidInput before any pool starts; jobs <= 1 runs serially.
     """
     _require_cap(m_budget_cap)
+    if type(jobs) is not int:
+        raise InvalidInput(f"jobs must be an integer, got {jobs!r}")
     if db is None:
         db = default_db()
     ns = sorted(set(ns))

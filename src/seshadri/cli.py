@@ -130,9 +130,10 @@ class _Cache:
     A file that is not a JSON object is ignored with a warning on stderr, so
     every report is recomputed.  An entry is ignored the same way, and the
     recomputed report replaces it, unless it decodes as a report for its
-    key's n and m cap whose stored f and budget-limited flag equal what it
-    derives and that passes BoundReport.check; decoding refuses any
-    specialization but n's default.  Keys carry the package version, so a
+    key's n and m cap whose stored f, budget-limited flag and second
+    coverage copy equal what it holds or derives and that passes
+    BoundReport.check; decoding refuses any specialization but n's
+    default.  Keys carry the package version, so a
     report cached by another release is recomputed, not served.  A key
     holds no d or r: n alone fixes them.
 

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .bounds import BoundReport, Coverage, FormulaBound
+from .bounds import BoundReport, FormulaBound
 from .candidates import CandidateTriple, e_value
 from .effectivity import SpecializationConfig, UnloadingTrace
 from .lattice import DomainError, QuadraticExpr, Value
@@ -102,8 +102,7 @@ def report_to_json_dict(rep: BoundReport) -> dict:
             {"candidate": candidate_to_json(c), "reason": reason}
             for c, reason in rep.exclusions_used
         ],
-        "coverage": {"m_checked_k0": rep.coverage.m_checked_k0,
-                     "m_checked_knz": rep.coverage.m_checked_knz},
+        "coverage": {"m_checked_k0": rep.m_checked, "m_checked_knz": rep.m_checked},
         "cfg": cfg_to_json(SpecializationConfig.default(rep.n)),
         "budget_limited": rep.budget_limited,
         "m_budget_cap": rep.m_budget_cap,
@@ -115,9 +114,11 @@ def report_from_json_dict(d: dict) -> BoundReport:
     a wrong-typed field raises TypeError, so a mistyped cache entry is
     recomputed rather than served.  The stored "cfg" must be n's default,
     the only specialization a report is computed under: another raises
-    DomainError, and a g other than (d-1)(d-2)/2 raises ValueError.  "f" and
-    "budget_limited" are not read, since the report derives both;
-    check_stored_copies compares them with it."""
+    DomainError, and a g other than (d-1)(d-2)/2 raises ValueError.
+    m_checked is read from "m_checked_k0".  "f", "budget_limited" and
+    "m_checked_knz" are not read, since the report derives the first two
+    and the third is a copy of m_checked; check_stored_copies compares them
+    with it."""
     n = _int_from_json(d["n"])
     cfg, default = d["cfg"], SpecializationConfig.default(n)
     stored = tuple(_int_from_json(cfg[field]) for field in ("n", "d", "r"))
@@ -133,26 +134,27 @@ def report_from_json_dict(d: dict) -> BoundReport:
             (candidate_from_json(e["candidate"]), _str_from_json(e["reason"]))
             for e in d["exclusions_used"]
         ),
-        coverage=Coverage(
-            m_checked_k0=_int_from_json(d["coverage"]["m_checked_k0"]),
-            m_checked_knz=_int_from_json(d["coverage"]["m_checked_knz"]),
-        ),
+        m_checked=_int_from_json(d["coverage"]["m_checked_k0"]),
         m_budget_cap=_int_from_json(d["m_budget_cap"]),
     )
 
 
 def check_stored_copies(d: dict, rep: BoundReport) -> None:
-    """Raise unless the "f" and "budget_limited" stored in d equal what rep,
-    d decoded, derives: TypeError for a wrong type, ValueError for a copy
-    that mu and the coverage contradict."""
+    """Raise unless the copies stored in d, "f", "budget_limited" and the
+    coverage's "m_checked_knz", equal what rep, d decoded, holds or
+    derives: TypeError for a wrong type, ValueError for a copy that mu and
+    m_checked contradict."""
     budget_limited = d["budget_limited"]
     if not isinstance(budget_limited, bool):
         raise TypeError(f"budget_limited must be a bool, got {budget_limited!r}")
+    m_checked_knz = _int_from_json(d["coverage"]["m_checked_knz"])
     if (f := fraction_from_json(d["f"])) != rep.f:
         raise ValueError(f"f = {f} is not n*mu = {rep.f}")
+    if m_checked_knz != rep.m_checked:
+        raise ValueError(f"m_checked_knz = {m_checked_knz} is not m_checked_k0 = {rep.m_checked}")
     if budget_limited != rep.budget_limited:
         raise ValueError(f"budget_limited is {budget_limited}, yet mu = {rep.mu} "
-                         f"and the coverage is {tuple(rep.coverage)}")
+                         f"and m_checked = {rep.m_checked}")
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -208,8 +210,7 @@ def render_report(rep: BoundReport, fmt: str) -> str:
         )
         lines.append(
             f"mu = {truncate2(rep.mu)} (exact {rep.mu.numerator}/{rep.mu.denominator}); "
-            f"coverage m <= {rep.coverage.m_checked_k0} (k=0), "
-            f"m <= {rep.coverage.m_checked_knz} (k!=0)"
+            f"coverage m <= {rep.m_checked} (k=0), m <= {rep.m_checked} (k!=0)"
         )
         if rep.budget_limited:
             lines.append(f"BUDGET-LIMITED at m_cap = {rep.m_budget_cap}; bound is valid but not maximal")
@@ -228,7 +229,7 @@ def render_report(rep: BoundReport, fmt: str) -> str:
                 rep.n, rep.f.numerator, rep.f.denominator, truncate2(rep.f),
                 rep.mu.numerator, rep.mu.denominator,
                 b.t if b else "", b.m if b else "", b.k if b else "",
-                rep.coverage.m_checked_k0, rep.coverage.m_checked_knz,
+                rep.m_checked, rep.m_checked,
                 int(rep.budget_limited),
                 ";".join(f"{c.label()}:{reason}" for c, reason in rep.exclusions_used),
             ]],

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 import pytest
 
 import seshadri
-from seshadri.bounds import DEFAULT_M_BUDGET_CAP, BoundReport, Coverage
+from seshadri.bounds import DEFAULT_M_BUDGET_CAP, BoundReport
 from seshadri.candidates import (
     CandidateTriple,
     e_value,
@@ -182,7 +182,7 @@ def compute_bound_literal(
         mu=mu,
         blocker=blocker,
         exclusions_used=tuple(excluded),
-        coverage=Coverage(m_checked_k0=m_max, m_checked_knz=m_max),
+        m_checked=m_max,
         m_budget_cap=m_budget_cap,
     )
     return report, n * mu, budget_limited
@@ -402,11 +402,23 @@ def rng():
     return random.Random(0x5E5)
 
 
+def _fresh_run(code: str) -> subprocess.CompletedProcess:
+    root = str(Path(seshadri.__file__).resolve().parent.parent)
+    code = f"import sys\nsys.path.insert(0, {root!r})\n" + code
+    return subprocess.run([sys.executable, "-S", "-E", "-c", code],
+                          capture_output=True, text=True, timeout=60, check=True)
+
+
 def fresh_python(code: str) -> str:
     """stdout of code run in a new interpreter that imports the package
     under test; a nonzero exit raises.  -S -E: no site hooks or
     environment, so only the package's own imports count."""
-    root = str(Path(seshadri.__file__).resolve().parent.parent)
-    code = f"import sys\nsys.path.insert(0, {root!r})\n" + code
-    return subprocess.run([sys.executable, "-S", "-E", "-c", code],
-                          capture_output=True, text=True, timeout=60, check=True).stdout
+    return _fresh_run(code).stdout
+
+
+def fresh_cli(*argv: str) -> tuple[str, str]:
+    """stdout and stderr of seshadri.cli.main(argv) in a new interpreter, as
+    fresh_python runs it, which loads json on first use; a nonzero exit
+    raises."""
+    done = _fresh_run(f"import seshadri.cli\nsys.exit(seshadri.cli.main({list(argv)!r}))\n")
+    return done.stdout, done.stderr

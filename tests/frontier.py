@@ -3,13 +3,15 @@ default-cap report of every nonsquare n in 10..3001, one line per n:
 
     n mu blocker m_checked_k0 m_checked_knz exclusions sha
 
-blocker is C(t,m,k) or "none", exclusions is the number of exclusions
-used, and sha is the first 16 hex digits of the SHA-256 of the report's
-JSON rendering, so the line pins the whole report.
+blocker is C(t,m,k) or "none", both m_checked columns hold the report's
+one covered m, exclusions is the number of exclusions used, and sha is
+the first 16 hex digits of the SHA-256 of the report's JSON rendering, so
+the line pins the whole report.
 
     PYTHONPATH=src python tests/frontier.py --check [--jobs J]
     PYTHONPATH=src python tests/frontier.py --write [--jobs J]
 
+Every report must pass BoundReport.check before its line is made.
 --check recomputes every n and exits 1 on any difference from the golden;
 --write rewrites it.  Tier-1 checks every 10th n, in tests/test_bounds.py.
 """
@@ -29,10 +31,12 @@ NS = [n for n in range(10, 3002) if not is_square(n)]
 
 
 def frontier_line(rep: BoundReport) -> str:
+    """rep's line, once rep passes BoundReport.check (ValueError if not)."""
+    rep.check()
     sha = hashlib.sha256(render_report(rep, "json").encode()).hexdigest()[:16]
     blocker = rep.blocker.label() if rep.blocker else "none"
-    k0, knz = rep.coverage
-    return f"{rep.n} {rep.mu} {blocker} {k0} {knz} {len(rep.exclusions_used)} {sha}"
+    m = rep.m_checked
+    return f"{rep.n} {rep.mu} {blocker} {m} {m} {len(rep.exclusions_used)} {sha}"
 
 
 def frontier_lines(ns, jobs: int = 1) -> list[str]:

@@ -85,7 +85,7 @@ class TestComputeBound:
         assert rep.budget_limited
         assert rep.blocker is None
         assert rep.mu == 6 and rep.f == 60
-        assert rep.coverage.m_checked_k0 == 5
+        assert rep.m_checked == 5
 
     def test_budget_limited_with_survivor(self):
         # cap below the blocker's own e: the bound is the covered level
@@ -101,12 +101,12 @@ class TestComputeBound:
             rep = compute_bound(n, db=db)
             assert not rep.budget_limited, n
             mu = rep.mu
-            assert rep.coverage.m_checked_k0 >= ceil_frac(mu.numerator, mu.denominator) - 1
+            assert rep.m_checked >= ceil_frac(mu.numerator, mu.denominator) - 1
             knz_need = ceil_frac(mu.numerator, mu.denominator * (n - 1)) - 1
-            assert rep.coverage.m_checked_knz >= knz_need
+            assert rep.m_checked >= knz_need
             assert mu == e_value(rep.blocker)
             excluded = {(c.t, c.m, c.k) for c, _ in rep.exclusions_used}
-            for c in enumerate_szcor(n, rep.coverage.m_checked_k0):
+            for c in enumerate_szcor(n, rep.m_checked):
                 if e_value(c) < mu:
                     assert (c.t, c.m, c.k) in excluded, (n, c)
                     assert is_excluded(c, db).excluded, (n, c)
@@ -194,8 +194,10 @@ class TestRoundDriverOracle:
 
     @pytest.mark.parametrize("cap", [1, 5, 16, 17, 64, 512, 5000])
     def test_f_and_budget_limited_are_the_oracles(self, cap):
-        # the report derives f = n*mu and budget_limited from mu and the
-        # coverage; the oracle keeps its own f and flag from its own loop
+        # the report derives f = n*mu and budget_limited from mu and
+        # m_checked; the oracle keeps its own f and flag from its own loop.
+        # Every report passes check, also those with no blocker that list
+        # exclusions above mu (n = 527 at cap 5000)
         bare = default_db().with_sources(disable=("CCMO", "Miranda", "unique-cubic"))
         flags = set()
         for db in (default_db(), bare):
@@ -203,6 +205,7 @@ class TestRoundDriverOracle:
                 rep = compute_bound(n, db=db, m_budget_cap=cap)
                 want, f, limited = compute_bound_literal(n, db=db, m_budget_cap=cap)
                 assert (rep, rep.f, rep.budget_limited) == (want, f, limited), (n, db.enabled_sources)
+                rep.check()
                 flags.add(limited)
         # none of these reports has mu <= 5, so caps 1 and 5 limit them all;
         # at every larger cap some are budget-limited and some are not
@@ -220,7 +223,7 @@ class TestRoundDriverOracle:
         monkeypatch.setattr(bounds, "enumerate_szcor", recording)
         rep = compute_bound(n, m_budget_cap=cap)
         covered = [m for lo, hi in ranges for m in range(lo, hi + 1)]
-        assert covered == list(range(1, rep.coverage.m_checked_k0 + 1))
+        assert covered == list(range(1, rep.m_checked + 1))
         assert all(lo <= hi for lo, hi in ranges)
 
 
@@ -229,11 +232,24 @@ class TestRoundDriverOracle:
                                  lambda cap: bounds_for_ns([41], m_budget_cap=cap)],
                          ids=["compute_bound", "bounds_for_ns"])
 def test_a_cap_that_is_not_an_int_is_refused(run, cap):
-    # True once gave mu = 2 with coverage (True, True), and 100.5 a report
+    # True once gave mu = 2 with m_checked True, and 100.5 a report
     # carrying cap 100.5
     with pytest.raises(InvalidInput) as info:
         run(cap)
     assert str(info.value) == f"m_budget_cap must be an integer, got {cap!r}"
+
+
+@pytest.mark.parametrize("jobs", [2.5, True, "2", None])
+def test_jobs_that_is_not_an_int_is_refused(monkeypatch, jobs):
+    # 2.5 and True once ran without complaint; the refusal comes before
+    # any pool is sized or started
+    def no_pool(*args):
+        raise AssertionError("a pool was sized")
+
+    monkeypatch.setattr(bounds, "_worker_count", no_pool)
+    with pytest.raises(InvalidInput) as info:
+        bounds_for_ns([10], jobs=jobs)
+    assert str(info.value) == f"jobs must be an integer, got {jobs!r}"
 
 
 class TestWorkerCount:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_python
+from conftest import fresh_cli, fresh_python
 from seshadri import __version__, cli
 from seshadri.bounds import DEFAULT_M_BUDGET_CAP, compute_bound
 from seshadri.candidates import CandidateTriple
@@ -359,8 +359,28 @@ class TestCacheRobustness:
         code, out, err = run_cli(capsys, "--cache", str(cache), *argv)
         assert (code, out) == (0, plain)
         assert err == (f"warning: ignoring malformed cache entry {key} (ValueError: budget_limited is "
-                       "False, yet mu = 6 and the coverage is (5, 5)); recomputing\n")
+                       "False, yet mu = 6 and m_checked = 5); recomputing\n")
         assert json.loads(cache.read_text()) == {key: payload}
+
+    @pytest.mark.parametrize("edit, reason", [
+        pytest.param(lambda p: dict(p, coverage=dict(p["coverage"], m_checked_knz=31)),
+                     "m_checked_knz = 31 is not m_checked_k0 = 32", id="coverage-copies-unequal"),
+        pytest.param(lambda p: dict(p, exclusions_used=[
+            *p["exclusions_used"], {"candidate": {"n": 13, "t": 90, "m": 25, "k": 0}, "reason": "CCMO"}]),
+                     "exclusion C(90,25,0) is a class of n = 13, not 12", id="exclusion-of-another-n"),
+    ])
+    def test_edited_entry_is_recomputed_in_a_fresh_interpreter(self, tmp_path, edit, reason):
+        # both edits were once served with exit 0 and no warning
+        cache = str(tmp_path / "c.json")
+        plain, err = fresh_cli("bound", "--n", "12")
+        assert err == ""
+        fresh_cli("--cache", cache, "bound", "--n", "12")
+        (key, payload), = json.loads((tmp_path / "c.json").read_text()).items()
+        (tmp_path / "c.json").write_text(json.dumps({key: edit(payload)}))
+        out, err = fresh_cli("--cache", cache, "bound", "--n", "12")
+        assert out == plain
+        assert err == f"warning: ignoring malformed cache entry {key} (ValueError: {reason}); recomputing\n"
+        assert json.loads((tmp_path / "c.json").read_text()) == {key: payload}
 
     def test_budget_limited_entry_is_served(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"

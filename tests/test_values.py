@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fresh_python
-from seshadri.bounds import BestKnown, BoundReport, Coverage, FormulaBound, compute_bound
+from conftest import fresh_cli, fresh_python
+from seshadri.bounds import BestKnown, BoundReport, FormulaBound, compute_bound
 from seshadri.candidates import CandidateTriple
 from seshadri.effectivity import (
     SpecializationConfig,
@@ -33,10 +33,11 @@ from seshadri.render import check_stored_copies, fraction_to_json, report_from_j
 from seshadri.tables import TABLE_A, TABLE_B, TableARow, TableBRow
 
 GOLDEN = Path(__file__).parent / "golden"
-VERIFY_TABLE_B = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "verify-table-b.txt"
+PERFBENCH_GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+VERIFY_TABLE_B = PERFBENCH_GOLDEN / "verify-table-b.txt"
 
 
-_REPORT = compute_bound(12)  # f = 6912/23, mu = 576/23, blocker C(83,24,0), coverage m <= 32
+_REPORT = compute_bound(12)  # f = 6912/23, mu = 576/23, blocker C(83,24,0), m_checked = 32
 _LIMITED = compute_bound(10, m_budget_cap=5)  # budget-limited: mu = 6, no blocker
 
 
@@ -87,17 +88,18 @@ def _stored(rep, **fields):
                  "expected an integer, got 3.0", id="report-cfg-d-float"),
     pytest.param(lambda: _decode(_REPORT, {"n": 12, "d": 3, "r": 10, "g": 2}), ValueError,
                  "g = 2 is not (d-1)(d-2)/2 = 1", id="report-cfg-g-not-derived-from-d"),
-    # the stored f and budget_limited are copies of what mu and the coverage
-    # give, and check_stored_copies refuses one that contradicts them
+    # the stored f, budget_limited and m_checked_knz are copies of what mu
+    # and m_checked give, and check_stored_copies refuses one that
+    # contradicts them
     pytest.param(lambda: _stored(_REPORT, f=fraction_to_json(Fraction(300))), ValueError,
                  "f = 300 is not n*mu = 6912/23", id="report-f-not-n-mu"),
     pytest.param(lambda: _stored(_REPORT, budget_limited=0), TypeError,
                  "budget_limited must be a bool, got 0", id="report-budget-limited-not-a-bool"),
     pytest.param(lambda: _stored(_REPORT, budget_limited=True), ValueError,
-                 "budget_limited is True, yet mu = 576/23 and the coverage is (32, 32)",
+                 "budget_limited is True, yet mu = 576/23 and m_checked = 32",
                  id="report-limited-mu-within-the-coverage"),
-    pytest.param(lambda: _stored(_REPORT, coverage={"m_checked_k0": 32, "m_checked_knz": 25}), ValueError,
-                 "budget_limited is False, yet mu = 576/23 and the coverage is (32, 25)",
+    pytest.param(lambda: _stored(_REPORT, coverage={"m_checked_k0": 25, "m_checked_knz": 25}), ValueError,
+                 "budget_limited is False, yet mu = 576/23 and m_checked = 25",
                  id="report-mu-above-the-coverage"),
     # a report holds what compute_bound guarantees, one row per invariant
     pytest.param(lambda: _report(_REPORT, blocker=CandidateTriple(13, 83, 24, 0)), ValueError,
@@ -108,15 +110,76 @@ def _stored(rep, **fields):
                  "no blocker, yet not budget-limited at mu = 5001", id="report-no-blocker-not-limited"),
     pytest.param(lambda: _report(_LIMITED, mu=Fraction(5)), ValueError,
                  "no blocker, yet not budget-limited at mu = 6", id="report-no-blocker-mu-not-cap-plus-one"),
-    pytest.param(lambda: _report(_LIMITED, coverage=Coverage(4, 5)), ValueError,
-                 "budget-limited at cap 5, yet coverage (4, 5), mu = 6", id="report-limited-below-the-cap"),
-    pytest.param(lambda: _report(_REPORT, m_budget_cap=24, coverage=Coverage(24, 24)),
-                 ValueError, "budget-limited at cap 24, yet coverage (24, 24), mu = 576/23",
+    pytest.param(lambda: _report(_LIMITED, m_checked=4), ValueError,
+                 "budget-limited at cap 5, yet m_checked = 4, mu = 6", id="report-limited-below-the-cap"),
+    pytest.param(lambda: _report(_REPORT, m_budget_cap=24, m_checked=24),
+                 ValueError, "budget-limited at cap 24, yet m_checked = 24, mu = 576/23",
                  id="report-limited-mu-above-cap-plus-one"),
 ])
 def test_validation_keeps_its_exception_and_message(make, error, message):
     with pytest.raises(error) as info:
         make()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_an_emptied_exclusion_list_still_passes_check():
+    # check tests the rulings listed, not that the list is complete
+    _REPORT._replace(exclusions_used=()).check()
+    _LIMITED._replace(exclusions_used=()).check()
+
+
+def _read_stored(d: dict) -> BoundReport:
+    """d decoded as _Cache.get reads an entry: decoded, its stored copies
+    compared and the report checked."""
+    rep = report_from_json_dict(d)
+    check_stored_copies(d, rep)
+    rep.check()
+    return rep
+
+
+def _perfbench_reports() -> dict[str, dict]:
+    """The report of every label in perfbench's sweep and large-n goldens."""
+    import json
+
+    return {f"{name}:{label}": entry["report"]
+            for name in ("sweep", "large-n")
+            for label, entry in json.loads((PERFBENCH_GOLDEN / f"{name}.json").read_text(encoding="utf-8")).items()}
+
+
+def test_perfbench_golden_reports_decode_check_and_round_trip():
+    reports = _perfbench_reports()
+    assert len(reports) == 84 + 3
+    for label, d in reports.items():
+        assert report_to_json_dict(_read_stored(d)) == d, label
+
+
+def _append_exclusion(d, candidate):
+    return dict(d, exclusions_used=[*d["exclusions_used"], {"candidate": candidate, "reason": "CCMO"}])
+
+
+# perfbench's n = 13 report: blocker C(90,25,0), m_checked = 32 and four
+# exclusions, C(18,5,0) first
+@pytest.mark.parametrize("edit, error, message", [
+    pytest.param(lambda d: dict(d, coverage=dict(d["coverage"], m_checked_knz=31)), ValueError,
+                 "m_checked_knz = 31 is not m_checked_k0 = 32", id="coverage-copies-unequal"),
+    pytest.param(lambda d: dict(d, coverage=dict(d["coverage"], m_checked_knz=None)), TypeError,
+                 "expected an integer, got None", id="knz-coverage-not-an-int"),
+    pytest.param(lambda d: _append_exclusion(d, {"n": 12, "t": 83, "m": 24, "k": 0}), ValueError,
+                 "exclusion C(83,24,0) is a class of n = 12, not 13", id="exclusion-of-another-n"),
+    pytest.param(lambda d: dict(d, exclusions_used=[d["exclusions_used"][1], d["exclusions_used"][0],
+                                                    *d["exclusions_used"][2:]]), ValueError,
+                 "exclusion C(18,5,0) is not keyed above the one before it", id="exclusions-swapped"),
+    pytest.param(lambda d: dict(d, exclusions_used=d["exclusions_used"][:1] * 2), ValueError,
+                 "exclusion C(18,5,0) is not keyed above the one before it", id="exclusion-twice"),
+    pytest.param(lambda d: _append_exclusion(d, d["blocker"]), ValueError,
+                 "exclusion C(90,25,0) is not keyed below the blocker C(90,25,0)",
+                 id="exclusion-keyed-at-the-blocker"),
+])
+def test_edited_perfbench_golden_report_is_refused(edit, error, message):
+    d = _perfbench_reports()["sweep:n13"]
+    with pytest.raises(error) as info:
+        _read_stored(edit(d))
     assert type(info.value) is error
     assert str(info.value) == message
 
@@ -173,7 +236,6 @@ def _one_of_each():
         trace.steps[0],
         trace,
         QuadraticExpr(1, 2, 3),
-        rep.coverage,
         rep,
         FormulaBound("x", Fraction(1), "y"),
         BestKnown(Fraction(1), "algorithm"),
@@ -189,7 +251,7 @@ def _one_of_each():
 def test_one_of_each_covers_every_value_type():
     assert {type(v).__name__ for v in _one_of_each()} == {
         "CandidateTriple", "SpecializationConfig", "_HeadSums", "TraceStep", "UnloadingTrace",
-        "QuadraticExpr", "Coverage", "BoundReport", "FormulaBound", "BestKnown", "UniformBound",
+        "QuadraticExpr", "BoundReport", "FormulaBound", "BestKnown", "UniformBound",
         "ExplicitClass", "ExclusionDb", "ExclusionResult", "TableARow", "TableBRow",
     }
 
@@ -206,8 +268,7 @@ FIELDS = [
     (ExplicitClass, ("n", "t", "m", "k", "source"), {}),
     (ExclusionDb, ("entries", "enabled_sources"), {}),
     (ExclusionResult, ("excluded", "reason"), {"reason": None}),
-    (Coverage, ("m_checked_k0", "m_checked_knz"), {}),
-    (BoundReport, ("n", "mu", "blocker", "exclusions_used", "coverage", "m_budget_cap"), {}),
+    (BoundReport, ("n", "mu", "blocker", "exclusions_used", "m_checked", "m_budget_cap"), {}),
     (FormulaBound, ("name", "value", "source"), {}),
     (BestKnown, ("f_best", "source"), {}),
     (TableARow, ("t", "m", "k", "e_str"), {}),
@@ -235,7 +296,6 @@ def test_fields_cannot_be_assigned(value):
 def test_repr_is_name_and_fields():
     assert repr(CandidateTriple(10, 3, 1, 0)) == "CandidateTriple(n=10, t=3, m=1, k=0)"
     assert repr(SpecializationConfig.default(10)) == "SpecializationConfig(n=10, d=3, r=9)"
-    assert repr(Coverage(5, 5)) == "Coverage(m_checked_k0=5, m_checked_knz=5)"
     assert repr(ExclusionResult(True, "CCMO")) == "ExclusionResult(excluded=True, reason='CCMO')"
     assert repr(TraceStep(0, (1,), 3, 2)) == "TraceStep(index=0, mults=(1,), t=3, dot_c=2)"
     assert repr(UnloadingTrace((), 0, 0)) == "UnloadingTrace(steps=(), j=0, omega_prime=0)"
@@ -267,23 +327,17 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert out == "[]\n"
 
 
-def _fresh_main(*argv: str) -> str:
-    """stdout of seshadri.cli.main(argv) in a new interpreter, which loads
-    json on first use; a nonzero exit raises."""
-    return fresh_python(f"import seshadri.cli\nsys.exit(seshadri.cli.main({list(argv)!r}))\n")
-
-
 def test_json_output_in_a_fresh_interpreter():
-    assert _fresh_main("bound", "--n", "12", "--format", "json") == (GOLDEN / "bound-12.json").read_text(
+    assert fresh_cli("bound", "--n", "12", "--format", "json")[0] == (GOLDEN / "bound-12.json").read_text(
         encoding="utf-8")
 
 
 def test_cold_and_warm_cache_in_fresh_interpreters(tmp_path):
     cache = str(tmp_path / "c.json")
     golden = VERIFY_TABLE_B.read_text(encoding="utf-8")
-    assert _fresh_main("--cache", cache, "verify", "--table", "B") == golden
+    assert fresh_cli("--cache", cache, "verify", "--table", "B")[0] == golden
     written = (tmp_path / "c.json").read_bytes()
-    assert _fresh_main("--cache", cache, "verify", "--table", "B") == golden
+    assert fresh_cli("--cache", cache, "verify", "--table", "B")[0] == golden
     assert (tmp_path / "c.json").read_bytes() == written
 
 
