@@ -110,10 +110,10 @@ def compute_bound(
     each round enumerates only the new m, those above the previous budget.
     A round sorts only its new candidates by (e, sort_key) and decides, in
     that order, those keyed below the least survivor so far, stopping at the
-    first survivor.  One `class_table` of n, built per call for
-    m <= min(n - 1, cap) and passed to each round, holds the gaps of the
-    k = 0 walk, which each round takes from the least return, and the
-    k != 0 classes below m = n.  No candidate list or verdict cache
+    first survivor.  One `class_table` of n, built per call for every
+    m < n and passed to each round, holds the gaps of the k = 0 walk,
+    which each round takes from the least return, and the k != 0 classes
+    below m = n.  No candidate list or verdict cache
     carries over between rounds; the exclusions keyed below the final
     survivor, in key order, are the walk a full sort of every m would give.
 
@@ -161,7 +161,7 @@ def compute_bound(
     best: tuple[_Key, CandidateTriple | None] = ((Fraction(level), (level,)), None)
     ruled_out: list[tuple[_Key, CandidateTriple, str]] = []
     beyond: list[tuple[_Key, CandidateTriple]] = []
-    table = class_table(n, m_budget_cap)
+    table = class_table(n)
     m_done = 0
     m_max = min(16, m_budget_cap)
     while True:

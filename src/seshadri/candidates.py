@@ -112,7 +112,9 @@ With m = a^2*s, s squarefree, the degree is t = a*s*j for one j next to
 a*sqrt(n), so each m has at most one class, and one loop over
 a <= isqrt(n - 1) finds them all: the table of `pinned_classes` (proof in
 `enumerate_szcor`).  For square n the table is empty: below m = n there is
-no class at all.
+no class at all.  These classes and the gaps of the k = 0 walk form the
+`class_table` of n, which depends on n alone: one table serves every
+window of m.
 
 For m >= n and k != 0 the enumeration runs over t, with one k per t.  By (b)
 every admissible k has |k| <= K = isqrt((nm - 1) // (n - 1)): for k > 0,
@@ -295,8 +297,8 @@ def k0_classes(
     return out
 
 
-def pinned_classes(n: int, m_top: int) -> tuple[CandidateTriple, ...]:
-    """Every k != 0 class of n with m <= min(m_top, n - 1), in increasing m.
+def pinned_classes(n: int) -> tuple[CandidateTriple, ...]:
+    """Every k != 0 class of n with m < n, in increasing m.
 
     By the lemma in `enumerate_szcor`, each is (t, m, k) = (a*s*j, a^2*s,
     s*(j^2 - a^2*n)/2) with s squarefree, j the one of isqrt(a^2*n) and
@@ -305,9 +307,8 @@ def pinned_classes(n: int, m_top: int) -> tuple[CandidateTriple, ...]:
     s*(j^2 - a^2*n), s squarefree or not, is checked against the
     constraints as written.
     """
-    m_top = min(m_top, n - 1)
     by_m: dict[int, CandidateTriple] = {}
-    for a in range(1, isqrt(m_top) + 1):
+    for a in range(1, isqrt(n - 1) + 1):
         a2 = a * a
         j = isqrt(a2 * n)
         g = j * j - a2 * n
@@ -319,7 +320,7 @@ def pinned_classes(n: int, m_top: int) -> tuple[CandidateTriple, ...]:
                 continue
         # k^2 <= m reads s*g^2 <= 4a^2; an s that is not squarefree only
         # finds again the one class of its m
-        for s in range(1, min(4 * a2 // (g * g), m_top // a2) + 1):
+        for s in range(1, min(4 * a2 // (g * g), (n - 1) // a2) + 1):
             if s * g % 2:
                 continue
             t, m, k = a * s * j, a2 * s, s * g // 2
@@ -328,19 +329,18 @@ def pinned_classes(n: int, m_top: int) -> tuple[CandidateTriple, ...]:
     return tuple(sorted(by_m.values(), key=_BY_M))
 
 
-class ClassTable(namedtuple("ClassTable", "n m_top gaps pinned")):
+class ClassTable(namedtuple("ClassTable", "n gaps pinned")):
     """What `enumerate_szcor` reads of n besides its t-scan at m >= n,
     built by `class_table`: gaps, the `return_gaps` of the k = 0 walk,
-    and pinned, the `pinned_classes` with m <= m_top (m_top < n)."""
+    and pinned, the `pinned_classes` of n, every k != 0 class with m < n.
+    It depends on n alone, so one table serves every window of m."""
 
     __slots__ = ()
 
 
-def class_table(n: int, m_top: int) -> ClassTable:
-    """The table of n whose pinned classes cover m <= min(m_top, n - 1);
-    its walk covers every m."""
-    m_top = min(m_top, n - 1)
-    return ClassTable(n, m_top, return_gaps(n), pinned_classes(n, m_top))
+def class_table(n: int) -> ClassTable:
+    """The table of n: the gaps of its k = 0 walk and its pinned classes."""
+    return ClassTable(n, return_gaps(n), pinned_classes(n))
 
 
 def enumerate_szcor(
@@ -348,10 +348,9 @@ def enumerate_szcor(
 ) -> list[CandidateTriple]:
     """All candidates with m_min <= m <= m_max, sorted by (m, k=0 first, k, t).
 
-    table is a `class_table` of n whose pinned classes cover
-    m <= min(m_max, n - 1); without one, the call builds its own.  The
-    table gives every class below m = n; a loop over m runs only for the
-    k != 0 classes at m >= n.
+    table is the `class_table` of n; without one, the call builds its own,
+    and a table of another n is refused.  The table gives every class
+    below m = n; a loop over m runs only for the k != 0 classes at m >= n.
 
     For k = 0 the classes come from `k0_classes`: the walk over the m with
     {m*sqrt(n)} < 1/(2d), d = isqrt(n), steps by the gaps of the table
@@ -401,10 +400,9 @@ def enumerate_szcor(
     if m_min < 1:
         raise DomainError(f"m_min must be >= 1, got {m_min}")
     if table is None:
-        table = class_table(n, m_max)
-    elif table.n != n or table.m_top < min(m_max, n - 1):
-        raise InvalidInput(f"the class table covers m <= {table.m_top} at n = {table.n}, "
-                           f"not m <= {min(m_max, n - 1)} at n = {n}")
+        table = class_table(n)
+    elif table.n != n:
+        raise InvalidInput(f"the class table is of n = {table.n}, not n = {n}")
     knz = [c for c in table.pinned if m_min <= c.m <= m_max]
     for m in range(max(m_min, n), m_max + 1):
         # k != 0: one k per degree t, with |k| <= K by condition (b)

@@ -27,8 +27,28 @@ index is j = q, and the criterion reduces to
 
     d*t_0 <= g - 1 + min_{i < q} (d^2*i + S_i)   and   (s+1)(s+2) <= 2*S_q,
 
-with s = t_0 mod d (the first condition is empty when t_0 < d).  One walk
-of S_0, S_1, ... and its prefix minima therefore decide every t_0 in O(1).
+with s = t_0 mod d (the first condition is empty when t_0 < d).
+
+Inside one block of degrees q*d <= t_0 <= q*d + d - 1 both conditions are
+upper bounds on t_0.  The final condition passes exactly the remainders
+s <= s(S_q), where s(S) is the largest s < d with (s+1)(s+2) <= 2*S, or -1
+when S = 0.  For q >= 1 the interior condition passes exactly
+t_0 <= floor((g - 1 + low_{q-1})/d), with low_i = min_{j <= i} (d^2*j + S_j).
+So the degrees of block q that pass run from q*d up to the lesser of
+q*d + s(S_q) and, for q >= 1, that floor, and the largest t_0 that passes
+is the top of the first nonempty block from above.  One walk of S_0, S_1,
+... and its prefix minima decide each block in O(1).
+
+No degree above floor((g - 1 + S_0)/d) passes, so the scan starts in its
+block (or at the top of the window, if lower).  For q >= 1 the interior
+bound is at most that, as every prefix minimum is at most low_0 = S_0.  In
+block 0 a passing s has (s+1)(s+2) <= 2*S_0 and s <= d - 1, so with
+u = d - s >= 1 and 2(g - 1) = (d-1)(d-2) - 2,
+
+    2*(g - 1 + S_0 - d*s) >= (d-1)(d-2) - 2 + (s+1)(s+2) - 2*d*s = (u-1)(u-2) >= 0,
+
+since a product of two consecutive integers is never negative: d*s <= g - 1 + S_0
+there too.
 
 Once the vector is *balanced* (its entries differ by at most 1) the walk
 has a closed form.  A balanced vector is fixed by its total T: with
@@ -82,8 +102,8 @@ which is alpha_lb_closed(m, 0, cfg):
   S_u = rho and exactly the remainders 0..s pass.  For q > u, S_q = 0 and
   none passes.  So the final condition holds exactly for 0 <= t_0 <= B.
 * Window.  A <= m*sqrt(n) + (g - 1)/d < m*sqrt(n) + d, so min(A, B) lies in
-  the scanned window [0, ceil(m*sqrt(n)) + d], and the scan from the top
-  stops there.
+  the window [0, ceil(m*sqrt(n)) + d], where the block scan, which starts
+  at floor((g - 1 + S_0)/d) = A, finds it.
 
 B never binds.  Take a k = 0 class C(t, m), so 0 <= t < m*sqrt(n), under
 the default configuration.  Then t <= B:
@@ -269,19 +289,11 @@ def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _
     return _HeadSums(sums, lows, start, total, zero, n, r, dd)
 
 
-def _passes(t0: int, cfg: SpecializationConfig, walk: _HeadSums) -> bool:
-    """The criterion for degree t0, in O(1) from S_i and its prefix minima.
-
-    With q = t0 // d (0 when t0 < d), the interior steps are i < q, where
-    D_i . C <= g - 1 reads d*t0 <= g - 1 + d^2*i + S_i; at j = q the final
-    inequality has t_j = t0 - q*d and d*t_j - D_j . C = S_j.
-    """
-    d = cfg.d
-    q = t0 // d if t0 > 0 else 0
-    tj = t0 - q * d
-    if q and d * t0 > cfg.g - 1 + walk.low(q - 1):
-        return False
-    return (tj + 1) * (tj + 2) <= 2 * walk.at(q)
+def _last_remainder(head: int, d: int) -> int:
+    """The largest s < d with (s+1)(s+2) <= 2*head, or -1 when head = 0:
+    the final condition, at a stop index whose head sum is head, passes
+    exactly the remainders t_j = 0..s."""
+    return min(d - 1, (isqrt(8 * head + 1) - 3) // 2)
 
 
 class TraceStep(namedtuple("TraceStep", "index mults t dot_c")):
@@ -349,21 +361,30 @@ def d_sequence(degree: int, mults: Sequence[int], cfg: SpecializationConfig) -> 
 def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
     """Certified lower bound for alpha(mults): 1 + max{t : criterion holds}.
 
-    The window [0, ceil(sum(m)/sqrt(n)) + d] is scanned from the top (the
-    criterion is not assumed monotone in t, and the first satisfying t from
-    above is the maximum); if no t satisfies the criterion the bound is 1.
-    The multiplicity walk does not depend on t, so it runs once, up to
-    D_{hi // d}; each scanned t then costs O(1) via the prefix-minimum
-    form of the criterion (see the module docstring).
+    The window [0, ceil(sum(m)/sqrt(n)) + d] is read one block of d
+    degrees at a time, from the top (the criterion is not assumed monotone
+    in t).  Inside block q the criterion passes the degrees from q*d up to
+    min(q*d + s(S_q), floor((g - 1 + low(q - 1))/d)), the second term only
+    for q >= 1, so the top of the first nonempty block from above is the
+    maximum; if no block passes the bound is 1.  No degree above
+    floor((g - 1 + S_0)/d) passes, so the scan starts there when that lies
+    inside the window, and the multiplicity walk, which does not depend on
+    t, runs once up to that block (see the module docstring).
     """
     ms = _require_normal_form(mults, cfg.n)
     total = sum(ms)
     if total == 0:
         raise InvalidInput("all-zero multiplicity vector")
-    hi = ceil_sqrt(-(-total * total // cfg.n)) + cfg.d
-    walk = _head_sums(ms, cfg, hi // cfg.d)
-    for t in range(hi, -1, -1):
-        if _passes(t, cfg, walk):
+    d, g = cfg.d, cfg.g
+    hi = ceil_sqrt(-(-total * total // cfg.n)) + d
+    top = min(hi, (g - 1 + sum(ms[:cfg.r])) // d)
+    walk = _head_sums(ms, cfg, top // d)
+    for q in range(top // d, -1, -1):
+        base = q * d
+        t = min(top, base + _last_remainder(walk.at(q), d))
+        if q:
+            t = min(t, (g - 1 + walk.low(q - 1)) // d)
+        if t >= base:
             return t + 1
     return 1
 
@@ -398,7 +419,10 @@ def alpha_lb_closed(m: int, k: int, cfg: SpecializationConfig) -> int:
     m < n when k != 0 (the uniform k = 0 case is valid for every m >= 1).
     u and rho split the total multiplicity as m*n + k = u*r + rho with
     0 < rho <= r, and s is the largest integer with (s+1)(s+2) <= 2*rho and
-    0 <= s < d, that is min(d - 1, floor((sqrt(8*rho + 1) - 3) / 2)).
+    0 <= s < d, that is min(d - 1, floor((sqrt(8*rho + 1) - 3) / 2)).  For
+    k = 0 the uniform walk has S_u = rho, so the B-term u*d + s is the top
+    of its block u under the final condition, as alpha_lower_bound reads
+    it.
     When k < 0 and Delta = n - d^2 is even and positive, mr + g - 1
     replaces mr + k + g - 1.  For k = 0 the value equals
     alpha_lower_bound((m,)*n, cfg) (see the module docstring).
@@ -414,7 +438,6 @@ def alpha_lb_closed(m: int, k: int, cfg: SpecializationConfig) -> int:
     u, rho = divmod(m * n + k, r)
     if rho == 0:
         u, rho = u - 1, r
-    s = min(d - 1, (isqrt(8 * rho + 1) - 3) // 2)
     delta = n - d * d
     numer = m * r + g - 1 if (k < 0 and delta > 0 and delta % 2 == 0) else m * r + k + g - 1
-    return 1 + min(numer // d, s + u * d)
+    return 1 + min(numer // d, u * d + _last_remainder(rho, d))

@@ -230,9 +230,9 @@ def pinned_by_divisibility(n: int, m_max: int, m_min: int = 1) -> list[Candidate
 
 
 def pinned_table_classes(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:
-    """The classes of `pinned_classes(n, m_max)` with m >= m_min, in
+    """The classes of `pinned_classes(n)` with m_min <= m <= m_max, in
     enumeration order, to compare with pinned_by_divisibility."""
-    return [c for c in pinned_classes(n, m_max) if c.m >= m_min]
+    return [c for c in pinned_classes(n) if m_min <= c.m <= m_max]
 
 
 def k0_by_isqrt(n: int, m_max: int, m_min: int = 1) -> list[CandidateTriple]:

@@ -227,19 +227,12 @@ class TestPinnedTable:
     def test_a_covering_table_gives_the_same_list(self):
         for n, m_lo, m_hi in ((10, 1, 182), (41, 5, 40), (41, 30, 90), (2000, 17, 2100)):
             want = enumerate_szcor(n, m_hi, m_lo)
-            for top in (min(m_hi, n - 1), n - 1, 5000):
-                assert enumerate_szcor(n, m_hi, m_lo, class_table(n, top)) == want, (n, top)
+            assert enumerate_szcor(n, m_hi, m_lo, class_table(n)) == want, n
 
-    @pytest.mark.parametrize("n, m_max, table", [
-        (41, 30, (41, 29)),
-        (41, 90, (41, 39)),
-        (2000, 5000, (2000, 512)),
-        (41, 30, (42, 41)),
-    ])
-    def test_a_table_short_of_the_range_is_refused(self, n, m_max, table):
-        # the table must be of n and reach min(m_max, n - 1), whatever m_min
+    def test_a_table_of_another_n_is_refused(self):
+        # the table depends on n alone, so it serves every window of its n
         with pytest.raises(InvalidInput):
-            enumerate_szcor(n, m_max, m_max, class_table(*table))
+            enumerate_szcor(41, 30, 30, class_table(42))
 
 
 class TestK0Walk:

@@ -202,6 +202,15 @@ class TestAlphaCommand:
             "j = 2, omega' = 3\n"
         )
 
+    def test_large_m_in_a_fresh_interpreter(self):
+        # the walk's bound equals the closed form 1 + 3m, and the scan has
+        # fresh_cli's 60 s to find it at m = 10^12
+        out, err = fresh_cli("alpha", "--n", "10", "--m", "1000000000000")
+        assert err == ""
+        assert out == (GOLDEN / "alpha-n10-m1e12.txt").read_text(encoding="utf-8")
+        assert out.splitlines()[2:] == ["alpha >= 3000000000001   (specialization criterion)",
+                                        "alpha >= 3000000000001   (closed form)"]
+
     def test_closed_form_of_the_configured_n(self, capsys):
         code, out, err = run_cli(capsys, "alpha", "--n", "12", "--m", "5")
         assert (code, err) == (0, "")

@@ -25,7 +25,7 @@ from seshadri.candidates import CandidateTriple, enumerate_szcor
 from seshadri.effectivity import (
     SpecializationConfig,
     _head_sums,
-    _passes,
+    _last_remainder,
     _step,
     alpha_lb_closed,
     alpha_lower_bound,
@@ -159,8 +159,8 @@ class TestDSequence:
 
 
 def criterion(t, mults, cfg):
-    """The criterion for degree t, as alpha_lower_bound decides it."""
-    return _passes(t, cfg, _head_sums(mults, cfg, max(t, 0) // cfg.d))
+    """The criterion for degree t, walked as a list by the reference."""
+    return criterion_literal(t, mults, cfg)
 
 
 class TestCriterion:
@@ -175,6 +175,26 @@ class TestCriterion:
     def test_degree_two_holds_via_final_inequality(self):
         cfg = SpecializationConfig.default(10)
         assert criterion(2, (1,) * 10, cfg) is True
+
+    def test_last_remainder_is_the_largest_passing_one(self):
+        for d in range(1, 13):
+            for head in range(3 * d * d):
+                want = max([-1] + [s for s in range(d) if (s + 1) * (s + 2) <= 2 * head])
+                assert _last_remainder(head, d) == want, (d, head)
+
+    def test_no_degree_above_the_interior_start_passes(self):
+        # the scan of alpha_lower_bound starts at floor((g - 1 + S_0)/d)
+        rnd = random.Random(23)
+        for _ in range(60):
+            n = rnd.randint(10, 40)
+            cfg = rnd.choice(_configs(n) + (_full_r(n),
+                                            SpecializationConfig(n=n, d=rnd.randint(1, 8), r=rnd.randint(1, n))))
+            mults = tuple(sorted((rnd.randint(0, 15) for _ in range(n)), reverse=True))
+            if mults[0] == 0:
+                continue
+            start = (cfg.g - 1 + sum(mults[:cfg.r])) // cfg.d
+            for t in range(start + 1, _window_top(mults, cfg) + 1):
+                assert not criterion(t, mults, cfg), (t, mults, cfg)
 
 
 class TestAlphaBounds:
@@ -250,9 +270,16 @@ def _sorted_with_prefix_zeros(rnd, n, r):
     return tuple(head) + (0,) * (n - support)
 
 
+def _window_top(mults, cfg):
+    """hi = ceil(sum(m)/sqrt(n)) + d, the top of alpha_lower_bound's window."""
+    total = sum(mults)
+    return ceil_sqrt(-(-total * total // cfg.n)) + cfg.d
+
+
 class TestAlphaMatchesListOracle:
-    """alpha_lower_bound against the list walk kept in conftest, which
-    re-walks the whole trace for every scanned t."""
+    """alpha_lower_bound, which reads the window one block of d degrees at a
+    time, against the list walk kept in conftest, which re-walks the whole
+    trace for every degree of the window."""
 
     @pytest.mark.parametrize("regime", ["k=0", "k>0", "k<0"])
     def test_semiuniform_vectors(self, regime):
@@ -310,12 +337,49 @@ class TestAlphaMatchesListOracle:
                "full": _full_r}[which](n)
         assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(10, 60), st.integers(-5, 200), st.lists(st.integers(0, 12), min_size=1, max_size=60))
-    def test_criterion_holds_fuzz(self, n, t, raw):
-        mults = tuple(sorted((raw * n)[:n], reverse=True))
-        for cfg in _configs(n):
-            assert criterion(t, mults, cfg) is criterion_literal(t, mults, cfg)
+    def test_interior_start_above_the_window(self):
+        # c^[j], 0^[n-j] with j <= r: S_0 = j*c puts floor((g - 1 + S_0)/d)
+        # above hi, so the scan starts at hi
+        cfg = SpecializationConfig.default(10)
+        mults = (100,) * 3 + (0,) * 7
+        assert (cfg.g - 1 + 300) // cfg.d == 100 > _window_top(mults, cfg) == 98
+        assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg)
+        rnd = random.Random(18)
+        above = 0
+        for _ in range(60):
+            n = rnd.randint(10, 60)
+            for cfg in _configs(n) + (_full_r(n),):
+                j = rnd.randint(1, cfg.r)
+                mults = (rnd.randint(1, 60),) * j + (0,) * (n - j)
+                above += (cfg.g - 1 + sum(mults[:cfg.r])) // cfg.d > _window_top(mults, cfg)
+                assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (mults, cfg)
+        assert above > 20
+
+    def test_only_block_zero_can_pass(self):
+        # g - 1 + S_0 < d^2: every interior bound lies below d, so the scan
+        # reads block 0 alone
+        rnd = random.Random(19)
+        for _ in range(60):
+            n = rnd.randint(10, 120)
+            for cfg in _configs(n) + (_full_r(n),):
+                budget = cfg.d * cfg.d - cfg.g
+                support = rnd.randint(1, min(budget, n))
+                mults = tuple(sorted((1 + rnd.randrange(budget // support) for _ in range(support)),
+                                     reverse=True)) + (0,) * (n - support)
+                assert cfg.g - 1 + sum(mults[:cfg.r]) < cfg.d * cfg.d, (mults, cfg)
+                assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (mults, cfg)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_curves_of_degree_one_and_two(self, d):
+        # g = 0, so the interior bound floor((g - 1 + low)/d) starts from -1
+        rnd = random.Random(20 + d)
+        for _ in range(100):
+            n = rnd.randint(10, 60)
+            cfg = SpecializationConfig(n=n, d=d, r=rnd.choice((1, rnd.randint(1, n), n)))
+            mults = tuple(sorted((rnd.randint(0, 12) for _ in range(n)), reverse=True))
+            if mults[0] == 0:
+                continue
+            assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (mults, cfg)
 
     def test_trace_classes_match_list_walk(self):
         rnd = random.Random(17)
@@ -578,10 +642,9 @@ class TestBoundedWalk:
 
 
 def _alpha_count(mults, cfg):
-    """The last index alpha_lower_bound reads: hi // d for the top of its
-    window hi = ceil(sum(m)/sqrt(n)) + d."""
-    total = sum(mults)
-    return (ceil_sqrt(-(-total * total // cfg.n)) + cfg.d) // cfg.d
+    """hi // d for the top of alpha_lower_bound's window hi, an index at
+    least as large as the last one it reads."""
+    return _window_top(mults, cfg) // cfg.d
 
 
 class TestLongWalksAtLargeN:
