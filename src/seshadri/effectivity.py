@@ -8,7 +8,10 @@ subtracting N_j = E_j - E_{j+1} (and N_n = E_n) whenever the class meets N_j
 negatively, until the multiplicities are nonincreasing with last entry >= 0.
 The rewriting itself is never run: on a normal-form vector the fixpoint of
 one step has a closed form (re-sort, then raise -1 entries to 0), which
-_step applies, and _walk is the one loop that steps D_i -> D_{i+1}.
+_step applies, and _walk is the one loop that steps D_i -> D_{i+1}.  A
+step lowers the total of a nonzero vector by at least 1, as its first entry
+is positive and lies among the first r >= 1, so every walk reaches the zero
+vector within sum(m) steps, and the zero vector steps to itself.
 
 Writing t_i = D_i . L and stopping at the first index j with t_j < d, the
 criterion
@@ -49,6 +52,12 @@ u = d - s >= 1 and 2(g - 1) = (d-1)(d-2) - 2,
 
 since a product of two consecutive integers is never negative: d*s <= g - 1 + S_0
 there too.
+
+So the scan starts at top = min(hi, floor((g - 1 + S_0)/d)), with hi the
+top of the window, and block 0 passes for every nonzero vector: S_0 >= 1
+gives s(S_0) >= 0, and top >= 0, as g >= 0 and hi >= d.  The scan
+therefore reads the blocks q >= 1 down from top // d, and if none passes,
+the largest t_0 is min(top, s(S_0)).
 
 Once the vector is *balanced* (its entries differ by at most 1) the walk
 has a closed form.  A balanced vector is fixed by its total T: with
@@ -149,10 +158,6 @@ from operator import add, lt
 from .lattice import DomainError, InvalidInput, ceil_sqrt
 
 
-class UnloadingDiverged(RuntimeError):
-    """Internal diagnostic: the specialization walk exceeded its step cap."""
-
-
 class SpecializationConfig(namedtuple("SpecializationConfig", "n d r")):
     """Parameters (n, d, r) of the specialization curve, and its genus g.
 
@@ -251,8 +256,8 @@ def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _
     a < r and v >= 1 the vector becomes v^[n-r+a], (v-1)^[r-a]; if a < r
     and v = 0 then T < r and every entry ends at 0.  So the rest of the walk is
     S_i = r*(T_i // n) + min(T_i mod n, r) with T_i = max(T - r*(i - b), 0)
-    and b the first balanced index.  The zero vector is balanced, so it
-    needs no special case.
+    and b the first balanced index.  mults must be nonzero, as
+    alpha_lower_bound's are.
 
     Past b the entries are stored only while they can lower a prefix
     minimum.  With z = b + ceil(T_b / r) the first zero index and
@@ -262,8 +267,12 @@ def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _
 
     and 0 <= psi <= r(n - r).  So when n*d^2 > r^2 no i >= b + K, with
     K = floor(r(n - r)/(n*d^2 - r^2)) + 1, lowers a minimum, and for i >= z
-    only d^2*z can.  The store ends at min(count, b + K - 1, z - 1), and at
-    least at b; without a positive n*d^2 - r^2 there is no K.
+    only d^2*z can.  The store ends at min(count, b + K - 1, z - 1);
+    without a positive n*d^2 - r^2 there is no K.
+
+    When b <= count the store reaches b: z - 1 >= b, as T_b >= 1.  A step
+    lowers each entry by at most 1, so the last nonzero D_i has every entry
+    at most 1 and is balanced; b comes no later, and D_b is nonzero.
     """
     n, r, dd = cfg.n, cfg.r, cfg.d * cfg.d
     sums: list[int] = []
@@ -283,7 +292,7 @@ def _head_sums(mults: Sequence[int], cfg: SpecializationConfig, count: int) -> _
             last = min(last, start + r * (n - r) // slope)
         # min(a, r) is written inline: a builtin call per entry costs about
         # as much as the rest of the expression.
-        totals = range(total, total - r * (max(last, start) + 1 - start), -r)
+        totals = range(total, total - r * (last + 1 - start), -r)
         sums += [r * (t // n) + (a if (a := t % n) < r else r) for t in totals]
     lows = list(accumulate(map(add, sums, range(0, dd * len(sums), dd)), min))
     return _HeadSums(sums, lows, start, total, zero, n, r, dd)
@@ -337,13 +346,15 @@ def d_sequence(degree: int, mults: Sequence[int], cfg: SpecializationConfig) -> 
     omega_prime), with t_i = degree - i*d and D_i . C = d*t_i - (sum of the
     first r multiplicities).  j is the first index with t_i < d, which is
     max(degree, 0) // d, and omega_prime the first index of the zero vector.
-    A walk longer than its step cap raises UnloadingDiverged: a faulty step,
-    not a long trace.
+
+    The loop ends: a step lowers the total of a nonzero vector by at least
+    1, as its first entry is positive and lies among the first r >= 1, so
+    omega_prime <= sum(mults) and the trace holds max(j, omega_prime) + 1
+    steps.
     """
     ms = _require_normal_form(mults, cfg.n)
     d, r = cfg.d, cfg.r
     j = max(degree, 0) // d
-    cap = sum(ms) + cfg.n + 12 + j
     steps: list[TraceStep] = []
     omega = -1
     for i, di in enumerate(_walk(ms, r)):
@@ -353,8 +364,6 @@ def d_sequence(degree: int, mults: Sequence[int], cfg: SpecializationConfig) -> 
             omega = i
         if omega >= 0 and i >= j:
             break
-        if i > cap:
-            raise UnloadingDiverged(f"trace exceeded {cap} steps")
     return UnloadingTrace(steps=tuple(steps), j=j, omega_prime=omega)
 
 
@@ -366,27 +375,31 @@ def alpha_lower_bound(mults: Sequence[int], cfg: SpecializationConfig) -> int:
     in t).  Inside block q the criterion passes the degrees from q*d up to
     min(q*d + s(S_q), floor((g - 1 + low(q - 1))/d)), the second term only
     for q >= 1, so the top of the first nonempty block from above is the
-    maximum; if no block passes the bound is 1.  No degree above
-    floor((g - 1 + S_0)/d) passes, so the scan starts there when that lies
-    inside the window, and the multiplicity walk, which does not depend on
-    t, runs once up to that block (see the module docstring).
+    maximum.  No degree above floor((g - 1 + S_0)/d) passes, so the scan
+    starts there when that lies inside the window, and the multiplicity
+    walk, which does not depend on t, runs once up to that block (see the
+    module docstring).
+
+    Block 0 always passes, so the scan needs no other exit: the vector is
+    nonzero, so S_0 >= 1 and s(S_0) >= 0, and the scan's start top, the
+    lesser of floor((g - 1 + S_0)/d) and the window's top, is at least 0.
+    If no block q >= 1 passes, the bound is 1 + min(top, s(S_0)).
     """
     ms = _require_normal_form(mults, cfg.n)
     total = sum(ms)
     if total == 0:
         raise InvalidInput("all-zero multiplicity vector")
     d, g = cfg.d, cfg.g
+    head = sum(ms[:cfg.r])
     hi = ceil_sqrt(-(-total * total // cfg.n)) + d
-    top = min(hi, (g - 1 + sum(ms[:cfg.r])) // d)
+    top = min(hi, (g - 1 + head) // d)
     walk = _head_sums(ms, cfg, top // d)
-    for q in range(top // d, -1, -1):
+    for q in range(top // d, 0, -1):
         base = q * d
-        t = min(top, base + _last_remainder(walk.at(q), d))
-        if q:
-            t = min(t, (g - 1 + walk.low(q - 1)) // d)
+        t = min(top, base + _last_remainder(walk.at(q), d), (g - 1 + walk.low(q - 1)) // d)
         if t >= base:
             return t + 1
-    return 1
+    return 1 + min(top, _last_remainder(head, d))
 
 
 def semiuniformize(n: int, m: int, k: int) -> tuple[int, ...]:
@@ -415,7 +428,7 @@ def alpha_lb_closed(m: int, k: int, cfg: SpecializationConfig) -> int:
     for the semi-uniform vector of n = cfg.n points.
 
     cfg must be the default specialization of n, the only one the form is
-    proved for and the only one its callers build.  Requires k^2 <= m and
+    proved for; another raises DomainError.  Requires k^2 <= m and
     m < n when k != 0 (the uniform k = 0 case is valid for every m >= 1).
     u and rho split the total multiplicity as m*n + k = u*r + rho with
     0 < rho <= r, and s is the largest integer with (s+1)(s+2) <= 2*rho and
@@ -433,6 +446,8 @@ def alpha_lb_closed(m: int, k: int, cfg: SpecializationConfig) -> int:
     item 10).
     """
     n, d, r, g = cfg.n, cfg.d, cfg.r, cfg.g
+    if cfg != SpecializationConfig.default(n):
+        raise DomainError(f"closed form is proved only for the default specialization of n = {n}, got {cfg}")
     if m < 1 or k * k > m or (k != 0 and m >= n):
         raise DomainError(f"closed form needs k^2 <= m (and m < n unless k = 0), got m={m}, k={k}")
     u, rho = divmod(m * n + k, r)

@@ -124,6 +124,22 @@ class TestComputeBound:
             for db in weaker:
                 assert compute_bound(n, db=db).f <= f, (n, sorted(db.enabled_sources))
 
+    def test_the_n_whose_f_each_source_carries(self):
+        # the n where disabling one source moves f; every one lies below 54,
+        # so a new dependence on an import in 10..199 fails here
+        carried = {
+            "CCMO": [10, 11, 12, 14, 15, 17, 19, 20, 21, 24, 28, 29, 30, 31, 35, 53],
+            "Miranda": [10],
+            "unique-cubic": [],
+        }
+        ns = nonsquares(10, 199)
+        base = default_db()
+        assert base.enabled_sources == set(carried)
+        f = {n: rep.f for n, rep in bounds_for_ns(ns, db=base).items()}
+        for source, want in carried.items():
+            off = bounds_for_ns(ns, db=base.with_sources(disable=(source,)))
+            assert [n for n in ns if off[n].f != f[n]] == want, source
+
     def test_f_never_drops_as_the_m_cap_grows(self):
         caps = (1, 2, 3, 5, 8, 16, 17, 31, 40, 64, 100, 200, 5000)
         for n in nonsquares(10, 99):

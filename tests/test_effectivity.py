@@ -245,6 +245,11 @@ class TestAlphaBounds:
             alpha_lb_closed(12, 2, cfg)  # k != 0 with m >= n
         with pytest.raises(DomainError):
             alpha_lb_closed(1, 0, SpecializationConfig.default(9))  # no default specialization below n = 10
+        # proved only for n's default: (41, 5, 32) gave 65 unchecked
+        for other in (SpecializationConfig(41, 5, 32), ceil_r_config(11), _full_r(11)):
+            alpha_lb_closed(10, -3, SpecializationConfig.default(other.n))
+            with pytest.raises(DomainError):
+                alpha_lb_closed(10, -3, other)
 
     def test_even_gap_variant_selected(self):
         # n = 18 has d = 4 and even positive n - d^2, so the k < 0 bound drops
@@ -261,6 +266,10 @@ def _configs(n):
 def _full_r(n):
     base = SpecializationConfig.default(n)
     return SpecializationConfig(n=n, d=base.d, r=n)
+
+
+def _random_config(rnd, n):
+    return SpecializationConfig(n=n, d=rnd.randint(1, 12), r=rnd.randint(1, n))
 
 
 def _sorted_with_prefix_zeros(rnd, n, r):
@@ -357,7 +366,8 @@ class TestAlphaMatchesListOracle:
 
     def test_only_block_zero_can_pass(self):
         # g - 1 + S_0 < d^2: every interior bound lies below d, so the scan
-        # reads block 0 alone
+        # reads block 0 alone, which always passes: the bound is
+        # 1 + min(top, s(S_0))
         rnd = random.Random(19)
         for _ in range(60):
             n = rnd.randint(10, 120)
@@ -366,8 +376,11 @@ class TestAlphaMatchesListOracle:
                 support = rnd.randint(1, min(budget, n))
                 mults = tuple(sorted((1 + rnd.randrange(budget // support) for _ in range(support)),
                                      reverse=True)) + (0,) * (n - support)
-                assert cfg.g - 1 + sum(mults[:cfg.r]) < cfg.d * cfg.d, (mults, cfg)
-                assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (mults, cfg)
+                head = sum(mults[:cfg.r])
+                assert cfg.g - 1 + head < cfg.d * cfg.d, (mults, cfg)
+                top = min(_window_top(mults, cfg), (cfg.g - 1 + head) // cfg.d)
+                want = 1 + min(top, _last_remainder(head, cfg.d))
+                assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg) == want, (mults, cfg)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_curves_of_degree_one_and_two(self, d):
@@ -382,12 +395,23 @@ class TestAlphaMatchesListOracle:
             assert alpha_lower_bound(mults, cfg) == alpha_lower_bound_literal(mults, cfg), (mults, cfg)
 
     def test_trace_classes_match_list_walk(self):
+        # also under random (d, r): a step lowers the total of a nonzero
+        # vector by at least 1, so omega' <= sum(m), and the trace stops at
+        # max(j, omega'); the first balanced D_b comes before omega', so
+        # _head_sums' balanced total is at least 1
         rnd = random.Random(17)
         for _ in range(100):
             n = rnd.randint(10, 60)
-            cfg = rnd.choice(_configs(n) + (_full_r(n),))
+            cfg = rnd.choice(_configs(n) + (_full_r(n), _random_config(rnd, n)))
             mults = sorted((rnd.randint(0, 9) for _ in range(n)), reverse=True)
             tr = d_sequence(rnd.randint(0, 60), tuple(mults), cfg)
+            assert 0 < tr.omega_prime <= sum(mults), (mults, cfg)
+            assert len(tr.steps) == max(tr.j, tr.omega_prime) + 1, (mults, cfg)
+            balanced = next(step.index for step in tr.steps if step.mults[0] - step.mults[-1] <= 1)
+            walk = _head_sums(tuple(mults), cfg, balanced)
+            assert balanced < tr.omega_prime and walk.start == balanced, (mults, cfg)
+            assert walk.total == sum(tr.steps[balanced].mults) >= 1, (mults, cfg)
+            assert len(walk.sums) > balanced, (mults, cfg)
             b = list(mults)
             for step in tr.steps:
                 assert step.mults == tuple(b)
@@ -631,12 +655,19 @@ class TestBoundedWalk:
         st.integers(0, 120),
     )
     def test_fuzz(self, n, raw, d_shift, r_shift, count):
+        # a nonzero vector, as alpha_lower_bound passes: its first balanced
+        # total is at least 1, so a store that reaches b = start keeps it
         mults = tuple(sorted((raw * n)[:n], reverse=True))
+        if mults[0] == 0:
+            mults = (1,) + mults[1:]
         base = SpecializationConfig.default(n)
         d = max(1, base.d + d_shift)
         r = min(n, max(1, isqrt(d * d * n) + r_shift))
         cfg = SpecializationConfig(n, d, r)
         walk = _assert_matches_list_oracle(mults, cfg, count)
+        if walk.start <= count:
+            assert walk.total >= 1 and walk.zero - 1 >= walk.start
+            assert len(walk.sums) > walk.start
         walked = _walk_sums(mults, r, min(count, 60))
         assert [walk.at(i) for i in range(len(walked))] == walked
 
